@@ -5,12 +5,13 @@ vector-Jacobian product, and `grad` accumulates gradients in reverse
 creation order, so accumulation order is fixed and repeated runs are
 bit-identical. `grad_check` verifies analytic gradients against central
 differences, skipping coordinates whose perturbation crosses a
-ReLU/abs/clamp/row-max kink (the activation pattern is compared between the
+ReLU/abs/clamp kink (the activation pattern is compared between the
 two probe evaluations).
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 
 import numpy as np
@@ -21,24 +22,28 @@ _COUNTER = itertools.count()
 
 
 class _KinkRecorder:
-    """Collects activation patterns of kinked ops during a forward pass."""
+    """Collects activation patterns of kinked ops during a forward pass.
 
-    active = None
+    The active list lives in a context variable, so a `grad_check` in one
+    thread never sees the forward passes of another."""
+
+    active = contextvars.ContextVar("kink_patterns", default=None)
 
     @classmethod
     def record(cls, arr):
-        if cls.active is not None:
-            cls.active.append(np.asarray(arr).copy())
+        patterns = cls.active.get()
+        if patterns is not None:
+            patterns.append(np.asarray(arr).copy())
 
 
 class _capture_patterns:
     def __enter__(self):
-        self.prev = _KinkRecorder.active
-        _KinkRecorder.active = []
-        return _KinkRecorder.active
+        patterns = []
+        self.token = _KinkRecorder.active.set(patterns)
+        return patterns
 
     def __exit__(self, *exc):
-        _KinkRecorder.active = self.prev
+        _KinkRecorder.active.reset(self.token)
         return False
 
 
@@ -221,31 +226,8 @@ def texp(a):
     a = as_tensor(a)
     out = np.exp(a.value)
     if not np.all(np.isfinite(out)):
-        raise NumericError("exp overflow; use exp_stable for wide ranges")
+        raise NumericError("exp overflow")
     return _make(out, [(a, lambda g: g * out)])
-
-
-def exp_stable(a):
-    """Row-stabilized exponential: exp(x - rowmax(x)) for a 2-D input.
-
-    The max path is differentiated too (subtract the out-row sum at the
-    argmax column), so the standalone primitive gradient-checks cleanly.
-    """
-    a = as_tensor(a)
-    av = a.value
-    if av.ndim != 2:
-        raise ShapeError("exp_stable expects a 2-D input")
-    arg = np.argmax(av, axis=1)
-    _KinkRecorder.record(arg)
-    out = np.exp(av - av[np.arange(av.shape[0]), arg][:, None])
-
-    def vjp(g):
-        gx = g * out
-        rowsum = gx.sum(axis=1)
-        gx[np.arange(av.shape[0]), arg] -= rowsum
-        return gx
-
-    return _make(out, [(a, vjp)])
 
 
 def tabs(a):
@@ -447,7 +429,7 @@ def grad_check(loss_fn, params, eps=1e-5, max_coords=24, seed=0):
 
     loss_fn() must rebuild the scalar loss from the current parameter values.
     Coordinates whose +/-eps probes land on different activation patterns
-    (ReLU/abs/clamp masks, row-max argmax) are skipped: subgradients
+    (ReLU/abs/clamp masks) are skipped: subgradients
     legitimately disagree across a kink.
     """
     if not 1e-7 <= eps <= 1e-4:

@@ -26,6 +26,7 @@ from .data import (
     standardize_features,
     synth_generate,
     write_dataset,
+    write_json_atomic,
 )
 from .errors import (
     ConfigError,
@@ -34,7 +35,6 @@ from .errors import (
     FairGraphError,
     NumericError,
     UndefinedMetricError,
-    VerificationError,
 )
 from .graph import (
     Graph,
@@ -62,8 +62,7 @@ WEIGHT_FLAGS = ("alpha", "beta", "gamma", "omega", "eta", "K", "K_prime", "kappa
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json_atomic(path, payload, indent=2)
 
 
 def _load_dataset_arg(name_or_path):
@@ -444,8 +443,7 @@ def main(argv=None):
     except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, NumericError, UndefinedMetricError,
-            VerificationError) as exc:
+    except (DivergenceError, NumericError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FairGraphError as exc:

@@ -347,6 +347,19 @@ def synth_generate(cfg: SynthConfig):
 # ---------------------------------------------------------------------------
 # writers
 
+def write_json_atomic(path, payload, **dump_kwargs):
+    """json.dump into a temporary file beside `path`, then os.replace it over
+    `path`: a dump that fails leaves the old file, and no temporary, behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, **dump_kwargs)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_dataset(dirpath, graph: Graph, table: NodeTable):
     """Write the three-file dataset layout; round-trips through load_dataset."""
     os.makedirs(dirpath, exist_ok=True)

@@ -42,10 +42,6 @@ class InvalidTargetError(FairGraphError):
     """Homophily targets outside the ranges the budgeted editor accepts."""
 
 
-class ResourceLimitError(FairGraphError):
-    """Exhaustive oracle invoked beyond its enumeration limit."""
-
-
 class CapacityError(FairGraphError):
     """Negative-edge sample larger than the number of non-adjacent pairs."""
 
@@ -82,10 +78,3 @@ class DivergenceError(FairGraphError):
 class ConfigError(FairGraphError):
     """Invalid training configuration or CLI usage."""
 
-
-class VerificationError(FairGraphError):
-    """A verification suite found a counterexample."""
-
-    def __init__(self, message, counterexample=None):
-        super().__init__(message)
-        self.counterexample = counterexample

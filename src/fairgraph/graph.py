@@ -9,7 +9,6 @@ identities hold to machine precision.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +20,6 @@ from .errors import (
     DegenerateEditError,
     InfeasibleError,
     InvalidTargetError,
-    ResourceLimitError,
     UndefinedRatioError,
 )
 
@@ -400,56 +398,3 @@ def minimal_deletions(census: EdgeCensus, tau_c, tau_s):
         raise InfeasibleError(
             f"targets unreachable with {census.count_iii} Type III edges")
     return max(k_c, k_s)
-
-
-@dataclass(frozen=True)
-class DeletionSetSummary:
-    """Exhaustive scan over all k-subsets of edges (test oracle)."""
-
-    k: int
-    n_subsets: int
-    max_hr_c: float
-    min_hr_s: float
-    achieves_predicted: bool
-
-
-def oracle_best_deletion_sets(g: Graph, labels: NodeLabels, k: int) -> DeletionSetSummary:
-    """Enumerate every k-subset of edges and report the best reachable ratios.
-
-    Used only in tests; refuses graphs with m > 16.
-    """
-    m = g.m
-    if m > 16:
-        raise ResourceLimitError(f"exhaustive deletion scan limited to m <= 16, got {m}")
-    if not 0 <= k < m:
-        raise ValueError("need 0 <= k < m so ratios stay defined")
-    y = labels.effective_label()
-    s = labels.sensitive
-    ea = g.edge_array()
-    yc = (y[ea[:, 0]] == y[ea[:, 1]]).astype(int)
-    ys = (s[ea[:, 0]] == s[ea[:, 1]]).astype(int)
-    census = EdgeCensus(
-        count_i=int(np.sum(yc & ys)), count_ii=int(np.sum(yc & (1 - ys))),
-        count_iii=int(np.sum((1 - yc) & ys)), count_iv=int(np.sum((1 - yc) & (1 - ys))))
-    n_c, n_s = census.n_c, census.n_s
-
-    predicted = None
-    if k <= census.count_iii:
-        predicted = (Fraction(n_c, m - k), Fraction(n_s - k, m - k))
-
-    best_c = Fraction(-1)
-    best_s = Fraction(2)
-    achieves = False
-    n_subsets = 0
-    for subset in itertools.combinations(range(m), k):
-        n_subsets += 1
-        dc = sum(yc[i] for i in subset)
-        ds = sum(ys[i] for i in subset)
-        hr_c = Fraction(n_c - dc, m - k)
-        hr_s = Fraction(n_s - ds, m - k)
-        best_c = max(best_c, hr_c)
-        best_s = min(best_s, hr_s)
-        if predicted is not None and (hr_c, hr_s) == predicted:
-            achieves = True
-    return DeletionSetSummary(k=k, n_subsets=n_subsets, max_hr_c=float(best_c),
-                              min_hr_s=float(best_s), achieves_predicted=achieves)

@@ -90,29 +90,48 @@ class CounterfactualIndex:
 
 
 def _flatten_pairs(id_lists):
-    anchors = []
-    partners = []
-    for i, ids in enumerate(id_lists):
-        if len(ids):
-            anchors.append(np.full(len(ids), i, dtype=np.int64))
-            partners.append(ids)
-    if not anchors:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(anchors), np.concatenate(partners)
+    counts = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
+    anchors = np.repeat(np.arange(len(id_lists), dtype=np.int64), counts)
+    partners = np.concatenate([np.zeros(0, dtype=np.int64), *id_lists])
+    return anchors, partners.astype(np.int64, copy=False)
 
 
-def _pairwise_sq_dists(h, block=512):
-    """Exact squared Euclidean distances, computed blockwise."""
-    sq = (h * h).sum(axis=1)
-    n = h.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d = sq[start:stop, None] + sq[None, :] - 2.0 * (h[start:stop] @ h.T)
+_BLOCK = 512   # anchor rows per distance block
+
+
+def _nearest(x, allowed, k):
+    """Exact k nearest allowed candidates per row of x by squared L2.
+
+    allowed(rows) gives the candidate mask of shape (block, n) for a slice of
+    anchor rows. Returns (counts, ids, dists): the number of hits per row and
+    the hits flattened in (row, distance, id) order, so ties go to the smaller
+    id. A row has fewer than k hits only when it has fewer candidates.
+    Distances are sq_i + sq_j - 2 x_i.x_j clamped at 0, one row block at a
+    time, so memory stays O(block * n).
+    """
+    sq = (x * x).sum(axis=1)
+    n = x.shape[0]
+    kth = min(k, n) - 1
+    counts, ids, dists = [], [], []
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        d = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
         np.maximum(d, 0.0, out=d)
-        out[start:stop] = d
-    return out
+        mask = allowed(rows)
+        d[~mask] = np.inf
+        # every candidate at or below the k-th smallest distance, then an
+        # exact (row, distance, id) sort of those few
+        cut = np.partition(d, kth, axis=1)[:, kth, None]
+        r, c = np.nonzero(mask & (d <= cut))
+        dist = d[r, c]
+        order = np.lexsort((c, dist, r))
+        r, c, dist = r[order], c[order], dist[order]
+        row_hits = np.bincount(r, minlength=d.shape[0])
+        keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
+        counts.append(np.minimum(row_hits, k))
+        ids.append(c[keep])
+        dists.append(dist[keep])
+    return np.concatenate(counts), np.concatenate(ids), np.concatenate(dists)
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
@@ -122,35 +141,23 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
     h = np.asarray(h, dtype=np.float64)
     pseudo = np.asarray(pseudo)
     sensitive = np.asarray(sensitive)
-    n = h.shape[0]
-    d2 = _pairwise_sq_dists(h)
-    e_ids, c_ids, e_d, c_d = [], [], [], []
-    ids = np.arange(n)
-    for i in range(n):
-        same_y = pseudo == pseudo[i]
-        same_s = sensitive == sensitive[i]
-        not_self = ids != i
-        for mask, id_out, d_out in (
-                (same_y & ~same_s & not_self, e_ids, e_d),
-                (~same_y & same_s & not_self, c_ids, c_d)):
-            cand = ids[mask]
-            if len(cand) == 0:
-                id_out.append(np.zeros(0, dtype=np.int64))
-                d_out.append(np.zeros(0))
-                continue
-            dists = d2[i, cand]
-            order = np.lexsort((cand, dists))[:k]
-            id_out.append(cand[order])
-            d_out.append(dists[order])
-    empty_e = sum(1 for ids_ in e_ids if len(ids_) == 0)
-    empty_c = sum(1 for ids_ in c_ids if len(ids_) == 0)
+
+    def nearest(allowed):
+        counts, ids, dists = _nearest(h, allowed, k)
+        cuts = np.cumsum(counts)[:-1]
+        return (tuple(np.split(ids, cuts)), tuple(np.split(dists, cuts)),
+                int(np.count_nonzero(counts == 0)))
+
+    # e-type: same pseudo-label, other group; c-type: other label, same group
+    e_ids, e_d, empty_e = nearest(
+        lambda r: (pseudo[r, None] == pseudo) & (sensitive[r, None] != sensitive))
+    c_ids, c_d, empty_c = nearest(
+        lambda r: (pseudo[r, None] != pseudo) & (sensitive[r, None] == sensitive))
     if empty_e or empty_c:
         log.debug("counterfactual selection: %d nodes without e-type, %d without c-type",
                   empty_e, empty_c)
-    return CounterfactualIndex(
-        e_ids=tuple(e_ids), c_ids=tuple(c_ids),
-        e_dists=tuple(e_d), c_dists=tuple(c_d),
-        k=k, empty_e=empty_e, empty_c=empty_c)
+    return CounterfactualIndex(e_ids=e_ids, c_ids=c_ids, e_dists=e_d, c_dists=c_d,
+                               k=k, empty_e=empty_e, empty_c=empty_c)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +311,9 @@ def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
     n = len(s)
     if (s == s[0]).all():
         raise UndefinedMetricError("environment loss needs both sensitive groups")
-    ev = e.value
-    d2 = _pairwise_sq_dists(ev)
-    ids = np.arange(n)
-    anchors, partners, weights = [], [], []
-    for i in range(n):
-        cand = ids[s != s[i]]
-        dists = d2[i, cand]
-        order = np.lexsort((cand, dists))[:k_prime]
-        chosen = cand[order]
-        k_i = len(chosen)
-        anchors.append(np.full(k_i, i, dtype=np.int64))
-        partners.append(chosen)
-        weights.append(np.full(k_i, 1.0 / (n * k_i)))
-    anchors = np.concatenate(anchors)
-    partners = np.concatenate(partners)
-    w = np.concatenate(weights).reshape(-1, 1)
+    counts, partners, _ = _nearest(e.value, lambda r: s[r, None] != s, k_prime)
+    anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
+    w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
     dist = ad.row_l2_norm(ad.gather_rows(e, anchors) - ad.gather_rows(e, partners))
     return -ad.tsum(ad.mul(w, dist))
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NeighborAggregator, Tensor
+from .data import write_json_atomic
 from .errors import ShapeError
 
 CHECKPOINT_VERSION = 1
@@ -130,8 +131,7 @@ def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
                       for name in ("w", "b")},
         "meta": meta or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_json_atomic(path, doc)
 
 
 def load_checkpoint(path):

@@ -464,17 +464,21 @@ def _thread_count():
         return 1
 
 
+def _pool_map(fn, jobs):
+    """[fn(job) for job in jobs] on up to FAIRGRAPH_THREADS threads, in job
+    order."""
+    workers = min(_thread_count(), len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def run_experiment(graph: Graph, table: NodeTable, cfg: TrainConfig):
     """All (seed, split) runs of a config; returns (results, aggregate)."""
-    jobs = list(enumerate(cfg.seeds))
-    workers = min(_thread_count(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda job: run_single(graph, table, cfg, job[1], split_id=job[0]),
-                jobs))
-    else:
-        results = [run_single(graph, table, cfg, s, split_id=i) for i, s in jobs]
+    results = _pool_map(
+        lambda job: run_single(graph, table, cfg, job[1], split_id=job[0]),
+        list(enumerate(cfg.seeds)))
     return results, aggregate_results(results)
 
 
@@ -526,20 +530,20 @@ def grid_search(graph: Graph, table: NodeTable, base_cfg: TrainConfig, grid):
     cells = [dict(zip(keys, combo))
              for combo in itertools.product(*(grid[k] for k in keys))]
 
-    def eval_cell(cell):
-        weights = replace(base_cfg.weights,
-                          **{_WEIGHT_KEYS[k]: v for k, v in cell.items()})
-        cfg = replace(base_cfg, weights=weights)
-        results, agg = run_experiment(graph, table, cfg)
-        scores = np.array([r.val_report.score for r in results])
-        return GridCell(params=cell, mean_val_score=float(scores.mean()),
-                        std_val_score=float(scores.std(ddof=0)), aggregate=agg)
-
-    workers = min(_thread_count(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(eval_cell, cells))
-    else:
-        out = [eval_cell(c) for c in cells]
+    cfgs = [replace(base_cfg, weights=replace(
+        base_cfg.weights, **{_WEIGHT_KEYS[k]: v for k, v in cell.items()}))
+        for cell in cells]
+    # one flat pool over every (cell, split, seed) run
+    runs = list(enumerate(base_cfg.seeds))
+    results = _pool_map(
+        lambda job: run_single(graph, table, cfgs[job[0]], job[2], split_id=job[1]),
+        [(c, split_id, seed) for c in range(len(cells)) for split_id, seed in runs])
+    out = []
+    for c, cell in enumerate(cells):
+        cell_results = results[c * len(runs):(c + 1) * len(runs)]
+        scores = np.array([r.val_report.score for r in cell_results])
+        out.append(GridCell(params=cell, mean_val_score=float(scores.mean()),
+                            std_val_score=float(scores.std(ddof=0)),
+                            aggregate=aggregate_results(cell_results)))
     out.sort(key=lambda c: (-c.mean_val_score, json.dumps(c.params, sort_keys=True)))
     return out

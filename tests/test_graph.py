@@ -2,6 +2,8 @@
 identities, with brute-force oracles at every step."""
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from fairgraph.errors import (
     DegenerateEditError,
     InfeasibleError,
     InvalidTargetError,
-    ResourceLimitError,
     UndefinedRatioError,
 )
 from fairgraph.graph import (
@@ -24,7 +25,6 @@ from fairgraph.graph import (
     homophily_ratios,
     load_edge_list,
     minimal_deletions,
-    oracle_best_deletion_sets,
     predict_ratio_shift,
     single_edge_effect,
 )
@@ -334,6 +334,57 @@ def test_minimal_deletions_infeasible_and_bad_targets():
 # ---------------------------------------------------------------------------
 # exhaustive deletion oracle
 
+@dataclass(frozen=True)
+class DeletionSetSummary:
+    """Exhaustive scan over all k-subsets of edges (test oracle)."""
+
+    k: int
+    n_subsets: int
+    max_hr_c: float
+    min_hr_s: float
+    achieves_predicted: bool
+
+
+def oracle_best_deletion_sets(g: Graph, labels: NodeLabels, k: int) -> DeletionSetSummary:
+    """Independent oracle: enumerate every k-subset of edges and report the
+    best reachable ratios. Refuses graphs with m > 16."""
+    m = g.m
+    if m > 16:
+        raise ValueError(f"exhaustive deletion scan limited to m <= 16, got {m}")
+    if not 0 <= k < m:
+        raise ValueError("need 0 <= k < m so ratios stay defined")
+    y = labels.effective_label()
+    s = labels.sensitive
+    ea = g.edge_array()
+    yc = (y[ea[:, 0]] == y[ea[:, 1]]).astype(int)
+    ys = (s[ea[:, 0]] == s[ea[:, 1]]).astype(int)
+    census = EdgeCensus(
+        count_i=int(np.sum(yc & ys)), count_ii=int(np.sum(yc & (1 - ys))),
+        count_iii=int(np.sum((1 - yc) & ys)), count_iv=int(np.sum((1 - yc) & (1 - ys))))
+    n_c, n_s = census.n_c, census.n_s
+
+    predicted = None
+    if k <= census.count_iii:
+        predicted = (Fraction(n_c, m - k), Fraction(n_s - k, m - k))
+
+    best_c = Fraction(-1)
+    best_s = Fraction(2)
+    achieves = False
+    n_subsets = 0
+    for subset in itertools.combinations(range(m), k):
+        n_subsets += 1
+        dc = sum(yc[i] for i in subset)
+        ds = sum(ys[i] for i in subset)
+        hr_c = Fraction(n_c - dc, m - k)
+        hr_s = Fraction(n_s - ds, m - k)
+        best_c = max(best_c, hr_c)
+        best_s = min(best_s, hr_s)
+        if predicted is not None and (hr_c, hr_s) == predicted:
+            achieves = True
+    return DeletionSetSummary(k=k, n_subsets=n_subsets, max_hr_c=float(best_c),
+                              min_hr_s=float(best_s), achieves_predicted=achieves)
+
+
 def test_oracle_k_zero_is_identity():
     g, labels = four_node_case()
     summary = oracle_best_deletion_sets(g, labels, 0)
@@ -371,5 +422,5 @@ def test_oracle_type_iii_subsets_match_prediction():
 def test_oracle_resource_limit():
     g = Graph.from_edges(18, [(i, i + 1) for i in range(17)])
     labels = NodeLabels.create(sensitive=[0, 1] * 9, class_label=[0] * 18)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ValueError):
         oracle_best_deletion_sets(g, labels, 1)

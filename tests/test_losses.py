@@ -78,10 +78,19 @@ def test_k_larger_than_pool_returns_whole_pool():
     assert len(cf.e_ids[0]) == 2
 
 
+def tied_rows(rng, n, d):
+    """n rows drawn, with repeats, from n // 3 distinct ones, so every
+    distance to a repeated row is an exact tie."""
+    return rng.standard_normal((n // 3, d))[rng.integers(0, n // 3, n)]
+
+
 def test_selection_matches_exhaustive_scan():
     rng = np.random.default_rng(2)
-    for n, k in ((10, 1), (25, 3), (50, 5)):
-        h = rng.standard_normal((n, 4))
+    # 600 rows cross the 512-row block boundary; k=20 at n=30 exceeds the
+    # candidate pool of most nodes
+    for n, k, ties in ((10, 1, False), (25, 3, False), (50, 5, False),
+                       (30, 20, False), (600, 5, True)):
+        h = tied_rows(rng, n, 4) if ties else rng.standard_normal((n, 4))
         pseudo = rng.integers(0, 2, n)
         sens = rng.integers(0, 2, n)
         cf = select_counterfactuals(h, pseudo, sens, k)
@@ -343,6 +352,16 @@ def test_env_loss_matches_brute_force():
     s = np.array([0, 1, 0, 1, 1])
     got = float(env_loss(tensor(e), s, 2).value)
     assert got == pytest.approx(env_loss_oracle(e, s, 2), abs=1e-12)
+    # 600 rows with exact ties cross the 512-row block boundary
+    e = tied_rows(rng, 600, 3)
+    s = rng.integers(0, 2, 600)
+    got = float(env_loss(tensor(e), s, 4).value)
+    assert got == pytest.approx(env_loss_oracle(e, s, 4), abs=1e-12)
+    # a group of three: K' = 5 exceeds its pool for every node of the other
+    minority = np.zeros(600, dtype=int)
+    minority[[7, 300, 590]] = 1
+    got = float(env_loss(tensor(e), minority, 5).value)
+    assert got == pytest.approx(env_loss_oracle(e, minority, 5), abs=1e-12)
 
 
 def test_env_loss_nonpositive_and_group_error():

@@ -1,5 +1,7 @@
 """Encoder/predictor forward semantics, initialization, and checkpoints."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a.value, b.value)
     probs_after = predict(pred2, encode(enc2, g, x).c).value
     assert np.array_equal(probs_before, probs_after)
+
+
+def test_failed_checkpoint_write_keeps_old_file(tmp_path):
+    enc, pred = init_params(5, 8, 4, seed=9)
+    path = tmp_path / "params.json"
+    save_checkpoint(path, enc, pred, meta={"note": "old"})
+    before = path.read_bytes()
+    # the meta block is serialised last, after the weights
+    with pytest.raises(TypeError):
+        save_checkpoint(path, enc, pred, meta={"note": object()})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["params.json"]
 
 
 def test_forward_deterministic():

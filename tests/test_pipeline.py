@@ -195,11 +195,14 @@ def test_edit_report_satisfies_shift_identity():
 def test_threaded_fanout_matches_sequential(monkeypatch):
     g, table = toy_dataset(n=120, seed=16)
     cfg = quick_config(seeds=(0, 1), T_train=5)
+    grid = {"K": [2, 3]}
     monkeypatch.delenv("FAIRGRAPH_THREADS", raising=False)
     _, sequential = run_experiment(g, table, cfg)
+    grid_sequential = grid_search(g, table, cfg, grid)
     monkeypatch.setenv("FAIRGRAPH_THREADS", "2")
     _, threaded = run_experiment(g, table, cfg)
     assert sequential == threaded
+    assert grid_search(g, table, cfg, grid) == grid_sequential
 
 
 def test_edited_graph_feeds_phase2():
