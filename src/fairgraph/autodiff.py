@@ -15,6 +15,7 @@ import contextvars
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError, ShapeError, TapeError
 
@@ -267,14 +268,20 @@ def slice_cols(a, start, stop):
 
 
 def gather_rows(a, idx):
+    """Rows `idx` (non-negative, repeats allowed) of `a`.
+
+    The reverse pass is `pick.T @ g` with `pick` the (len(idx), n) one-hot
+    selection matrix: scipy's kernel adds g[k] into row idx[k] for k in
+    order, starting from zero, so the result is bit-identical to an
+    unbuffered scatter-add."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     av = a.value
 
     def vjp(g):
-        out = np.zeros_like(av)
-        np.add.at(out, idx, g)
-        return out
+        pick = sp.csr_matrix((np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
+                             shape=(len(idx), av.shape[0]))
+        return pick.T @ g
 
     return _make(av[idx], [(a, vjp)])
 
@@ -309,19 +316,24 @@ def row_l2_norm(a):
 
 
 class NeighborAggregator:
-    """Index arrays for per-node neighbor means over a fixed graph."""
+    """Per-node neighbour means over a fixed graph, as one sparse operator.
+
+    `adj` is the unit-weight symmetric adjacency in CSR form, each row's
+    neighbours in ascending order; `inv_deg` is 1/degree (0 for isolated
+    nodes). The weights stay 1 and the scaling by 1/degree comes after the
+    product, so every mean is the exact sum of its neighbours, added in
+    ascending id order from zero, times 1/degree.
+    """
 
     def __init__(self, graph):
-        rows = []
-        cols = []
-        deg = np.zeros(graph.n, dtype=np.int64)
-        for v, nbrs in enumerate(graph.adjacency):
-            deg[v] = len(nbrs)
-            rows.extend([v] * len(nbrs))
-            cols.extend(nbrs)
+        deg = np.fromiter(map(len, graph.adjacency), dtype=np.int64, count=graph.n)
+        indptr = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(graph.adjacency),
+                              dtype=np.int64, count=int(indptr[-1]))
         self.n = graph.n
-        self.row = np.asarray(rows, dtype=np.int64)
-        self.col = np.asarray(cols, dtype=np.int64)
+        self.adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                                 shape=(graph.n, graph.n))
         inv = np.zeros(graph.n, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
@@ -332,6 +344,8 @@ def row_mean_neighbors(a, agg):
     """Mean of neighbor rows per node; isolated nodes get a zero row.
 
     `agg` is a NeighborAggregator (or a Graph, from which one is built).
+    The adjacency is symmetric, so the reverse pass multiplies by `adj`
+    itself.
     """
     if not isinstance(agg, NeighborAggregator):
         agg = NeighborAggregator(agg)
@@ -339,17 +353,8 @@ def row_mean_neighbors(a, agg):
     av = a.value
     if av.shape[0] != agg.n:
         raise ShapeError(f"row count {av.shape[0]} != node count {agg.n}")
-    sums = np.zeros_like(av)
-    np.add.at(sums, agg.row, av[agg.col])
-    out = sums * agg.inv_deg[:, None]
-
-    def vjp(g):
-        gw = g * agg.inv_deg[:, None]
-        back = np.zeros_like(av)
-        np.add.at(back, agg.col, gw[agg.row])
-        return back
-
-    return _make(out, [(a, vjp)])
+    inv = agg.inv_deg[:, None]
+    return _make((agg.adj @ av) * inv, [(a, lambda g: agg.adj @ (g * inv))])
 
 
 def cosine_matrix(a, b):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -20,13 +21,13 @@ from . import __version__
 from .autodiff import NeighborAggregator
 from .data import (
     SynthConfig,
+    atomic_open,
     export_embeddings,
     load_dataset,
     resolve_dataset,
     standardize_features,
     synth_generate,
     write_dataset,
-    write_json_atomic,
 )
 from .errors import (
     ConfigError,
@@ -59,10 +60,12 @@ from .seeding import derive_seed
 from .verify import run_suites
 
 WEIGHT_FLAGS = ("alpha", "beta", "gamma", "omega", "eta", "K", "K_prime", "kappa")
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _write_json(path, payload):
-    write_json_atomic(path, payload, indent=2)
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def _load_dataset_arg(name_or_path):
@@ -158,7 +161,7 @@ def cmd_edit(args):
     labels = _effective_labels(args, graph, table)
     edited, report = fair_edge_remove(graph, labels)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "edited_edges.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
         for u, v in edited.edges:
             fh.write(f"{u} {v}\n")
     _write_json(os.path.join(args.out, "edit_report.json"), report.to_dict())
@@ -350,6 +353,9 @@ def build_parser():
         prog="fairgraph",
         description="Fairness-aware graph editing and fair GNN training")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="lowest level of the package's log records shown "
+                             "on stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="edge census and homophily ratios")
@@ -431,6 +437,13 @@ def build_parser():
     return parser
 
 
+def _configure_logging(level):
+    """Show the package's records at `level` and above on stderr; other
+    libraries keep the root logger's level."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("fairgraph").setLevel(level.upper())
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -438,6 +451,7 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; keep that contract
         return int(exc.code) if exc.code else 0
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, DatasetError) as exc:

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,13 +348,16 @@ def synth_generate(cfg: SynthConfig):
 # ---------------------------------------------------------------------------
 # writers
 
-def write_json_atomic(path, payload, **dump_kwargs):
-    """json.dump into a temporary file beside `path`, then os.replace it over
-    `path`: a dump that fails leaves the old file, and no temporary, behind."""
+@contextmanager
+def atomic_open(path):
+    """Text file handle on a temporary file beside `path`; on a clean exit
+    the temporary is moved over `path` with os.replace. A writer that raises
+    leaves the old file, and no temporary, behind. Lines are written as
+    given (no newline translation), which is what csv writers expect."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, **dump_kwargs)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -361,10 +365,11 @@ def write_json_atomic(path, payload, **dump_kwargs):
 
 
 def write_dataset(dirpath, graph: Graph, table: NodeTable):
-    """Write the three-file dataset layout; round-trips through load_dataset."""
+    """Write the three-file dataset layout; round-trips through load_dataset.
+    Each file is replaced atomically."""
     os.makedirs(dirpath, exist_ok=True)
     spec = DatasetSpec.from_dir(dirpath)
-    with open(spec.features_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(spec.features_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(table.feature_names) + ["label", "sensitive"])
         for i in range(table.n):
@@ -372,10 +377,10 @@ def write_dataset(dirpath, graph: Graph, table: NodeTable):
             writer.writerow([repr(float(v)) for v in table.features[i]]
                             + ["" if label == UNKNOWN else int(label),
                                int(table.labels.sensitive[i])])
-    with open(spec.edges_path, "w", encoding="utf-8") as fh:
+    with atomic_open(spec.edges_path) as fh:
         for u, v in graph.edges:
             fh.write(f"{u} {v}\n")
-    with open(spec.meta_path, "w", encoding="utf-8") as fh:
+    with atomic_open(spec.meta_path) as fh:
         json.dump({"label_col": "label", "sensitive_col": "sensitive",
                    "positive_value": 1, "sensitive_positive_value": 1,
                    "drop_cols": ["sensitive"]}, fh, indent=2)
@@ -384,11 +389,12 @@ def write_dataset(dirpath, graph: Graph, table: NodeTable):
 
 def export_embeddings(path, c_values, e_values, labels: NodeLabels, split_names):
     """CSV export: node id, split, y, s, then content then environment
-    columns. Floats are written with repr so a reload is exact."""
+    columns. Floats are written with repr so a reload is exact; the file is
+    replaced atomically."""
     c_values = np.asarray(c_values, dtype=np.float64)
     e_values = np.asarray(e_values, dtype=np.float64)
     n = c_values.shape[0]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "split", "y", "s"]
                         + [f"c_{j}" for j in range(c_values.shape[1])]

@@ -270,7 +270,9 @@ def homophily_ratios(g: Graph, labels: NodeLabels):
 
 @dataclass(frozen=True)
 class EditReport:
-    """What fairness-aware editing did to a graph."""
+    """What fairness-aware editing did to a graph. `skipped`: the mode does
+    no editing; `degenerate`: editing would have removed every edge, so the
+    run trained on the unedited graph and nothing was removed."""
 
     removed_edges: tuple
     census_before: EdgeCensus
@@ -280,10 +282,12 @@ class EditReport:
     hr_c_after: float
     hr_s_after: float
     skipped: bool = False
+    degenerate: bool = False
 
     def to_dict(self):
         return {
             "skipped": self.skipped,
+            "degenerate": self.degenerate,
             "removed_count": len(self.removed_edges),
             "removed_edges": [list(e) for e in self.removed_edges],
             "census_before": self.census_before.to_dict(),
@@ -296,7 +300,9 @@ class EditReport:
 
 
 def skipped_edit_report(g: Graph, labels: NodeLabels) -> EditReport:
-    """An EditReport for runs where editing is disabled by the mode."""
+    """An EditReport that removes nothing, for runs where editing is
+    disabled by the mode (`run_single` also uses it, marked degenerate, when
+    an edit would remove every edge)."""
     census = edge_census(g, labels)
     hr_c, hr_s = homophily_ratios(g, labels)
     return EditReport(removed_edges=(), census_before=census, census_after=census,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NeighborAggregator, Tensor
-from .data import write_json_atomic
+from .data import atomic_open
 from .errors import ShapeError
 
 CHECKPOINT_VERSION = 1
@@ -131,7 +131,8 @@ def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
                       for name in ("w", "b")},
         "meta": meta or {},
     }
-    write_json_atomic(path, doc)
+    with atomic_open(path) as fh:
+        json.dump(doc, fh)
 
 
 def load_checkpoint(path):

@@ -23,7 +23,12 @@ from . import autodiff as ad
 from . import __version__
 from .autodiff import NeighborAggregator
 from .data import NodeTable, standardize_features
-from .errors import ConfigError, DivergenceError, UndefinedMetricError
+from .errors import (
+    ConfigError,
+    DegenerateEditError,
+    DivergenceError,
+    UndefinedMetricError,
+)
 from .graph import EditReport, Graph, NodeLabels, fair_edge_remove, skipped_edit_report
 from .losses import (
     LossParts,
@@ -436,7 +441,10 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
 
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
-    """One complete run: split, standardize, pre-train, edit, train."""
+    """One complete run: split, standardize, pre-train, edit, train.
+
+    An edit that would remove every edge is not applied: phase 2 trains on
+    the unedited graph and the edit report is marked `degenerate`."""
     labels = table.labels
     labeled_ids = np.where(labels.labeled_mask())[0]
     splits = split_dataset(table.n, labeled_ids, cfg.splits,
@@ -444,7 +452,15 @@ def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
     x, mean, std = standardize_features(table.features, splits.train)
     pre = pretrain(graph, x, labels, splits.train, cfg, seed)
     labels_p = labels.with_pseudo(pre.pseudo_labels)
-    edited, edit_report = run_phase1(graph, labels_p, cfg.mode)
+    try:
+        edited, edit_report = run_phase1(graph, labels_p, cfg.mode)
+    except DegenerateEditError:
+        # an edgeless graph would leave the neighbour means all zero
+        log.warning("editing would remove every edge; training on the "
+                    "unedited graph")
+        edited = graph
+        edit_report = replace(skipped_edit_report(graph, labels_p),
+                              skipped=False, degenerate=True)
     if cfg.reinit_phase2:
         enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
                                 derive_seed(seed, "init-phase2"))

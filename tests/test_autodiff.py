@@ -134,6 +134,79 @@ def test_neighbor_mean_gradient():
     assert ad.grad_check(loss_fn, [w], eps=1e-5) < 1e-10
 
 
+# np.add.at scatter-adds: the reference the sparse kernels must match bit for
+# bit (entries added one by one, in edge order, starting from zero)
+
+def _edge_lists(g):
+    row = np.array([v for v, nbrs in enumerate(g.adjacency) for _ in nbrs], dtype=np.int64)
+    col = np.array([u for nbrs in g.adjacency for u in nbrs], dtype=np.int64)
+    return row, col
+
+
+def _inv_degree(g):
+    deg = np.array([len(nbrs) for nbrs in g.adjacency], dtype=np.float64)
+    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+
+
+def _scatter_mean(g, x):
+    row, col = _edge_lists(g)
+    sums = np.zeros_like(x)
+    np.add.at(sums, row, x[col])
+    return sums * _inv_degree(g)[:, None]
+
+
+def _scatter_mean_vjp(g, grad_out):
+    row, col = _edge_lists(g)
+    gw = grad_out * _inv_degree(g)[:, None]
+    back = np.zeros_like(gw)
+    np.add.at(back, col, gw[row])
+    return back
+
+
+def _scatter_rows(n, idx, grad_out):
+    out = np.zeros((n, grad_out.shape[1]))
+    np.add.at(out, idx, grad_out)
+    return out
+
+
+def _vjp(out):
+    ((_, vjp),) = out._parents
+    return vjp
+
+
+KERNEL_GRAPHS = {
+    "dense": Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                                   if (u * 7 + v * 3) % 5 < 3]),
+    "isolated": Graph.from_edges(6, [(0, 3), (3, 5), (0, 5), (1, 3)]),  # 2, 4 isolated
+    "edgeless": Graph.from_edges(4, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+@pytest.mark.parametrize("width", [1, 7])
+def test_row_mean_neighbors_matches_scatter_add_bit_for_bit(name, width):
+    g = KERNEL_GRAPHS[name]
+    rng = np.random.default_rng(11)
+    w = ad.Tensor(rng.standard_normal((g.n, width)) * 1e3, requires_grad=True)
+    out = ad.row_mean_neighbors(w, ad.NeighborAggregator(g))
+    assert np.array_equal(out.value, _scatter_mean(g, w.value))
+    # a column slice of a wider array, as hstack's reverse pass hands over
+    grad_out = rng.standard_normal((g.n, 2 * width))[:, width:]
+    assert np.array_equal(_vjp(out)(grad_out), _scatter_mean_vjp(g, grad_out))
+
+
+@pytest.mark.parametrize("idx", [[3, 0, 3, 3, 5, 0], [], [4], list(range(6)) * 9])
+def test_gather_rows_backward_matches_scatter_add_bit_for_bit(idx):
+    rng = np.random.default_rng(12)
+    w = ad.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    out = ad.gather_rows(w, idx)
+    assert np.array_equal(out.value, w.value[np.asarray(idx, dtype=np.int64)])
+    grad_out = rng.standard_normal((len(idx), 5)) * 1e3
+    back = _vjp(out)(grad_out)
+    assert back.shape == w.value.shape
+    assert np.array_equal(back, _scatter_rows(6, np.asarray(idx, dtype=np.int64), grad_out))
+
+
 def test_linear_loss_checks_exactly():
     w = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
 

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, JSON/stdout agreement, reproducibility."""
 
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
 from fairgraph.cli import main
+from fairgraph.data import SynthConfig, synth_generate, write_dataset
+from fairgraph.graph import Graph
+from fairgraph.losses import select_counterfactuals
 
 
 @pytest.fixture()
@@ -169,4 +173,48 @@ def test_config_file_roundtrip_drives_training(toy_dir, tmp_path, capsys):
     agg = json.loads((out_dir / "aggregate.json").read_text())
     assert agg["config"]["T_train"] == 10
     assert agg["config"]["weights"]["K"] == 3
+    capsys.readouterr()
+
+
+def test_degenerate_edit_run_evaluates_exactly(tmp_path, capsys):
+    # only Type III edges: editing would remove every one of them
+    g, table = synth_generate(SynthConfig(n=150, target_hr_c=0.55, target_hr_s=0.85,
+                                          mean_degree=8, seed=4))
+    y, s = table.labels.class_label, table.labels.sensitive
+    g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
+                               if y[u] != y[v] and s[u] == s[v]])
+    data_dir = str(tmp_path / "all_iii")
+    write_dataset(data_dir, g, table)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"T_pre": 10, "T_train": 5, "lr": 0.05}))
+    run_dir = tmp_path / "runs"
+    assert main(["train", "--dataset", data_dir, "--config", str(cfg_path),
+                 "--seed", "2", "--out", str(run_dir)]) == 0
+    report_path = run_dir / "run_seed2_split0.json"
+    edit = json.loads(report_path.read_text())["edit"]
+    assert edit["degenerate"] is True and edit["skipped"] is False
+    assert edit["removed_count"] == 0
+    assert main(["evaluate", "--dataset", data_dir,
+                 "--checkpoint", str(run_dir / "run_seed2_split0.ckpt.json"),
+                 "--report", str(report_path)]) == 0
+    assert "matches stored report" in capsys.readouterr().out
+
+
+def _losses_debug_records(caplog):
+    """Debug records from a selection where node 0 has no e-type candidate."""
+    caplog.clear()
+    select_counterfactuals(np.eye(3), np.array([0, 1, 1]), np.array([0, 0, 1]), k=1)
+    return [r for r in caplog.records
+            if r.name == "fairgraph.losses" and r.levelno == logging.DEBUG]
+
+
+def test_log_level_flag(toy_dir, caplog, capsys):
+    try:
+        assert main(["--log-level", "debug", "analyze", "--dataset", toy_dir]) == 0
+        assert _losses_debug_records(caplog)
+        assert main(["analyze", "--dataset", toy_dir]) == 0
+        assert not _losses_debug_records(caplog)
+    finally:
+        logging.getLogger("fairgraph").setLevel(logging.NOTSET)
+    assert main(["--log-level", "loud", "analyze", "--dataset", toy_dir]) == 2
     capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fairgraph.data import (
     DatasetSpec,
     SynthConfig,
+    atomic_open,
     expected_census,
     export_embeddings,
     load_dataset,
@@ -180,3 +182,34 @@ def test_export_embeddings_round_trip(tmp_path):
     assert np.array_equal(reloaded_c, c)
     assert np.array_equal(reloaded_e, e)
     assert [int(r[3]) for r in body] == table.labels.sensitive.tolist()
+
+
+def test_writer_that_raises_keeps_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new, half")
+            fh.flush()
+            raise RuntimeError("writer failed partway")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_failed_export_keeps_old_file(tmp_path):
+    g, table = synth_generate(SynthConfig(n=20, target_hr_c=0.6,
+                                          target_hr_s=0.7, mean_degree=4,
+                                          seed=4))
+    c = np.zeros((20, 2))
+    path = tmp_path / "emb.csv"
+    export_embeddings(path, c, c, table.labels, ["train"] * 20)
+    before = path.read_bytes()
+    # too few split names: the writer raises after the first ten rows
+    with pytest.raises(IndexError):
+        export_embeddings(path, c + 1.0, c, table.labels, ["val"] * 10)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["emb.csv"]

@@ -7,6 +7,7 @@ import pytest
 
 from fairgraph.data import SynthConfig, standardize_features, synth_generate
 from fairgraph.errors import ConfigError, UndefinedMetricError
+from fairgraph.graph import Graph
 from fairgraph.losses import LossWeights
 from fairgraph.metrics import selection_score
 from fairgraph.pipeline import (
@@ -212,6 +213,29 @@ def test_edited_graph_feeds_phase2():
     assert result.edit_report.census_after.count_iii == 0
     # the structure loss counts positives on the edited edge set
     assert result.edit_report.census_after.m == g.m - len(result.edit_report.removed_edges)
+
+
+def test_degenerate_edit_trains_on_unedited_graph():
+    # keep only Type III edges: with every label known, editing would
+    # remove them all
+    g, table = toy_dataset(n=140, seed=9)
+    y, s = table.labels.class_label, table.labels.sensitive
+    g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
+                               if y[u] != y[v] and s[u] == s[v]])
+    assert g.m > 0
+    cfg = quick_config(T_pre=10, T_train=5)
+    result = run_single(g, table, cfg, seed=3)
+    report = result.edit_report
+    assert report.degenerate and not report.skipped
+    assert report.removed_edges == ()
+    assert report.census_before.count_iii == g.m
+    assert report.census_after == report.census_before
+    assert result.to_dict()["edit"]["degenerate"] is True
+    # the same run as one that never edits
+    unedited = run_single(g, table, replace(cfg, mode="HSCCAF-GE"), seed=3)
+    assert [e.to_dict() for e in result.epochs] == [e.to_dict() for e in unedited.epochs]
+    assert result.test_report.to_dict() == unedited.test_report.to_dict()
+    assert unedited.to_dict()["edit"]["degenerate"] is False
 
 
 def test_mode_gating_affects_parts():
