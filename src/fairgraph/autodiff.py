@@ -318,19 +318,22 @@ def row_l2_norm(a):
 class NeighborAggregator:
     """Per-node neighbour means over a fixed graph, as one sparse operator.
 
-    `adj` is the unit-weight symmetric adjacency in CSR form, each row's
-    neighbours in ascending order; `inv_deg` is 1/degree (0 for isolated
-    nodes). The weights stay 1 and the scaling by 1/degree comes after the
+    `adj` is the unit-weight symmetric closure of the graph's edge array in
+    CSR form, each row's neighbours in ascending order; `inv_deg` is
+    1/degree (0 for isolated nodes). The weights stay 1 and the scaling by 1/degree comes after the
     product, so every mean is the exact sum of its neighbours, added in
     ascending id order from zero, times 1/degree.
     """
 
     def __init__(self, graph):
-        deg = np.fromiter(map(len, graph.adjacency), dtype=np.int64, count=graph.n)
+        ea = graph.edge_array
+        row = np.concatenate([ea[:, 0], ea[:, 1]])
+        col = np.concatenate([ea[:, 1], ea[:, 0]])
+        order = np.argsort(row * graph.n + col)  # by row, then column
+        deg = np.bincount(row, minlength=graph.n)
         indptr = np.zeros(graph.n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(graph.adjacency),
-                              dtype=np.int64, count=int(indptr[-1]))
+        indices = col[order]
         self.n = graph.n
         self.adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
                                  shape=(graph.n, graph.n))

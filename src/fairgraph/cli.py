@@ -120,7 +120,10 @@ def _graph_after_stored_edit(graph, stored):
     edit = stored.get("edit", {})
     if edit.get("skipped") or not edit.get("removed_edges"):
         return graph
-    return graph.remove_edges([tuple(e) for e in edit["removed_edges"]])
+    try:
+        return graph.remove_edges(edit["removed_edges"])
+    except ValueError as exc:
+        raise ConfigError(f"stored report's removed edges do not fit the dataset: {exc}") from exc
 
 
 def _effective_labels(args, graph, table):
@@ -162,8 +165,7 @@ def cmd_edit(args):
     edited, report = fair_edge_remove(graph, labels)
     os.makedirs(args.out, exist_ok=True)
     with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
-        for u, v in edited.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in edited.edge_array.tolist())
     _write_json(os.path.join(args.out, "edit_report.json"), report.to_dict())
     print(f"removed {len(report.removed_edges)} Type III edges "
           f"({report.census_before.m} -> {report.census_after.m})")
@@ -278,7 +280,7 @@ def cmd_verify(args):
             edited, report = fair_edge_remove(graph, labels)
             if report.removed_edges:
                 broken = Graph.from_edges(
-                    graph.n, list(edited.edges) + [report.removed_edges[0]])
+                    graph.n, np.vstack([edited.edge_array, report.removed_edges[:1]]))
                 return broken, report
             return edited, report
 

@@ -28,7 +28,7 @@ from .errors import (
     MissingColumnError,
     NonBinarySensitiveError,
 )
-from .graph import UNKNOWN, Graph, NodeLabels, load_edge_list
+from .graph import UNKNOWN, Graph, NodeLabels, decode_pairs, load_edge_list
 
 BLOCK_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))  # (y, s) node layout
 
@@ -281,17 +281,6 @@ def expected_census(cfg: SynthConfig):
     return expected, stds
 
 
-def _decode_within(k, size):
-    """k-th pair (i, j) with i < j inside one block of the given size."""
-    i = 0
-    row = size - 1
-    while k >= row:
-        k -= row
-        row -= 1
-        i += 1
-    return i, i + 1 + k
-
-
 def synth_generate(cfg: SynthConfig):
     """Returns (Graph, NodeTable) with block-planted edges and Gaussian
     features carrying class and sensitive signal."""
@@ -323,16 +312,14 @@ def synth_generate(cfg: SynthConfig):
             count = int(rng.binomial(n_pairs, rates[cat]))
             if count == 0:
                 continue
-            chosen = rng.choice(n_pairs, size=count, replace=False)
-            for k in sorted(int(c) for c in chosen):
-                if b1 == b2:
-                    u, v = _decode_within(k, sizes[b1])
-                    edges.append((starts[b1] + u, starts[b1] + v))
-                else:
-                    edges.append((starts[b1] + k // sizes[b2],
-                                  starts[b2] + k % sizes[b2]))
+            chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
+            if b1 == b2:
+                edges.append(starts[b1] + decode_pairs(sizes[b1], chosen))
+            else:
+                edges.append(np.stack([starts[b1] + chosen // sizes[b2],
+                                       starts[b2] + chosen % sizes[b2]], axis=1))
 
-    graph = Graph.from_edges(cfg.n, edges)
+    graph = Graph.from_edges(cfg.n, np.concatenate(edges) if edges else [])
     d = cfg.feature_dim
     u_c = np.ones(d) / np.sqrt(d)
     u_s = np.array([1.0 if j % 2 == 0 else -1.0 for j in range(d)]) / np.sqrt(d)
@@ -378,8 +365,7 @@ def write_dataset(dirpath, graph: Graph, table: NodeTable):
                             + ["" if label == UNKNOWN else int(label),
                                int(table.labels.sensitive[i])])
     with atomic_open(spec.edges_path) as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in graph.edge_array.tolist())
     with atomic_open(spec.meta_path) as fh:
         json.dump({"label_col": "label", "sensitive_col": "sensitive",
                    "positive_value": 1, "sensitive_positive_value": 1,

@@ -1,8 +1,8 @@
 """Undirected simple graphs, the four-way edge taxonomy, homophily ratios,
 fairness-aware edge removal, and the exact ratio-shift identities.
 
-Edges are stored once as canonical (u, v) pairs with u < v; the adjacency
-index is the symmetric closure. Censuses are kept in exact integers and
+Edges are stored once, as an (m, 2) int64 array of canonical (u, v) rows
+with u < v in lexicographic order. Censuses are kept in exact integers and
 ratios become floats only at the API boundary, so the closed-form shift
 identities hold to machine precision.
 """
@@ -10,6 +10,7 @@ identities hold to machine precision.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,40 +29,73 @@ log = logging.getLogger(__name__)
 UNKNOWN = -1
 
 
-def _canonical(u, v):
-    return (u, v) if u < v else (v, u)
+def _canonical_pairs(n, pairs, drop_self_loops=False):
+    """Node pairs as a new (k, 2) int64 array, u < v in every row, in input
+    order. Self-loops (unless dropped) and ids outside 0..n-1 raise
+    ValueError, before any caller encodes a pair as u*n + v."""
+    try:
+        arr = np.array(pairs, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"node id outside the int64 range: {exc}") from None
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {arr.shape}")
+    arr.sort(axis=1)
+    loops = arr[:, 0] == arr[:, 1]
+    if drop_self_loops:
+        arr = arr[~loops]
+    elif np.count_nonzero(loops):
+        raise ValueError(f"self-loop at node {arr[loops][0, 0]}")
+    # one comparison checks both ends: negative ids wrap to 2**63 and above
+    outside = arr.view(np.uint64) >= n
+    if np.count_nonzero(outside):
+        u, v = arr[outside.any(axis=1)][0].tolist()
+        raise ValueError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+    return arr
 
 
-@dataclass(frozen=True)
+def pair_codes(n, pairs):
+    """u*n + v for each row of a canonical (k, 2) pair array: the codes
+    increase exactly when the rows are in lexicographic order."""
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
+def decode_pairs(n, k):
+    """The k-th pairs (u, v), u < v, of nodes 0..n-1 in lexicographic order,
+    for an integer array k; returns a (len(k), 2) int64 array."""
+    u = np.arange(n, dtype=np.int64)
+    starts = u * (2 * n - u - 1) // 2  # index of the first pair in row u
+    row = np.searchsorted(starts, k, side="right") - 1
+    return np.stack([row, k - starts[row] + row + 1], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple graph on nodes 0..n-1."""
+    """Immutable undirected simple graph on nodes 0..n-1.
+
+    `edge_array` is a read-only (m, 2) int64 array with u < v in every row
+    and the rows in lexicographic order, so the codes u*n + v are strictly
+    increasing. Build graphs with `from_edges` or `from_edges_dedup`; the
+    edits keep rows of an already canonical array.
+    """
 
     n: int
-    edges: tuple  # tuple of (u, v) with u < v, lexicographically sorted
-    adjacency: tuple  # per-node tuple of sorted neighbor ids
+    edge_array: np.ndarray
+
+    def __post_init__(self):
+        self.edge_array.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n, pairs):
         """Build a graph, rejecting self-loops, duplicates and bad endpoints."""
-        canon = []
-        seen = set()
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-            e = _canonical(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        adj = [[] for _ in range(n)]
-        for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n=n, edges=tuple(canon), adjacency=tuple(tuple(sorted(a)) for a in adj))
+        arr = _canonical_pairs(n, pairs)
+        codes = pair_codes(n, arr)
+        order = codes.argsort()
+        dup = codes[order[1:]] == codes[order[:-1]]
+        if np.count_nonzero(dup):
+            raise ValueError(f"duplicate edge {tuple(arr[order[1:][dup][0]].tolist())}")
+        return cls(n=n, edge_array=arr[order])
 
     @classmethod
     def from_edges_dedup(cls, n, pairs):
@@ -69,55 +103,36 @@ class Graph:
 
         Returns (graph, dropped_count).
         """
-        seen = set()
-        kept = []
-        dropped = 0
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                dropped += 1
-                continue
-            e = _canonical(u, v)
-            if e in seen:
-                dropped += 1
-                continue
-            seen.add(e)
-            kept.append(e)
+        arr = _canonical_pairs(n, pairs, drop_self_loops=True)
+        codes = np.unique(pair_codes(n, arr))
+        dropped = len(pairs) - len(codes)
         if dropped:
             log.warning("dropped %d duplicate/reversed/self-loop edge lines", dropped)
-        return cls.from_edges(n, kept), dropped
+        return cls(n=n, edge_array=np.stack([codes // n, codes % n], axis=1)), dropped
 
     @property
     def m(self):
-        return len(self.edges)
+        return self.edge_array.shape[0]
 
-    def degree(self, v):
-        return len(self.adjacency[v])
-
-    def has_edge(self, u, v):
-        a = self.adjacency[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+    @property
+    def edges(self):
+        """The edges as a tuple of (u, v) tuples, in `edge_array` order."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     def remove_edges(self, subset):
-        """Return a new graph without the given edges (canonical pairs)."""
-        drop = {_canonical(u, v) for u, v in subset}
-        missing = drop.difference(self.edges)
-        if missing:
-            raise ValueError(f"edges not in graph: {sorted(missing)[:3]}")
-        return Graph.from_edges(self.n, [e for e in self.edges if e not in drop])
-
-    def edge_array(self):
-        """Edges as an (m, 2) int array (empty graphs give shape (0, 2))."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+        """Return a new graph without the given edges, each named by its
+        endpoints in either order. A self-loop, an id outside 0..n-1 or a
+        pair that is not an edge raises ValueError."""
+        codes = pair_codes(self.n, self.edge_array)
+        drop = pair_codes(self.n, _canonical_pairs(self.n, subset))
+        pos = codes.searchsorted(drop)
+        missing = np.append(codes, -1)[pos] != drop
+        if np.count_nonzero(missing):
+            absent = np.unique(drop[missing])[:3]
+            raise ValueError(f"edges not in graph: {[divmod(int(c), self.n) for c in absent]}")
+        keep = np.ones(self.m, dtype=bool)
+        keep[pos] = False
+        return Graph(n=self.n, edge_array=self.edge_array[keep])
 
 
 def load_edge_list(path):
@@ -135,7 +150,13 @@ def load_edge_list(path):
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            pairs.append((int(float(parts[0])), int(float(parts[1]))))
+            try:
+                u, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                u = v = math.nan
+            if not (u.is_integer() and v.is_integer()):
+                raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
+            pairs.append((int(u), int(v)))
     return pairs
 
 
@@ -156,10 +177,11 @@ class NodeLabels:
         n = self.class_label.shape[0]
         if self.sensitive.shape != (n,) or self.pseudo_label.shape != (n,):
             raise ValueError("label arrays must share one length")
-        if not np.isin(self.sensitive, (0, 1)).all():
+        if not ((self.sensitive >= 0) & (self.sensitive <= 1)).all():
             raise ValueError("sensitive attribute must be 0/1 for every node")
         for name in ("class_label", "pseudo_label"):
-            if not np.isin(getattr(self, name), (UNKNOWN, 0, 1)).all():
+            arr = getattr(self, name)
+            if not ((arr >= UNKNOWN) & (arr <= 1)).all():
                 raise ValueError(f"{name} values must be in {{-1, 0, 1}}")
 
     @classmethod
@@ -248,7 +270,7 @@ def edge_census(g: Graph, labels: NodeLabels) -> EdgeCensus:
     """Count edges of each type under the effective labels."""
     y = labels.effective_label()
     s = labels.sensitive
-    ea = g.edge_array()
+    ea = g.edge_array
     same_y = y[ea[:, 0]] == y[ea[:, 1]]
     same_s = s[ea[:, 0]] == s[ea[:, 1]]
     return EdgeCensus(
@@ -321,14 +343,13 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
         raise UndefinedRatioError("cannot edit an empty graph")
     y = labels.effective_label()
     s = labels.sensitive
-    ea = g.edge_array()
+    ea = g.edge_array
     is_iii = (y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])
     removed = tuple(map(tuple, ea[is_iii].tolist()))
-    kept = [e for e, r in zip(g.edges, is_iii) if not r]
     census_before = edge_census(g, labels)
     hr_c_b = census_before.n_c / census_before.m
     hr_s_b = census_before.n_s / census_before.m
-    edited = Graph.from_edges(g.n, kept)
+    edited = Graph(n=g.n, edge_array=ea[~is_iii])
     if edited.m == 0:
         census_after = EdgeCensus(0, 0, 0, 0)
         report = EditReport(removed_edges=removed, census_before=census_before,

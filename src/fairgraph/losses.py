@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CapacityError, NumericError, UndefinedMetricError
-from .graph import Graph
+from .graph import Graph, pair_codes
 
 log = logging.getLogger(__name__)
 
@@ -212,40 +212,39 @@ def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma,
 
 
 def sample_negative_edges(g: Graph, count, seed):
-    """Uniform sample of unordered non-adjacent pairs, without replacement."""
+    """Uniform sample of unordered non-adjacent pairs, without replacement,
+    as a (count, 2) int64 array of u < v rows in lexicographic order."""
     n = g.n
     capacity = n * (n - 1) // 2 - g.m
     if count > capacity:
         raise CapacityError(f"asked for {count} negative edges, capacity {capacity}")
     if count == 0:
-        return ()
+        return np.zeros((0, 2), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    existing = set(g.edges)
+    codes = pair_codes(n, g.edge_array)
     total_pairs = n * (n - 1) // 2
     if total_pairs <= 200_000 or count * 2 > capacity:
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)
-                if (u, v) not in existing]
-        idx = rng.choice(len(pool), size=count, replace=False)
-        return tuple(sorted(pool[int(i)] for i in idx))
-    picked = set()
-    while len(picked) < count:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        pair = (u, v) if u < v else (v, u)
-        if pair in existing or pair in picked:
-            continue
-        picked.add(pair)
-    return tuple(sorted(picked))
+        every = pair_codes(n, np.column_stack(np.triu_indices(n, k=1)))
+        pool = np.setdiff1d(every, codes, assume_unique=True)
+        picked = np.sort(pool[rng.choice(len(pool), size=count, replace=False)])
+    else:
+        existing = set(codes.tolist())
+        chosen = set()
+        while len(chosen) < count:
+            u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
+            if u != v and u * n + v not in existing:
+                chosen.add(u * n + v)
+        picked = np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
+    return np.stack([picked // n, picked % n], axis=1)
 
 
 def suf_loss(h: Tensor, pos_edges, neg_edges) -> Tensor:
     """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
-    averaged over positive and negative pairs together."""
+    averaged over positive and negative pairs together. Both edge sets are
+    (k, 2) arrays of node pairs."""
     if len(pos_edges) == 0 or len(neg_edges) == 0:
         raise UndefinedMetricError("structure loss needs positive and negative edges")
-    pairs = np.asarray(list(pos_edges) + list(neg_edges), dtype=np.int64)
+    pairs = np.concatenate([pos_edges, neg_edges])
     a = np.concatenate([np.ones(len(pos_edges)), np.zeros(len(neg_edges))])
     a = a.reshape(-1, 1)
     hi = ad.gather_rows(h, pairs[:, 0])

@@ -355,7 +355,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     y_train = np.where(y_true >= 0, y_true, 0)
     sens = labels.sensitive
 
-    pos_edges = graph.edges
+    pos_edges = graph.edge_array
     neg_edges = sample_negative_edges(graph, graph.m,
                                       derive_seed(seed, "negative-edges")) \
         if use_suf else ()

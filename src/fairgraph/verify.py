@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     NodeLabels,
     classify_edge,
+    decode_pairs,
     edge_census,
     fair_edge_remove,
     homophily_ratios,
@@ -46,24 +47,11 @@ def random_labeled_graph(rng, max_n=30, max_m=None, min_m=1):
             continue
         m = int(rng.integers(min_m, cap + 1))
         idx = rng.choice(possible, size=m, replace=False)
-        edges = [_decode_pair(n, k) for k in sorted(int(i) for i in idx)]
-        g = Graph.from_edges(n, edges)
+        g = Graph.from_edges(n, decode_pairs(n, np.sort(idx)))
         labels = NodeLabels.create(
             sensitive=rng.integers(0, 2, size=n),
             class_label=rng.integers(0, 2, size=n))
         return g, labels
-
-
-def _decode_pair(n, k):
-    """k-th pair (u, v) with u < v in lexicographic order."""
-    u = 0
-    remaining = k
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        row -= 1
-        u += 1
-    return (u, u + 1 + remaining)
 
 
 @dataclass
@@ -86,7 +74,7 @@ class SuiteReport:
 
 
 def _graph_payload(g, labels):
-    return {"n": g.n, "edges": [list(e) for e in g.edges],
+    return {"n": g.n, "edges": g.edge_array.tolist(),
             "class_label": labels.effective_label().tolist(),
             "sensitive": labels.sensitive.tolist()}
 
@@ -104,14 +92,14 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30, edit_fn=None):
         hr_c, hr_s = homophily_ratios(g, labels)
         report.graphs_checked += 1
 
-        type_iii = [e for e in g.edges
-                    if y[e[0]] != y[e[1]] and s[e[0]] == s[e[1]]]
+        ea = g.edge_array
+        type_iii = ea[(y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])]
         k_max = len(type_iii)
         if k_max == g.m:
             k_max -= 1  # keep at least one edge so ratios stay defined
         k = int(rng.integers(0, k_max + 1)) if k_max > 0 else 0
-        subset = [type_iii[int(i)] for i in rng.choice(len(type_iii), size=k, replace=False)] \
-            if k else []
+        subset = type_iii[rng.choice(len(type_iii), size=k, replace=False)] \
+            if k else type_iii[:0]
         edited = g.remove_edges(subset)
         hr_c2, hr_s2 = homophily_ratios(edited, labels)
         pred_dc, pred_ds = predict_ratio_shift(census, k)
@@ -162,7 +150,7 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
         census = edge_census(g, labels)
         hr_c, hr_s = homophily_ratios(g, labels)
         report.graphs_checked += 1
-        for e in g.edges:
+        for e in g.edge_array.tolist():
             t = classify_edge(int(y[e[0]]), int(y[e[1]]), int(s[e[0]]), int(s[e[1]]))
             edited = g.remove_edges([e])
             hr_c2, hr_s2 = homophily_ratios(edited, labels)
@@ -172,7 +160,7 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
             got_ds = (ds > 1e-15) - (ds < -1e-15)
             report.cases_checked += 1
             if (got_dc, got_ds) != (want_dc, want_ds):
-                report.counterexample = {"kind": "sign-table", "edge": list(e),
+                report.counterexample = {"kind": "sign-table", "edge": e,
                                          "type": t.value,
                                          "predicted": [want_dc, want_ds],
                                          "observed": [got_dc, got_ds],
@@ -180,13 +168,13 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
                 return report
             if t is not EdgeType.III and dc > 1e-15 and ds < -1e-15:
                 report.counterexample = {"kind": "non-iii-improvement",
-                                         "edge": list(e), "type": t.value,
+                                         "edge": e, "type": t.value,
                                          **_graph_payload(g, labels)}
                 return report
             if t is EdgeType.III and census.n_c > 0 and census.n_s < census.m \
                     and not (dc > 1e-15 and ds < -1e-15):
                 report.counterexample = {"kind": "iii-not-improving",
-                                         "edge": list(e),
+                                         "edge": e,
                                          **_graph_payload(g, labels)}
                 return report
     return report

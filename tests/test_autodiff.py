@@ -138,13 +138,15 @@ def test_neighbor_mean_gradient():
 # bit (entries added one by one, in edge order, starting from zero)
 
 def _edge_lists(g):
-    row = np.array([v for v, nbrs in enumerate(g.adjacency) for _ in nbrs], dtype=np.int64)
-    col = np.array([u for nbrs in g.adjacency for u in nbrs], dtype=np.int64)
+    """Both directions of every edge, ordered by (row, col)."""
+    pairs = sorted(g.edges + tuple((v, u) for u, v in g.edges))
+    row = np.array([u for u, _ in pairs], dtype=np.int64)
+    col = np.array([v for _, v in pairs], dtype=np.int64)
     return row, col
 
 
 def _inv_degree(g):
-    deg = np.array([len(nbrs) for nbrs in g.adjacency], dtype=np.float64)
+    deg = np.bincount(_edge_lists(g)[0], minlength=g.n).astype(np.float64)
     return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
 
 

@@ -56,6 +56,14 @@ def test_missing_dataset_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad_id", ["inf", "1.5"])
+def test_analyze_non_integer_edge_id_exit_2(toy_dir, bad_id, capsys):
+    with open(os.path.join(toy_dir, "edges.txt"), "a", encoding="utf-8") as fh:
+        fh.write(f"0 {bad_id}\n")
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    assert "edges.txt" in capsys.readouterr().err
+
+
 def test_verify_ok_and_report_fields(tmp_path, capsys):
     out_json = tmp_path / "verify.json"
     assert main(["verify", "--graphs", "40", "--seed", "2",
@@ -114,6 +122,15 @@ def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
                  "--checkpoint", ckpt_path,
                  "--report", str(report_path)]) == 0
     assert "matches stored report" in capsys.readouterr().out
+    # a report whose removed edges are not edges of the dataset is a usage error
+    doc = json.loads(report_path.read_text())
+    for bad in ([[0, 10 ** 6]], [[-1, 2]], [[3, 3]]):
+        doc["edit"].update(skipped=False, removed_edges=bad)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", ckpt_path,
+                     "--report", str(tampered)]) == 2
+        assert "removed edges" in capsys.readouterr().err
 
     emb = tmp_path / "emb.csv"
     assert main(["export", "--dataset", toy_dir, "--checkpoint", ckpt_path,

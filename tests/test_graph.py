@@ -1,13 +1,16 @@
 """Graph construction, taxonomy, homophily, editing, and the exact shift
 identities, with brute-force oracles at every step."""
 
+import dataclasses
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fairgraph.autodiff import NeighborAggregator
 from fairgraph.errors import (
     DegenerateEditError,
     InfeasibleError,
@@ -20,6 +23,7 @@ from fairgraph.graph import (
     Graph,
     NodeLabels,
     classify_edge,
+    decode_pairs,
     edge_census,
     fair_edge_remove,
     homophily_ratios,
@@ -62,26 +66,82 @@ def test_dedup_counts_duplicates_and_self_loops():
     assert dropped == 3
 
 
+def has_edge(g, u, v):
+    """Whether the pair is an edge, given in either order."""
+    return (min(u, v), max(u, v)) in g.edges
+
+
 def test_adjacency_is_symmetric_closure():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
-    assert g.adjacency == ((1, 3), (0, 2), (1,), (0,))
-    assert g.has_edge(1, 0) and g.has_edge(0, 1)
-    assert not g.has_edge(2, 3)
+    adj = NeighborAggregator(g).adj
+    neighbours = tuple(tuple(adj.indices[adj.indptr[v]:adj.indptr[v + 1]].tolist())
+                       for v in range(g.n))
+    assert neighbours == ((1, 3), (0, 2), (1,), (0,))
+    assert has_edge(g, 1, 0) and has_edge(g, 0, 1)
+    assert not has_edge(g, 2, 3)
 
 
 def test_load_edge_list_formats(tmp_path):
     path = tmp_path / "edges.txt"
-    path.write_text("0 1\n2,3\n# comment\n\n1 2\n")
-    assert load_edge_list(path) == [(0, 1), (2, 3), (1, 2)]
+    path.write_text("0 1\n2,3\n# comment\n\n1 2\n3.0 1e0\n")
+    assert load_edge_list(path) == [(0, 1), (2, 3), (1, 2), (3, 1)]
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
     with pytest.raises(ValueError):
         load_edge_list(bad)
+    # ids that are not finite whole numbers are rejected, never truncated
+    for text in ("0 1\n0 inf\n", "0 1\n0 1.5\n", "0 1\nnan 2\n", "0 1\n0 x\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:2")):
+            load_edge_list(bad)
+
+
+def test_edge_array_is_canonical_sorted_and_read_only():
+    g = Graph.from_edges(5, [(4, 2), (0, 3), (1, 0), (3, 2)])
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "edge_array"]
+    assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (4, 2)
+    assert g.edge_array.tolist() == [[0, 1], [0, 3], [2, 3], [2, 4]]
+    assert g.edges == ((0, 1), (0, 3), (2, 3), (2, 4))
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 1
+    assert Graph.from_edges(3, []).edge_array.shape == (0, 2)
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 2 ** 70)])
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 1, 2)])
+
+
+def test_decode_pairs_matches_combinations_order():
+    for n in range(2, 31):
+        want = list(itertools.combinations(range(n), 2))
+        got = decode_pairs(n, np.arange(len(want)))
+        assert got.dtype == np.int64
+        assert list(map(tuple, got.tolist())) == want
+
+
+def test_remove_edges_rejects_bad_pairs_and_keeps_graph():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    before = g.edge_array.copy()
+    # (0, 6) would encode as 0*4+6 == 1*4+2, the code of edge (1, 2)
+    for bad in ([(0, 6)], [(6, 0)], [(-1, 2)], [(2, -3)], [(0, 2)], [(1, 1)],
+                [(2, 1), (0, 3)]):
+        with pytest.raises(ValueError):
+            g.remove_edges(bad)
+        assert np.array_equal(g.edge_array, before)
+    assert g.remove_edges([(2, 1), (1, 2)]).edges == ((0, 1), (2, 3))
+    assert g.remove_edges([]).edges == g.edges
 
 
 def test_labels_validation():
     with pytest.raises(ValueError):
         NodeLabels.create(sensitive=[0, 2])
+    with pytest.raises(ValueError, match="sensitive"):
+        NodeLabels.create(sensitive=[0, -1])
+    for bad in ([2, 0], [-2, 0]):
+        with pytest.raises(ValueError, match="class_label"):
+            NodeLabels.create(sensitive=[0, 1], class_label=bad)
+        with pytest.raises(ValueError, match="pseudo_label"):
+            NodeLabels.create(sensitive=[0, 1], pseudo_label=bad)
     labels = NodeLabels.create(sensitive=[0, 1], class_label=[1, -1],
                                pseudo_label=[-1, 0])
     assert labels.effective_label().tolist() == [1, 0]
@@ -355,7 +415,7 @@ def oracle_best_deletion_sets(g: Graph, labels: NodeLabels, k: int) -> DeletionS
         raise ValueError("need 0 <= k < m so ratios stay defined")
     y = labels.effective_label()
     s = labels.sensitive
-    ea = g.edge_array()
+    ea = g.edge_array
     yc = (y[ea[:, 0]] == y[ea[:, 1]]).astype(int)
     ys = (s[ea[:, 0]] == s[ea[:, 1]]).astype(int)
     census = EdgeCensus(

@@ -8,7 +8,7 @@ import pytest
 from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator, grad_check
 from fairgraph.errors import CapacityError, NumericError, UndefinedMetricError
-from fairgraph.graph import Graph
+from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
     CounterfactualIndex,
     LossParts,
@@ -194,21 +194,51 @@ def test_inv_loss_nonnegative_cosine_metric():
 def test_negative_sampling_properties():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     neg = sample_negative_edges(g, 5, seed=3)
-    assert neg == sample_negative_edges(g, 5, seed=3)
-    assert len(set(neg)) == 5
-    for u, v in neg:
-        assert u < v and not g.has_edge(u, v)
+    assert np.array_equal(neg, sample_negative_edges(g, 5, seed=3))
+    assert len(set(map(tuple, neg.tolist()))) == 5
+    for u, v in neg.tolist():
+        assert u < v and (u, v) not in g.edges
 
 
 def test_negative_sampling_capacity():
     complete = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(CapacityError):
         sample_negative_edges(complete, 1, seed=0)
-    assert sample_negative_edges(complete, 0, seed=0) == ()
+    assert sample_negative_edges(complete, 0, seed=0).shape == (0, 2)
     # exact capacity draw enumerates every non-edge
     g = Graph.from_edges(4, [(0, 1)])
     neg = sample_negative_edges(g, 5, seed=1)
     assert len(neg) == 5
+
+
+def _negative_edges_reference(g, count, seed):
+    """Pure-Python sampler: one draw over the enumerated non-edges up to
+    200k pairs or on dense graphs, rejection sampling otherwise."""
+    rng = np.random.default_rng(seed)
+    n, existing = g.n, set(g.edges)
+    capacity = n * (n - 1) // 2 - g.m
+    if n * (n - 1) // 2 <= 200_000 or count * 2 > capacity:
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in existing]
+        return sorted(pool[int(i)] for i in rng.choice(len(pool), size=count, replace=False))
+    picked = set()
+    while len(picked) < count:
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in existing:
+            picked.add(pair)
+    return sorted(picked)
+
+
+@pytest.mark.parametrize("n,m,count", [(30, 120, 200), (720, 700, 130_000), (1000, 900, 700)])
+def test_negative_sampling_matches_python_reference(n, m, count):
+    # the enumerated pool on a small graph and on a dense draw over more than
+    # 200k pairs, then the rejection sampler
+    rng = np.random.default_rng(n)
+    codes = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    g = Graph.from_edges(n, decode_pairs(n, np.sort(codes)))
+    neg = sample_negative_edges(g, count, seed=5)
+    assert neg.dtype == np.int64 and neg.shape == (count, 2)
+    assert list(map(tuple, neg.tolist())) == _negative_edges_reference(g, count, 5)
 
 
 def test_suf_loss_zero_embeddings():
