@@ -3,15 +3,11 @@
 A Tensor wraps an ndarray; each operation records its parents and a
 vector-Jacobian product, and `grad` accumulates gradients in reverse
 creation order, so accumulation order is fixed and repeated runs are
-bit-identical. `grad_check` verifies analytic gradients against central
-differences, skipping coordinates whose perturbation crosses a
-ReLU/abs/clamp kink (the activation pattern is compared between the
-two probe evaluations).
+bit-identical.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 
 import numpy as np
@@ -20,32 +16,6 @@ import scipy.sparse as sp
 from .errors import NumericError, ShapeError, TapeError
 
 _COUNTER = itertools.count()
-
-
-class _KinkRecorder:
-    """Collects activation patterns of kinked ops during a forward pass.
-
-    The active list lives in a context variable, so a `grad_check` in one
-    thread never sees the forward passes of another."""
-
-    active = contextvars.ContextVar("kink_patterns", default=None)
-
-    @classmethod
-    def record(cls, arr):
-        patterns = cls.active.get()
-        if patterns is not None:
-            patterns.append(np.asarray(arr).copy())
-
-
-class _capture_patterns:
-    def __enter__(self):
-        patterns = []
-        self.token = _KinkRecorder.active.set(patterns)
-        return patterns
-
-    def __exit__(self, *exc):
-        _KinkRecorder.active.reset(self.token)
-        return False
 
 
 class Tensor:
@@ -200,7 +170,6 @@ def tmean(a, axis=None, keepdims=False):
 def relu(a):
     a = as_tensor(a)
     mask = a.value > 0
-    _KinkRecorder.record(mask)
     return _make(np.where(mask, a.value, 0.0), [(a, lambda g: g * mask)])
 
 
@@ -234,14 +203,12 @@ def texp(a):
 def tabs(a):
     a = as_tensor(a)
     sign = np.where(a.value >= 0, 1.0, -1.0)
-    _KinkRecorder.record(sign)
     return _make(np.abs(a.value), [(a, lambda g: g * sign)])
 
 
 def clamp(a, lo, hi):
     a = as_tensor(a)
     inside = (a.value >= lo) & (a.value <= hi)
-    _KinkRecorder.record(inside)
     return _make(np.clip(a.value, lo, hi), [(a, lambda g: g * inside)])
 
 
@@ -346,12 +313,9 @@ class NeighborAggregator:
 def row_mean_neighbors(a, agg):
     """Mean of neighbor rows per node; isolated nodes get a zero row.
 
-    `agg` is a NeighborAggregator (or a Graph, from which one is built).
-    The adjacency is symmetric, so the reverse pass multiplies by `adj`
-    itself.
+    `agg` is the graph's NeighborAggregator. The adjacency is symmetric, so
+    the reverse pass multiplies by `adj` itself.
     """
-    if not isinstance(agg, NeighborAggregator):
-        agg = NeighborAggregator(agg)
     a = as_tensor(a)
     av = a.value
     if av.shape[0] != agg.n:
@@ -430,49 +394,3 @@ def grad(loss, params):
             raise TapeError("parameter never entered the recorded computation")
         out.append(p.grad)
     return out
-
-
-def grad_check(loss_fn, params, eps=1e-5, max_coords=24, seed=0):
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn() must rebuild the scalar loss from the current parameter values.
-    Coordinates whose +/-eps probes land on different activation patterns
-    (ReLU/abs/clamp masks) are skipped: subgradients
-    legitimately disagree across a kink.
-    """
-    if not 1e-7 <= eps <= 1e-4:
-        raise ValueError("eps must lie in [1e-7, 1e-4]")
-    analytic = grad(loss_fn(), params)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-
-    def probe():
-        with _capture_patterns() as pattern:
-            val = loss_fn().value
-        if not np.isfinite(val):
-            raise NumericError("non-finite loss during finite-difference probe")
-        return float(val), pattern
-
-    for p, g in zip(params, analytic):
-        size = p.value.size
-        if size <= max_coords:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=max_coords, replace=False)
-        flat = p.value.reshape(-1)
-        for i in coords:
-            x0 = flat[i]
-            flat[i] = x0 + eps
-            f_plus, pat_plus = probe()
-            flat[i] = x0 - eps
-            f_minus, pat_minus = probe()
-            flat[i] = x0
-            if len(pat_plus) != len(pat_minus) or any(
-                    a.shape != b.shape or not np.array_equal(a, b)
-                    for a, b in zip(pat_plus, pat_minus)):
-                continue
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(g.reshape(-1)[i])
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, rel)
-    return worst

@@ -37,12 +37,7 @@ from .errors import (
     NumericError,
     UndefinedMetricError,
 )
-from .graph import (
-    Graph,
-    edge_census,
-    fair_edge_remove,
-    homophily_ratios,
-)
+from .graph import edge_census, fair_edge_remove, homophily_ratios
 from .losses import LossWeights
 from .metrics import evaluate_predictions
 from .model import encode, hard_labels, load_checkpoint, predict, save_checkpoint
@@ -109,10 +104,8 @@ def _pseudo_labels_from_checkpoint(graph, table, checkpoint_path):
         std = np.asarray(meta["feature_std"])
         x = (x - mean) / std
     latent = encode(enc, NeighborAggregator(graph), x)
-    probs = predict(pred, latent.c)
-    merged = np.where(table.labels.class_label >= 0, table.labels.class_label,
-                      hard_labels(probs))
-    return table.labels.with_pseudo(merged), enc, pred, latent
+    pseudo = hard_labels(predict(pred, latent.c))
+    return table.labels.with_pseudo(pseudo), enc, pred, latent
 
 
 def _graph_after_stored_edit(graph, stored):
@@ -274,18 +267,7 @@ def cmd_grid(args):
 
 
 def cmd_verify(args):
-    edit_fn = None
-    if args.inject_fault:
-        def edit_fn(graph, labels):  # deliberately leave one Type III edge
-            edited, report = fair_edge_remove(graph, labels)
-            if report.removed_edges:
-                broken = Graph.from_edges(
-                    graph.n, np.vstack([edited.edge_array, report.removed_edges[:1]]))
-                return broken, report
-            return edited, report
-
-    passed, reports = run_suites(n_graphs=args.graphs, seed=args.seed,
-                                 tol=args.tol, edit_fn=edit_fn)
+    passed, reports = run_suites(n_graphs=args.graphs, seed=args.seed, tol=args.tol)
     payload = {"passed": passed, "graphs": args.graphs, "seed": args.seed,
                "tolerance": args.tol,
                "max_identity_residual": max(r.max_residual for r in reports),
@@ -415,8 +397,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json")
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="write a synthetic benchmark dataset")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -270,15 +269,6 @@ def edge_plan(cfg: SynthConfig):
                 "or move the targets")
         rates[cat] = p
     return rates, pair_counts
-
-
-def expected_census(cfg: SynthConfig):
-    """Closed-form expected per-category edge counts and their std devs."""
-    rates, pair_counts = edge_plan(cfg)
-    expected = {cat: rates[cat] * pair_counts[cat] for cat in rates}
-    stds = {cat: math.sqrt(pair_counts[cat] * rates[cat] * (1 - rates[cat]))
-            for cat in rates}
-    return expected, stds
 
 
 def synth_generate(cfg: SynthConfig):

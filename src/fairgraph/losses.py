@@ -211,6 +211,11 @@ def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma,
     return total
 
 
+def _in_sorted(codes, values):
+    """Which values occur in the increasing, non-negative array codes."""
+    return np.append(codes, -1)[np.searchsorted(codes, values)] == values
+
+
 def sample_negative_edges(g: Graph, count, seed):
     """Uniform sample of unordered non-adjacent pairs, without replacement,
     as a (count, 2) int64 array of u < v rows in lexicographic order."""
@@ -228,13 +233,16 @@ def sample_negative_edges(g: Graph, count, seed):
         pool = np.setdiff1d(every, codes, assume_unique=True)
         picked = np.sort(pool[rng.choice(len(pool), size=count, replace=False)])
     else:
-        existing = set(codes.tolist())
-        chosen = set()
-        while len(chosen) < count:
-            u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
-            if u != v and u * n + v not in existing:
-                chosen.add(u * n + v)
-        picked = np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
+        # rejection sampling, one batch of pairs at a time; a batch continues
+        # the scalar draw sequence and holds only as many pairs as codes are
+        # missing, so the set never overshoots and ends where drawing one
+        # pair at a time would stop
+        picked = np.zeros(0, dtype=np.int64)
+        while len(picked) < count:
+            uv = np.sort(rng.integers(0, n, size=(count - len(picked), 2)), axis=1)
+            drawn = uv[:, 0] * n + uv[:, 1]
+            new = np.unique(drawn[(uv[:, 0] != uv[:, 1]) & ~_in_sorted(codes, drawn)])
+            picked = np.sort(np.concatenate([picked, new[~_in_sorted(picked, new)]]))
     return np.stack([picked // n, picked % n], axis=1)
 
 
@@ -255,20 +263,9 @@ def suf_loss(h: Tensor, pos_edges, neg_edges) -> Tensor:
     return -(ad.tsum(ll) * (1.0 / pairs.shape[0]))
 
 
-def tvmf(c_i, c_j, kappa) -> float:
-    """Bounded angular similarity between two vectors:
-    (1 + cos) / (1 + kappa*(1 - cos)) - 1. Zero vectors behave as cos = 0."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    c_i = np.asarray(c_i, dtype=np.float64).reshape(-1)
-    c_j = np.asarray(c_j, dtype=np.float64).reshape(-1)
-    ni, nj = np.linalg.norm(c_i), np.linalg.norm(c_j)
-    cos = 0.0 if ni == 0 or nj == 0 else float(c_i @ c_j / (ni * nj))
-    cos = min(1.0, max(-1.0, cos))
-    return (1.0 + cos) / (1.0 + kappa * (1.0 - cos)) - 1.0
-
-
 def _tvmf_matrix(cos: Tensor, kappa) -> Tensor:
+    """Bounded angular similarity (1 + cos) / (1 + kappa*(1 - cos)) - 1,
+    elementwise over a tensor of cosines."""
     num = cos + 1.0
     den = ad.mul(1.0 - cos, float(kappa)) + 1.0
     return ad.div(num, den) - 1.0

@@ -78,10 +78,9 @@ def init_params(d_in, hidden, d_c, seed, d_e=None):
     return enc, pred
 
 
-def encode(params: EncoderParams, graph_or_agg, x) -> LatentState:
-    """Forward pass producing the latent state for every node."""
-    agg = graph_or_agg if isinstance(graph_or_agg, NeighborAggregator) \
-        else NeighborAggregator(graph_or_agg)
+def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
+    """Forward pass producing the latent state for every node of the graph
+    that `agg` aggregates over."""
     x = ad.as_tensor(x)
     if x.value.ndim != 2 or x.value.shape[0] != agg.n:
         raise ShapeError(f"features must be ({agg.n}, d), got {x.value.shape}")

@@ -267,11 +267,9 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
         ad.grad(loss, params)
         opt.step()
         losses.append(float(loss.value))
-    latent = encode(enc, agg, x)
-    probs = predict(pred, latent.c)
-    pseudo = hard_labels(probs)
-    merged = np.where(y >= 0, y, pseudo)
-    return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=merged,
+    probs = predict(pred, encode(enc, agg, x).c)
+    pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
+    return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
                           losses=losses)
 
 
@@ -360,30 +358,31 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                                       derive_seed(seed, "negative-edges")) \
         if use_suf else ()
 
-    pseudo = labels.pseudo_label.copy()
+    pseudo = None
     cf = None
     warned_empty = False
 
-    def refresh(latent_values):
+    def refresh(latent, probs):
         nonlocal pseudo, cf, warned_empty
-        probs_now = predict(pred, ad.Tensor(latent_values[:, :enc.d_c]))
-        pseudo = np.where(y_true >= 0, y_true, hard_labels(probs_now))
+        pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
         if use_inv:
-            cf = select_counterfactuals(latent_values, pseudo, sens, w.k)
+            cf = select_counterfactuals(latent.h.value, pseudo, sens, w.k)
             if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
                 log.warning("no counterfactual candidates exist; invariance "
                             "loss reduces to its orthogonality term")
                 warned_empty = True
 
-    refresh(encode(enc, agg, x).h.value)
+    # one forward pass per parameter state: it serves the loss, the refresh
+    # and the validation report of the step that produced it
+    latent = encode(enc, agg, x)
+    probs = predict(pred, latent.c)
+    refresh(latent, probs)
 
     records = []
     best = None  # (score, epoch, param values, val_report)
     for epoch in range(1, cfg.T_train + 1):
         if epoch % cfg.refresh_period == 0:
-            refresh(encode(enc, agg, x).h.value)
-        latent = encode(enc, agg, x)
-        probs = predict(pred, latent.c)
+            refresh(latent, probs)
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
             parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, cfg.dis_metric)
@@ -403,10 +402,10 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         ad.grad(loss, params)
         opt.step()
 
-        eval_latent = encode(enc, agg, x)
-        eval_probs = predict(pred, eval_latent.c).value
+        latent = encode(enc, agg, x)
+        probs = predict(pred, latent.c)
         try:
-            val_report = evaluate_predictions(eval_probs, y_true, sens,
+            val_report = evaluate_predictions(probs.value, y_true, sens,
                                               mask=splits.val, seed=seed)
             val_score = val_report.score
         except UndefinedMetricError:
@@ -475,9 +474,12 @@ def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
 def _thread_count():
     raw = os.environ.get("FAIRGRAPH_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"FAIRGRAPH_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def _pool_map(fn, jobs):

@@ -79,9 +79,8 @@ def _graph_payload(g, labels):
             "sensitive": labels.sensitive.tolist()}
 
 
-def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30, edit_fn=None):
+def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30):
     """Observed vs closed-form ratio shifts for random Type III subsets."""
-    edit_fn = edit_fn or fair_edge_remove
     rng = np.random.default_rng(derive_seed(seed, "verify:identity"))
     report = SuiteReport(name="identity")
     for _ in range(n_graphs):
@@ -114,7 +113,7 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30, edit_fn=None):
         # full removal must leave zero Type III edges and match the identity
         if census.count_iii < g.m and census.count_iii > 0:
             try:
-                edited_full, edit_rep = edit_fn(g, labels)
+                edited_full, _ = fair_edge_remove(g, labels)
             except DegenerateEditError:
                 continue
             census_after = edge_census(edited_full, labels)
@@ -216,10 +215,10 @@ def budget_suite(n_instances=100, seed=0, max_m=12):
     return report
 
 
-def run_suites(n_graphs=100, seed=0, tol=1e-12, edit_fn=None):
+def run_suites(n_graphs=100, seed=0, tol=1e-12):
     """Run all three suites; returns (passed, [SuiteReport])."""
     reports = [
-        identity_suite(n_graphs=n_graphs, seed=seed, tol=tol, edit_fn=edit_fn),
+        identity_suite(n_graphs=n_graphs, seed=seed, tol=tol),
         sign_suite(n_graphs=n_graphs, seed=seed),
         budget_suite(n_instances=n_graphs, seed=seed),
     ]

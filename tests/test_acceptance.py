@@ -25,12 +25,13 @@ from fairgraph.data import load_dataset, resolve_dataset, standardize_features
 from fairgraph.errors import DatasetError, InfeasibleError
 from fairgraph.graph import edge_census, fair_edge_remove, homophily_ratios, \
     minimal_deletions
-from fairgraph.losses import LossWeights, select_counterfactuals, tvmf
+from fairgraph.losses import LossWeights, _tvmf_matrix, select_counterfactuals
 from fairgraph.pipeline import TrainConfig, pretrain, run_experiment, run_single, \
     split_dataset
 from fairgraph.seeding import derive_seed
 from fairgraph.verify import budget_suite, identity_suite, random_labeled_graph, \
     sign_suite
+from oracles import grad_check, tvmf
 from test_losses import exhaustive_counterfactuals, loss_builders
 
 
@@ -145,8 +146,8 @@ def test_criterion_4_gradient_suite():
                 params = enc.tensors()
                 if which in ("pred", "total"):
                     params = params + pred.tensors()
-                err = ad.grad_check(lambda: build(which), params, eps=1e-5,
-                                    seed=seed)
+                err = grad_check(lambda: build(which), params, eps=1e-5,
+                                 seed=seed)
                 assert err < 1e-4, f"{which} at seed {seed}: {err}"
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"gradient suite took {elapsed:.2f}s"
@@ -154,13 +155,14 @@ def test_criterion_4_gradient_suite():
 
 def test_criterion_5_tvmf_properties():
     with criterion(5, "t-vMF similarity bounded, monotone, cosine at kappa=0"):
+        # the similarity sc_loss trains with, over a grid of cosines
         cos = np.linspace(-1.0, 1.0, 10_000)
         for kappa in (0.0, 0.1, 0.5, 1.0, 2.0, 8.0):
-            phi = (1.0 + cos) / (1.0 + kappa * (1.0 - cos)) - 1.0
+            phi = _tvmf_matrix(ad.Tensor(cos), kappa).value
             assert phi.min() >= -1.0 - 1e-12
             assert phi.max() <= 1.0 + 1e-12
             assert np.all(np.diff(phi) > 0.0)
-        assert np.max(np.abs(((1.0 + cos) / 1.0 - 1.0) - cos)) <= 1e-12
+        assert np.max(np.abs(_tvmf_matrix(ad.Tensor(cos), 0.0).value - cos)) <= 1e-12
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(6)

@@ -9,6 +9,7 @@ import pytest
 from fairgraph import autodiff as ad
 from fairgraph.errors import NumericError, ShapeError, TapeError
 from fairgraph.graph import Graph
+from oracles import grad_check
 
 
 def test_relu_on_all_negative_is_zero():
@@ -19,7 +20,7 @@ def test_relu_on_all_negative_is_zero():
 def test_row_mean_neighbors_isolated_node_zero_row():
     g = Graph.from_edges(3, [(0, 1)])  # node 2 isolated
     x = ad.Tensor(np.arange(6, dtype=float).reshape(3, 2))
-    out = ad.row_mean_neighbors(x, g)
+    out = ad.row_mean_neighbors(x, ad.NeighborAggregator(g))
     assert np.array_equal(out.value[2], np.zeros(2))
     assert np.array_equal(out.value[0], x.value[1])
 
@@ -96,7 +97,7 @@ def test_broadcast_add_gradient():
     def loss_fn():
         return ad.tsum(ad.sigmoid(w + b))
 
-    assert ad.grad_check(loss_fn, [w, b], eps=1e-5) < 1e-8
+    assert grad_check(loss_fn, [w, b], eps=1e-5) < 1e-8
 
 
 def test_gather_scatter_gradient():
@@ -108,7 +109,7 @@ def test_gather_scatter_gradient():
         rows = ad.gather_rows(w, idx)
         return ad.tsum(ad.mul(rows, rows))
 
-    assert ad.grad_check(loss_fn, [w], eps=1e-5) < 1e-8
+    assert grad_check(loss_fn, [w], eps=1e-5) < 1e-8
 
 
 def test_row_normalize_and_norm_gradients():
@@ -118,7 +119,7 @@ def test_row_normalize_and_norm_gradients():
     def loss_fn():
         return ad.tsum(ad.row_l2_norm(w)) + ad.tsum(ad.row_l2_normalize(w))
 
-    assert ad.grad_check(loss_fn, [w], eps=1e-5) < 1e-8
+    assert grad_check(loss_fn, [w], eps=1e-5) < 1e-8
 
 
 def test_neighbor_mean_gradient():
@@ -131,7 +132,7 @@ def test_neighbor_mean_gradient():
     def loss_fn():
         return ad.tsum(ad.mul(ad.row_mean_neighbors(w, agg), ad.Tensor(coeff)))
 
-    assert ad.grad_check(loss_fn, [w], eps=1e-5) < 1e-10
+    assert grad_check(loss_fn, [w], eps=1e-5) < 1e-10
 
 
 # np.add.at scatter-adds: the reference the sparse kernels must match bit for
@@ -215,7 +216,7 @@ def test_linear_loss_checks_exactly():
     def loss_fn():
         return ad.tsum(ad.mul(w, 2.5))
 
-    assert ad.grad_check(loss_fn, [w], eps=1e-5) <= 1e-10
+    assert grad_check(loss_fn, [w], eps=1e-5) <= 1e-10
 
 
 def test_grad_check_skips_relu_kink():
@@ -227,7 +228,7 @@ def test_grad_check_skips_relu_kink():
         return ad.tsum(ad.relu(w))
 
     # without the skip this would come out at 0.5
-    assert ad.grad_check(loss_fn, [w], eps=1e-5) < 1e-9
+    assert grad_check(loss_fn, [w], eps=1e-5) < 1e-9
 
 
 def test_grad_check_ignores_forward_passes_in_other_threads():
@@ -238,7 +239,7 @@ def test_grad_check_ignores_forward_passes_in_other_threads():
         time.sleep(0.001)  # hand the interpreter to the other thread mid-probe
         return ad.tsum(ad.mul(w, ad.mul(w, w)))
 
-    expected = ad.grad_check(loss_fn, [w])
+    expected = grad_check(loss_fn, [w])
     assert expected > 0.0
     stop = threading.Event()
 
@@ -251,7 +252,7 @@ def test_grad_check_ignores_forward_passes_in_other_threads():
     other = threading.Thread(target=forward_passes)
     other.start()
     try:
-        got = ad.grad_check(loss_fn, [w])
+        got = grad_check(loss_fn, [w])
     finally:
         stop.set()
         other.join(timeout=10)
@@ -264,7 +265,7 @@ def test_grad_check_ignores_forward_passes_in_other_threads():
 def test_grad_check_eps_validation():
     w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.grad_check(lambda: ad.tsum(w), [w], eps=1e-2)
+        grad_check(lambda: ad.tsum(w), [w], eps=1e-2)
 
 
 def test_determinism_bit_identical():

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from fairgraph.cli import main
-from fairgraph.data import SynthConfig, synth_generate, write_dataset
-from fairgraph.graph import Graph
+from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_generate, \
+    write_dataset
+from fairgraph.errors import ConfigError
+from fairgraph.graph import Graph, fair_edge_remove
 from fairgraph.losses import select_counterfactuals
+from fairgraph.pipeline import TrainConfig, run_experiment
 
 
 @pytest.fixture()
@@ -75,9 +78,17 @@ def test_verify_ok_and_report_fields(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_fault_injection_exits_1(capsys):
-    assert main(["verify", "--graphs", "40", "--seed", "2",
-                 "--inject-fault"]) == 1
+def test_verify_fault_injection_exits_1(monkeypatch, capsys):
+    def leave_one_type_iii_edge(graph, labels):
+        edited, report = fair_edge_remove(graph, labels)
+        if report.removed_edges:
+            broken = Graph.from_edges(
+                graph.n, np.vstack([edited.edge_array, report.removed_edges[:1]]))
+            return broken, report
+        return edited, report
+
+    monkeypatch.setattr("fairgraph.verify.fair_edge_remove", leave_one_type_iii_edge)
+    assert main(["verify", "--graphs", "40", "--seed", "2"]) == 1
     err = capsys.readouterr().err
     assert "counterexample" in err
 
@@ -164,6 +175,17 @@ def test_grid_command(toy_dir, tmp_path, capsys):
     scores = [c["mean_val_score"] for c in doc["cells"]]
     assert scores == sorted(scores, reverse=True)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+def test_bad_thread_count_is_config_error(toy_dir, tmp_path, threads, monkeypatch, capsys):
+    monkeypatch.setenv("FAIRGRAPH_THREADS", threads)
+    graph, table = load_dataset(resolve_dataset(toy_dir))
+    with pytest.raises(ConfigError, match="FAIRGRAPH_THREADS"):
+        run_experiment(graph, table, TrainConfig(T_pre=1, T_train=1))
+    for command in ("train", "grid"):
+        assert main([command, "--dataset", toy_dir, "--out", str(tmp_path / command)]) == 2
+        assert "FAIRGRAPH_THREADS" in capsys.readouterr().err
 
 
 def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):

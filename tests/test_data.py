@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from fairgraph.data import (
     DatasetSpec,
     SynthConfig,
     atomic_open,
-    expected_census,
+    edge_plan,
     export_embeddings,
     load_dataset,
     resolve_dataset,
@@ -137,6 +138,15 @@ def test_synth_infeasible_targets():
         # all mass on category I but almost no same/same pairs available
         SynthConfig(n=100, target_hr_c=0.99, target_hr_s=0.99,
                     mean_degree=99.0)
+
+
+def expected_census(cfg: SynthConfig):
+    """Closed-form expected per-category edge counts and their std devs."""
+    rates, pair_counts = edge_plan(cfg)
+    expected = {cat: rates[cat] * pair_counts[cat] for cat in rates}
+    stds = {cat: math.sqrt(pair_counts[cat] * rates[cat] * (1 - rates[cat]))
+            for cat in rates}
+    return expected, stds
 
 
 def test_synth_census_matches_closed_form_at_n5000():

@@ -1,0 +1,48 @@
+"""The package holds only what it runs: every top-level function, class and
+assignment in src/fairgraph is used by package code outside its own
+definition. Test oracles and checkers live under tests/ (see oracles.py)."""
+
+import ast
+import pathlib
+from collections import Counter
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairgraph"
+
+# name -> the code outside src/fairgraph that calls it; keep this empty
+# unless such a caller exists
+ALLOWLIST = {}
+
+
+def _definitions(tree):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def _uses(node):
+    """Every name read and attribute taken under node, with multiplicity."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+    return names
+
+
+def test_every_top_level_name_is_used_by_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}:{node.lineno} {name}"
+              for module, tree in trees.items()
+              for name, node in _definitions(tree)
+              if everywhere[name] == _uses(node)[name] and name not in ALLOWLIST]
+    assert not unused, f"defined in src/fairgraph but used only outside it: {unused}"

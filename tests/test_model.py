@@ -48,8 +48,8 @@ def test_zero_weights_give_broadcast_bias():
     for t in (enc.w1, enc.w2):
         t.value = np.zeros_like(t.value)
     enc.b2.value = np.arange(4, dtype=float)
-    g = ring(5)
-    latent = encode(enc, g, np.random.default_rng(0).standard_normal((5, 3)))
+    agg = NeighborAggregator(ring(5))
+    latent = encode(enc, agg, np.random.default_rng(0).standard_normal((5, 3)))
     assert np.array_equal(latent.h.value, np.tile(np.arange(4.0), (5, 1)))
 
 
@@ -60,8 +60,8 @@ def test_isolated_node_depends_on_self_only():
     x1 = rng.standard_normal((4, 3))
     x2 = x1.copy()
     x2[:3] += rng.standard_normal((3, 3))  # perturb everyone but node 3
-    h1 = encode(enc, g, x1).h.value
-    h2 = encode(enc, g, x2).h.value
+    h1 = encode(enc, NeighborAggregator(g), x1).h.value
+    h2 = encode(enc, NeighborAggregator(g), x2).h.value
     assert np.array_equal(h1[3], h2[3])
     assert not np.array_equal(h1[:3], h2[:3])
 
@@ -75,15 +75,15 @@ def test_permutation_equivariance():
     g2 = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges])
     x2 = np.empty_like(x)
     x2[perm] = x
-    h1 = encode(enc, g, x).h.value
-    h2 = encode(enc, g2, x2).h.value
+    h1 = encode(enc, NeighborAggregator(g), x).h.value
+    h2 = encode(enc, NeighborAggregator(g2), x2).h.value
     assert np.allclose(h2[perm], h1, atol=1e-12)
 
 
 def test_c_and_e_are_exact_column_blocks():
     enc, _ = init_params(3, 4, 2, seed=4)
-    g = ring(6)
-    latent = encode(enc, g, np.random.default_rng(2).standard_normal((6, 3)))
+    agg = NeighborAggregator(ring(6))
+    latent = encode(enc, agg, np.random.default_rng(2).standard_normal((6, 3)))
     assert np.array_equal(latent.h.value[:, :2], latent.c.value)
     assert np.array_equal(latent.h.value[:, 2:], latent.e.value)
 
@@ -103,14 +103,14 @@ def test_predict_tie_rule_and_saturation():
 def test_encode_shape_mismatch():
     enc, _ = init_params(3, 4, 2, seed=0)
     with pytest.raises(ShapeError):
-        encode(enc, ring(5), np.zeros((5, 7)))
+        encode(enc, NeighborAggregator(ring(5)), np.zeros((5, 7)))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     enc, pred = init_params(5, 8, 4, seed=9)
     g = ring(7)
     x = np.random.default_rng(4).standard_normal((7, 5))
-    probs_before = predict(pred, encode(enc, g, x).c).value
+    probs_before = predict(pred, encode(enc, NeighborAggregator(g), x).c).value
     path = tmp_path / "params.json"
     save_checkpoint(path, enc, pred, meta={"note": "test"})
     enc2, pred2, meta = load_checkpoint(path)
@@ -118,7 +118,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(enc.tensors() + pred.tensors(),
                     enc2.tensors() + pred2.tensors()):
         assert np.array_equal(a.value, b.value)
-    probs_after = predict(pred2, encode(enc2, g, x).c).value
+    probs_after = predict(pred2, encode(enc2, NeighborAggregator(g), x).c).value
     assert np.array_equal(probs_before, probs_after)
 
 
