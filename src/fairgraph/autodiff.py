@@ -31,19 +31,12 @@ class Tensor:
         self._parents = ()
         self._id = next(_COUNTER)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
     # operator sugar; scalars and arrays are coerced to constant tensors
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -54,20 +47,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x):

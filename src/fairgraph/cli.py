@@ -54,7 +54,7 @@ from .pipeline import (
 from .seeding import derive_seed
 from .verify import run_suites
 
-WEIGHT_FLAGS = ("alpha", "beta", "gamma", "omega", "eta", "K", "K_prime", "kappa")
+WEIGHT_FLAGS = tuple(LossWeights().to_dict())
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 

@@ -28,11 +28,6 @@ class UndefinedRatioError(FairGraphError):
 class DegenerateEditError(FairGraphError):
     """Graph editing removed every edge; the caller decides the fallback."""
 
-    def __init__(self, message, graph=None, report=None):
-        super().__init__(message)
-        self.graph = graph
-        self.report = report
-
 
 class InfeasibleError(FairGraphError):
     """Requested deletion budget or target cannot be met with Type III edges."""

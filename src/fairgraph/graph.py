@@ -336,8 +336,7 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
     """Remove every Type III edge (labels differ, sensitive equal) in one pass.
 
     Returns (edited_graph, report). Raises DegenerateEditError when editing
-    would leave an empty graph; the error carries the edited graph and report
-    so the caller can decide a fallback.
+    would leave an empty graph; the caller decides the fallback.
     """
     if g.m == 0:
         raise UndefinedRatioError("cannot edit an empty graph")
@@ -345,18 +344,13 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
     s = labels.sensitive
     ea = g.edge_array
     is_iii = (y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])
+    if is_iii.all():
+        raise DegenerateEditError("editing removed every edge")
     removed = tuple(map(tuple, ea[is_iii].tolist()))
     census_before = edge_census(g, labels)
     hr_c_b = census_before.n_c / census_before.m
     hr_s_b = census_before.n_s / census_before.m
     edited = Graph(n=g.n, edge_array=ea[~is_iii])
-    if edited.m == 0:
-        census_after = EdgeCensus(0, 0, 0, 0)
-        report = EditReport(removed_edges=removed, census_before=census_before,
-                            census_after=census_after, hr_c_before=hr_c_b,
-                            hr_s_before=hr_s_b, hr_c_after=float("nan"),
-                            hr_s_after=float("nan"))
-        raise DegenerateEditError("editing removed every edge", graph=edited, report=report)
     census_after = edge_census(edited, labels)
     report = EditReport(removed_edges=removed, census_before=census_before,
                         census_after=census_after, hr_c_before=hr_c_b, hr_s_before=hr_s_b,

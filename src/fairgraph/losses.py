@@ -75,8 +75,6 @@ class CounterfactualIndex:
 
     e_ids: tuple          # tuple of int arrays, per node
     c_ids: tuple
-    e_dists: tuple        # squared L2 distances, parallel to the id lists
-    c_dists: tuple
     k: int
     empty_e: int = 0      # nodes with no e-type candidate at all
     empty_c: int = 0
@@ -103,8 +101,8 @@ def _nearest(x, allowed, k):
     """Exact k nearest allowed candidates per row of x by squared L2.
 
     allowed(rows) gives the candidate mask of shape (block, n) for a slice of
-    anchor rows. Returns (counts, ids, dists): the number of hits per row and
-    the hits flattened in (row, distance, id) order, so ties go to the smaller
+    anchor rows. Returns (counts, ids): the number of hits per row and the
+    hits flattened in (row, distance, id) order, so ties go to the smaller
     id. A row has fewer than k hits only when it has fewer candidates.
     Distances are sq_i + sq_j - 2 x_i.x_j clamped at 0, one row block at a
     time, so memory stays O(block * n).
@@ -112,7 +110,7 @@ def _nearest(x, allowed, k):
     sq = (x * x).sum(axis=1)
     n = x.shape[0]
     kth = min(k, n) - 1
-    counts, ids, dists = [], [], []
+    counts, ids = [], []
     for start in range(0, n, _BLOCK):
         rows = slice(start, min(start + _BLOCK, n))
         d = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
@@ -123,15 +121,13 @@ def _nearest(x, allowed, k):
         # exact (row, distance, id) sort of those few
         cut = np.partition(d, kth, axis=1)[:, kth, None]
         r, c = np.nonzero(mask & (d <= cut))
-        dist = d[r, c]
-        order = np.lexsort((c, dist, r))
-        r, c, dist = r[order], c[order], dist[order]
+        order = np.lexsort((c, d[r, c], r))
+        r, c = r[order], c[order]
         row_hits = np.bincount(r, minlength=d.shape[0])
         keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
         counts.append(np.minimum(row_hits, k))
         ids.append(c[keep])
-        dists.append(dist[keep])
-    return np.concatenate(counts), np.concatenate(ids), np.concatenate(dists)
+    return np.concatenate(counts), np.concatenate(ids)
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
@@ -143,21 +139,20 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
     sensitive = np.asarray(sensitive)
 
     def nearest(allowed):
-        counts, ids, dists = _nearest(h, allowed, k)
-        cuts = np.cumsum(counts)[:-1]
-        return (tuple(np.split(ids, cuts)), tuple(np.split(dists, cuts)),
+        counts, ids = _nearest(h, allowed, k)
+        return (tuple(np.split(ids, np.cumsum(counts)[:-1])),
                 int(np.count_nonzero(counts == 0)))
 
     # e-type: same pseudo-label, other group; c-type: other label, same group
-    e_ids, e_d, empty_e = nearest(
+    e_ids, empty_e = nearest(
         lambda r: (pseudo[r, None] == pseudo) & (sensitive[r, None] != sensitive))
-    c_ids, c_d, empty_c = nearest(
+    c_ids, empty_c = nearest(
         lambda r: (pseudo[r, None] != pseudo) & (sensitive[r, None] == sensitive))
     if empty_e or empty_c:
         log.debug("counterfactual selection: %d nodes without e-type, %d without c-type",
                   empty_e, empty_c)
-    return CounterfactualIndex(e_ids=e_ids, c_ids=c_ids, e_dists=e_d, c_dists=c_d,
-                               k=k, empty_e=empty_e, empty_c=empty_c)
+    return CounterfactualIndex(e_ids=e_ids, c_ids=c_ids, k=k, empty_e=empty_e,
+                               empty_c=empty_c)
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +171,18 @@ def pred_loss(probs: Tensor, labels, mask) -> Tensor:
     return -(ad.tsum(ad.mul(w, ll)) * (1.0 / count))
 
 
-def _pair_distances(x: Tensor, anchors, partners, dis_metric):
-    a = ad.gather_rows(x, anchors)
-    b = ad.gather_rows(x, partners)
-    if dis_metric == "cosine":
-        zero_rows = int(np.sum(
-            (np.linalg.norm(x.value[anchors], axis=1) == 0)
-            | (np.linalg.norm(x.value[partners], axis=1) == 0)))
-        if zero_rows:
-            log.debug("cosine distance: %d zero-vector rows treated as cos=0", zero_rows)
-        return 1.0 - ad.rowwise_cosine(a, b)
-    if dis_metric == "l2":
-        return ad.row_l2_norm(a - b)
-    raise ValueError(f"unknown distance metric {dis_metric!r}")
+def _pair_distances(x: Tensor, anchors, partners):
+    """Cosine distance 1 - cos between rows `anchors` and `partners`."""
+    zero_rows = int(np.sum(
+        (np.linalg.norm(x.value[anchors], axis=1) == 0)
+        | (np.linalg.norm(x.value[partners], axis=1) == 0)))
+    if zero_rows:
+        log.debug("cosine distance: %d zero-vector rows treated as cos=0", zero_rows)
+    return 1.0 - ad.rowwise_cosine(ad.gather_rows(x, anchors),
+                                   ad.gather_rows(x, partners))
 
 
-def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma,
-             dis_metric="cosine") -> Tensor:
+def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma) -> Tensor:
     """Counterfactual invariance: content should match its e-type
     counterfactuals, environment its c-type counterfactuals, and the two
     blocks should stay orthogonal per node.
@@ -205,9 +195,9 @@ def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma,
     ic, jc = cf.pairs_c()
     total = ad.mul(ad.tmean(ad.tabs(ad.rowwise_cosine(c, e))), float(gamma))
     if len(ie):
-        total = total + ad.tmean(_pair_distances(c, ie, je, dis_metric))
+        total = total + ad.tmean(_pair_distances(c, ie, je))
     if len(ic):
-        total = total + ad.tmean(_pair_distances(e, ic, jc, dis_metric))
+        total = total + ad.tmean(_pair_distances(e, ic, jc))
     return total
 
 
@@ -307,7 +297,7 @@ def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
     n = len(s)
     if (s == s[0]).all():
         raise UndefinedMetricError("environment loss needs both sensitive groups")
-    counts, partners, _ = _nearest(e.value, lambda r: s[r, None] != s, k_prime)
+    counts, partners = _nearest(e.value, lambda r: s[r, None] != s, k_prime)
     anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
     w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
     dist = ad.row_l2_norm(ad.gather_rows(e, anchors) - ad.gather_rows(e, partners))

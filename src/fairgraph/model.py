@@ -58,20 +58,19 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(d_in, hidden, d_c, seed, d_e=None):
-    """Glorot-uniform weights, zero biases; deterministic in the seed."""
-    if d_e is None:
-        d_e = d_c
-    if min(d_in, hidden, d_c, d_e) <= 0:
+def init_params(d_in, hidden, d_c, seed):
+    """Glorot-uniform weights, zero biases; deterministic in the seed. The
+    environment block E is as wide as the content block C."""
+    if min(d_in, hidden, d_c) <= 0:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-    d_out = d_c + d_e
+    d_out = 2 * d_c
     enc = EncoderParams(
         w1=Tensor(_glorot(rng, 2 * d_in, hidden), requires_grad=True),
         b1=Tensor(np.zeros(hidden), requires_grad=True),
         w2=Tensor(_glorot(rng, 2 * hidden, d_out), requires_grad=True),
         b2=Tensor(np.zeros(d_out), requires_grad=True),
-        d_c=d_c, d_e=d_e)
+        d_c=d_c, d_e=d_c)
     pred = PredictorParams(
         w=Tensor(_glorot(rng, d_c, 1), requires_grad=True),
         b=Tensor(np.zeros(1), requires_grad=True))

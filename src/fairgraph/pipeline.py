@@ -58,12 +58,13 @@ log = logging.getLogger(__name__)
 MODES = ("HSCCAF", "CAF", "CAF+GE", "HSCCAF-GE")
 EPOCH_CAP = 100
 
-# which additions each mode enables on top of the base objective
+# which additions each mode enables on top of the base objective: the
+# Type III edit, and the supervised contrastive plus environmental terms
 MODE_FLAGS = {
-    "HSCCAF": {"edit": True, "sc": True, "env": True},
-    "CAF": {"edit": False, "sc": False, "env": False},
-    "CAF+GE": {"edit": True, "sc": False, "env": False},
-    "HSCCAF-GE": {"edit": False, "sc": True, "env": True},
+    "HSCCAF": {"edit": True, "contrast": True},
+    "CAF": {"edit": False, "contrast": False},
+    "CAF+GE": {"edit": True, "contrast": False},
+    "HSCCAF-GE": {"edit": False, "contrast": True},
 }
 
 
@@ -80,9 +81,6 @@ class TrainConfig:
     optimizer: str = "gd"
     hidden: int = 16
     d_c: int = 16
-    dis_metric: str = "cosine"
-    sc_labels: str = "labeled"
-    reinit_phase2: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -97,10 +95,6 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("gd", "adam"):
             raise ConfigError("optimizer must be 'gd' or 'adam'")
-        if self.dis_metric not in ("cosine", "l2"):
-            raise ConfigError("dis_metric must be 'cosine' or 'l2'")
-        if self.sc_labels not in ("labeled", "pseudo"):
-            raise ConfigError("sc_labels must be 'labeled' or 'pseudo'")
         if len(self.splits) != 3 or abs(sum(self.splits) - 1.0) > 1e-9 \
                 or min(self.splits) <= 0:
             raise ConfigError("splits must be three positive fractions summing to 1")
@@ -113,15 +107,12 @@ class TrainConfig:
                 "refresh_period": self.refresh_period,
                 "seeds": list(self.seeds), "splits": list(self.splits),
                 "mode": self.mode, "optimizer": self.optimizer,
-                "hidden": self.hidden, "d_c": self.d_c,
-                "dis_metric": self.dis_metric, "sc_labels": self.sc_labels,
-                "reinit_phase2": self.reinit_phase2}
+                "hidden": self.hidden, "d_c": self.d_c}
 
     @classmethod
     def from_dict(cls, doc):
         known = {"weights", "lr", "T_pre", "T_train", "refresh_period", "seeds",
-                 "splits", "mode", "optimizer", "hidden", "d_c", "dis_metric",
-                 "sc_labels", "reinit_phase2"}
+                 "splits", "mode", "optimizer", "hidden", "d_c"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -330,7 +321,7 @@ class RunResult:
 
 def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                enc: EncoderParams, pred: PredictorParams, cfg: TrainConfig,
-               seed, edit_report: EditReport,
+               seed, edit_report: EditReport, split_id=0,
                feature_stats=None) -> RunResult:
     """Phase 2: full objective on the edited graph.
 
@@ -339,12 +330,12 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     best epoch maximizes the validation selection score, earliest on ties;
     epochs with undefined validation metrics are disqualified.
     """
-    flags = MODE_FLAGS[cfg.mode]
+    contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
     use_inv = w.alpha > 0
     use_suf = w.beta > 0
-    use_sc = flags["sc"] and w.omega > 0
-    use_env = flags["env"] and w.eta > 0
+    use_sc = contrast and w.omega > 0
+    use_env = contrast and w.eta > 0
 
     agg = NeighborAggregator(graph)
     params = enc.tensors() + pred.tensors()
@@ -385,14 +376,11 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
             refresh(latent, probs)
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
-            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, cfg.dis_metric)
+            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
         if use_suf:
             parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
         if use_sc:
-            if cfg.sc_labels == "labeled":
-                parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
-            else:
-                parts.sc = sc_loss(latent.c, pseudo, np.ones(graph.n, bool), w.kappa)
+            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
         if use_env:
             parts.env = env_loss(latent.e, sens, w.k_prime)
         loss = total_loss(parts, w)
@@ -406,7 +394,8 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         probs = predict(pred, latent.c)
         try:
             val_report = evaluate_predictions(probs.value, y_true, sens,
-                                              mask=splits.val, seed=seed)
+                                              mask=splits.val, seed=seed,
+                                              split_id=split_id)
             val_score = val_report.score
         except UndefinedMetricError:
             val_report, val_score = None, None
@@ -426,10 +415,11 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     test_latent = encode(enc, agg, x)
     test_probs = predict(pred, test_latent.c).value
     test_report = evaluate_predictions(test_probs, y_true, sens,
-                                       mask=splits.test, seed=seed)
+                                       mask=splits.test, seed=seed,
+                                       split_id=split_id)
 
     mean, std = (None, None) if feature_stats is None else feature_stats
-    return RunResult(mode=cfg.mode, seed=seed, split_id=0, epochs=records,
+    return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],
                      test_report=test_report, edit_report=edit_report,
                      encoder=enc, predictor=pred, pseudo_labels=pseudo,
@@ -460,15 +450,9 @@ def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
         edited = graph
         edit_report = replace(skipped_edit_report(graph, labels_p),
                               skipped=False, degenerate=True)
-    if cfg.reinit_phase2:
-        enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
-                                derive_seed(seed, "init-phase2"))
-    else:
-        enc, pred = pre.encoder, pre.predictor
-    result = train_full(edited, x, labels_p, splits, enc, pred, cfg, seed,
-                        edit_report, feature_stats=(mean, std))
-    result.split_id = split_id
-    return result
+    return train_full(edited, x, labels_p, splits, pre.encoder, pre.predictor,
+                      cfg, seed, edit_report, split_id=split_id,
+                      feature_stats=(mean, std))
 
 
 def _thread_count():
@@ -532,25 +516,21 @@ DEFAULT_GRID = {
     "eta": [0.06, 0.07, 0.08, 0.09, 0.1, 0.3, 0.8],
 }
 
-_WEIGHT_KEYS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma",
-                "omega": "omega", "eta": "eta", "K": "k", "K_prime": "k_prime",
-                "kappa": "kappa"}
-
 
 def grid_search(graph: Graph, table: NodeTable, base_cfg: TrainConfig, grid):
     """Evaluate every grid cell across the config's seeds and rank by mean
     best-epoch validation score (descending; ties by cell key)."""
+    base = base_cfg.weights.to_dict()
     for key in grid:
-        if key not in _WEIGHT_KEYS:
+        if key not in base:
             raise ConfigError(f"grid key {key!r} not tunable "
-                              f"(expected {sorted(_WEIGHT_KEYS)})")
+                              f"(expected {sorted(base)})")
     keys = sorted(grid)
     cells = [dict(zip(keys, combo))
              for combo in itertools.product(*(grid[k] for k in keys))]
 
-    cfgs = [replace(base_cfg, weights=replace(
-        base_cfg.weights, **{_WEIGHT_KEYS[k]: v for k, v in cell.items()}))
-        for cell in cells]
+    cfgs = [replace(base_cfg, weights=LossWeights.from_dict({**base, **cell}))
+            for cell in cells]
     # one flat pool over every (cell, split, seed) run
     runs = list(enumerate(base_cfg.seeds))
     results = _pool_map(

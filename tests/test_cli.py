@@ -196,7 +196,12 @@ def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
                  "--out", str(tmp_path / "y")]) == 2
-    capsys.readouterr()
+    for key, value in (("dis_metric", "cosine"), ("sc_labels", "labeled"),
+                       ("reinit_phase2", False)):
+        cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, key: value}))
+        assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
+                     "--out", str(tmp_path / key)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_config_file_roundtrip_drives_training(toy_dir, tmp_path, capsys):

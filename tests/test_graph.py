@@ -242,13 +242,12 @@ def test_no_type_iii_is_a_fixed_point():
     assert report.removed_edges == ()
 
 
-def test_degenerate_edit_raises_with_payload():
-    g = Graph.from_edges(2, [(0, 1)])
-    labels = NodeLabels.create(sensitive=[0, 0], class_label=[0, 1])
-    with pytest.raises(DegenerateEditError) as exc:
+def test_degenerate_edit_raises_and_leaves_graph():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    labels = NodeLabels.create(sensitive=[0, 0, 0], class_label=[0, 1, 0])
+    with pytest.raises(DegenerateEditError):
         fair_edge_remove(g, labels)
-    assert exc.value.graph.m == 0
-    assert len(exc.value.report.removed_edges) == 1
+    assert g.m == 2 and g.edges == ((0, 1), (1, 2))
 
 
 def test_remove_is_idempotent_and_monotone():

@@ -56,7 +56,6 @@ def test_select_counterfactuals_hand_case():
     h = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     cf = select_counterfactuals(h, [1, 1, 1], [0, 1, 1], 1)
     assert cf.e_ids[0].tolist() == [1]
-    assert cf.e_dists[0].tolist() == [1.0]
     # no label differences anywhere, so every c-type list is empty
     assert cf.empty_c == 3
 
@@ -146,15 +145,17 @@ def test_pred_loss_mask_and_errors():
 def cf_pair():
     empty = np.zeros(0, dtype=np.int64)
     return CounterfactualIndex(
-        e_ids=(np.array([1]), empty), c_ids=(np.array([1]), empty),
-        e_dists=(np.array([4.0]), np.zeros(0)),
-        c_dists=(np.array([9.0]), np.zeros(0)), k=1)
+        e_ids=(np.array([1]), empty), c_ids=(np.array([1]), empty), k=1)
 
 
-def test_inv_loss_l2_hand_sum():
-    c = tensor([[0.0, 0.0], [2.0, 0.0]])
-    e = tensor([[0.0, 0.0], [0.0, 3.0]])
-    assert float(inv_loss(c, e, cf_pair(), gamma=0.0, dis_metric="l2").value) == 5.0
+def test_inv_loss_cosine_hand_sum():
+    # content pair (0, 1) at 90 degrees: 1 - cos = 1; environment pair at 180
+    # degrees: 1 - cos = 2; |cos(c_i, e_i)| is 1 for node 0 and 0 for node 1,
+    # so gamma=2 adds 2 * 0.5. Row norms differ and must divide out.
+    c = tensor([[1.0, 0.0], [0.0, 2.0]])
+    e = tensor([[3.0, 0.0], [-0.5, 0.0]])
+    assert float(inv_loss(c, e, cf_pair(), gamma=0.0).value) == 3.0
+    assert float(inv_loss(c, e, cf_pair(), gamma=2.0).value) == 4.0
 
 
 def test_inv_loss_vanishes_when_aligned_and_orthogonal():

@@ -90,6 +90,15 @@ def test_config_round_trip_and_validation():
         TrainConfig(mode="nope")
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
+    # eight weights and ten fields are all there is to set
+    doc = cfg.to_dict()
+    assert set(doc) == {"weights", "lr", "T_pre", "T_train", "refresh_period",
+                        "seeds", "splits", "mode", "optimizer", "hidden", "d_c"}
+    assert len(doc) - 1 + len(doc["weights"]) == 18
+    for key, value in (("dis_metric", "cosine"), ("sc_labels", "labeled"),
+                       ("reinit_phase2", False)):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict({**doc, key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +290,9 @@ def test_run_experiment_aggregates_mean_std():
     assert agg["bacc"]["mean"] == pytest.approx(float(np.mean(baccs)))
     assert agg["bacc"]["std"] == pytest.approx(float(np.std(baccs)))
     assert [r.split_id for r in results] == [0, 1]
+    for r in results:
+        doc = r.to_dict()
+        assert doc["val"]["split_id"] == doc["test"]["split_id"] == r.split_id
 
 
 def test_singleton_grid_equals_direct_run():
