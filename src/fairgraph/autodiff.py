@@ -89,11 +89,6 @@ def matmul(a, b):
     return _make(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
 
 
-def transpose(a):
-    a = as_tensor(a)
-    return _make(a.value.T, [(a, lambda g: g.T)])
-
-
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     ash, bsh = a.value.shape, b.value.shape
@@ -113,15 +108,6 @@ def mul(a, b):
     av, bv = a.value, b.value
     return _make(av * bv, [(a, lambda g: _unbroadcast(g * bv, av.shape)),
                            (b, lambda g: _unbroadcast(g * av, bv.shape))])
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.value, b.value
-    if np.any(bv == 0.0):
-        raise NumericError("division by zero")
-    return _make(av / bv, [(a, lambda g: _unbroadcast(g / bv, av.shape)),
-                           (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape))])
 
 
 def neg(a):
@@ -171,14 +157,6 @@ def tlog(a):
         raise NumericError("log of non-positive value")
     av = a.value
     return _make(np.log(av), [(a, lambda g: g / av)])
-
-
-def texp(a):
-    a = as_tensor(a)
-    out = np.exp(a.value)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("exp overflow")
-    return _make(out, [(a, lambda g: g * out)])
 
 
 def tabs(a):
@@ -232,6 +210,13 @@ def gather_rows(a, idx):
         return pick.T @ g
 
     return _make(av[idx], [(a, vjp)])
+
+
+def scalar_with_grad(a, value, grad_a):
+    """Scalar node whose gradient with respect to `a` is `grad_a`, for a fused
+    kernel that computes a loss and its gradient together in closed form."""
+    a = as_tensor(a)
+    return _make(np.float64(value), [(a, lambda g: g * grad_a)])
 
 
 def row_l2_normalize(a):
@@ -303,14 +288,6 @@ def row_mean_neighbors(a, agg):
         raise ShapeError(f"row count {av.shape[0]} != node count {agg.n}")
     inv = agg.inv_deg[:, None]
     return _make((agg.adj @ av) * inv, [(a, lambda g: agg.adj @ (g * inv))])
-
-
-def cosine_matrix(a, b):
-    """Pairwise cosine similarities between rows of a and rows of b.
-
-    Zero rows behave as cosine 0 against everything.
-    """
-    return matmul(row_l2_normalize(a), transpose(row_l2_normalize(b)))
 
 
 def rowwise_cosine(a, b):

@@ -10,13 +10,14 @@ whole composite objective.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CapacityError, NumericError, UndefinedMetricError
+from .errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
 from .graph import Graph, pair_codes
 
 log = logging.getLogger(__name__)
@@ -51,17 +52,32 @@ class LossWeights:
 
     @classmethod
     def from_dict(cls, doc):
+        """Weights from a config mapping; any invalid field is a ConfigError."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"weights must be a mapping, got {type(doc).__name__}")
         known = {"alpha", "beta", "gamma", "omega", "eta", "K", "K_prime", "kappa"}
         unknown = set(doc) - known
         if unknown:
-            raise ValueError(f"unknown weight fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown weight fields: {sorted(unknown)}")
         kw = {k: v for k, v in doc.items() if k in ("alpha", "beta", "gamma",
                                                     "omega", "eta", "kappa")}
-        if "K" in doc:
-            kw["k"] = int(doc["K"])
-        if "K_prime" in doc:
-            kw["k_prime"] = int(doc["K_prime"])
-        return cls(**kw)
+        for field, name in (("K", "k"), ("K_prime", "k_prime")):
+            if field in doc:
+                kw[name] = _whole_number(field, doc[field])
+        try:
+            return cls(**kw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad weights: {exc}") from exc
+
+
+def _whole_number(field, value):
+    """value as an int when it is a whole number (5 or 5.0); 2.7 is an error,
+    not a count of 2."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +110,7 @@ def _flatten_pairs(id_lists):
     return anchors, partners.astype(np.int64, copy=False)
 
 
-_BLOCK = 512   # anchor rows per distance block
+_BLOCK = 512   # anchor rows per block of the top-k and contrast kernels
 
 
 def _nearest(x, allowed, k):
@@ -253,39 +269,83 @@ def suf_loss(h: Tensor, pos_edges, neg_edges) -> Tensor:
     return -(ad.tsum(ll) * (1.0 / pairs.shape[0]))
 
 
-def _tvmf_matrix(cos: Tensor, kappa) -> Tensor:
-    """Bounded angular similarity (1 + cos) / (1 + kappa*(1 - cos)) - 1,
-    elementwise over a tensor of cosines."""
-    num = cos + 1.0
-    den = ad.mul(1.0 - cos, float(kappa)) + 1.0
-    return ad.div(num, den) - 1.0
+def _tvmf(cos, kappa):
+    """Bounded angular similarity phi = (1 + cos) / (1 + kappa*(1 - cos)) - 1,
+    elementwise over an array of cosines, and its slope dphi/dcos =
+    (1 + 2 kappa) / (1 + kappa*(1 - cos))^2."""
+    den = (1.0 - cos) * kappa + 1.0
+    phi = (cos + 1.0) / den - 1.0
+    den *= den
+    return phi, (1.0 + 2.0 * kappa) / den
+
+
+def _sc_value_and_grad(u, y, kappa):
+    """Supervised t-vMF contrast over unit (or zero) rows u with labels y,
+    and its gradient with respect to u, one block of anchor rows at a time.
+    The rows come sorted by label, so each class's columns are one
+    contiguous slice.
+
+    With phi = tvmf(u u^T), D_i = sum_{j != i} exp(phi_ij) and P(i) the other
+    rows of i's class, the loss is sum over rows with |P(i)| > 0 of
+    log D_i - mean_{j in P(i)} phi_ij, and dL/dphi_ij = exp(phi_ij) / D_i -
+    [j in P(i)] / |P(i)| for those rows (0 for the rest). Memory stays
+    O(block * n).
+    """
+    n = u.shape[0]
+    _, starts, class_sizes = np.unique(y, return_index=True, return_counts=True)
+    ends = starts + class_sizes
+    pos_counts = np.repeat(class_sizes - 1, class_sizes)
+    if not np.any(pos_counts > 0):
+        raise UndefinedMetricError("every positive set is empty")
+    has_pos = (pos_counts > 0).astype(np.float64)
+    inv_pos = np.divide(1.0, pos_counts, out=np.zeros(n), where=pos_counts > 0)
+    row_loss = np.empty(n)
+    grad = np.zeros_like(u)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        diag = (np.arange(stop - start), np.arange(start, stop))
+        phi, slope = _tvmf(u[start:stop] @ u.T, kappa)
+        g = np.exp(phi)
+        g[diag] = 0.0
+        exp_sums = g.sum(axis=1)
+        g *= (has_pos[start:stop] / exp_sums)[:, None]
+        # the positives: each class's anchor rows in this block against the
+        # class's columns, less the anchor itself
+        pos_phi = -phi[diag]
+        for c in range(np.searchsorted(ends, start, side="right"),
+                       np.searchsorted(starts, stop)):
+            lo, hi = max(starts[c], start), min(ends[c], stop)
+            anchors = slice(lo - start, hi - start)
+            pos_phi[anchors] += phi[anchors, starts[c]:ends[c]].sum(axis=1)
+            g[anchors, starts[c]:ends[c]] -= inv_pos[lo:hi, None]
+        g[diag] = 0.0  # an anchor is neither its own negative nor positive
+        row_loss[start:stop] = has_pos[start:stop] * np.log(exp_sums) \
+            - inv_pos[start:stop] * pos_phi
+        # dL/dcos = dL/dphi * dphi/dcos, then the chain rule through
+        # cos = u[block] u^T
+        g *= slope
+        grad[start:stop] += g @ u
+        grad += g.T @ u[start:stop]
+    return row_loss.sum(), grad
 
 
 def sc_loss(c: Tensor, labels, participant_mask, kappa) -> Tensor:
     """Supervised contrast on content rows: each participating node is pulled
     toward same-label participants and pushed from the rest, with the t-vMF
     similarity in place of the dot product. Nodes without positives are
-    skipped; if no node has a positive the loss is undefined."""
+    skipped; if no node has a positive the loss is undefined.
+
+    The contrast is one tape node over the normalised participant rows; its
+    value and gradient come from a blockwise closed form."""
     mask = np.asarray(participant_mask, dtype=bool)
     idx = np.where(mask)[0]
     if len(idx) < 2:
         raise UndefinedMetricError("supervised contrast needs >= 2 participating nodes")
     y = np.asarray(labels).reshape(-1)[idx]
-    same = (y[:, None] == y[None, :]).astype(np.float64)
-    off_diag = 1.0 - np.eye(len(idx))
-    pos = same * off_diag
-    pos_counts = pos.sum(axis=1)
-    if not np.any(pos_counts > 0):
-        raise UndefinedMetricError("every positive set is empty")
-    weights = np.divide(pos, pos_counts[:, None], out=np.zeros_like(pos),
-                        where=pos_counts[:, None] > 0)
-
-    cl = ad.gather_rows(c, idx)
-    cos = ad.cosine_matrix(cl, cl)
-    phi = _tvmf_matrix(cos, kappa)
-    den = ad.tsum(ad.mul(ad.texp(phi), off_diag), axis=1, keepdims=True)
-    log_ratio = phi - ad.tlog(den)
-    return -ad.tsum(ad.mul(weights, log_ratio))
+    by_label = np.argsort(y, kind="stable")
+    u = ad.row_l2_normalize(ad.gather_rows(c, idx[by_label]))
+    value, grad = _sc_value_and_grad(u.value, y[by_label], float(kappa))
+    return ad.scalar_with_grad(u, value, grad)
 
 
 def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:

@@ -118,10 +118,7 @@ class TrainConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(doc)
         if "weights" in kwargs:
-            try:
-                kwargs["weights"] = LossWeights.from_dict(kwargs["weights"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad weights: {exc}") from exc
+            kwargs["weights"] = LossWeights.from_dict(kwargs["weights"])
         if "seeds" in kwargs:
             kwargs["seeds"] = tuple(kwargs["seeds"])
         if "splits" in kwargs:

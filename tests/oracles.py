@@ -116,3 +116,42 @@ def tvmf(c_i, c_j, kappa) -> float:
     cos = 0.0 if ni == 0 or nj == 0 else float(c_i @ c_j / (ni * nj))
     cos = min(1.0, max(-1.0, cos))
     return (1.0 + cos) / (1.0 + kappa * (1.0 - cos)) - 1.0
+
+
+def sc_loss_dense(c, labels, participant_mask, kappa):
+    """Dense reference for `losses.sc_loss`: its value and its gradient with
+    respect to every row of c, built from full n_l x n_l matrices.
+
+    It follows the loss as the tape once composed it (normalise, cosine
+    matrix, t-vMF, exp, off-diagonal row sums, log, weighted sum) and runs the
+    reverse pass op by op, so it shares no algebra with the fused kernel."""
+    c = np.asarray(c, dtype=np.float64)
+    idx = np.flatnonzero(np.asarray(participant_mask, dtype=bool))
+    y = np.asarray(labels).reshape(-1)[idx]
+    x = c[idx]
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    safe = np.where(norms > 0, norms, 1.0)
+    u = x / safe
+    off_diag = 1.0 - np.eye(len(idx))
+    pos = (y[:, None] == y[None, :]) * off_diag
+    pos_counts = pos.sum(axis=1, keepdims=True)
+    weights = np.divide(pos, pos_counts, out=np.zeros_like(pos), where=pos_counts > 0)
+
+    cos = u @ u.T
+    num = cos + 1.0
+    den = (1.0 - cos) * kappa + 1.0
+    phi = num / den - 1.0
+    masked_exp = np.exp(phi) * off_diag
+    row_sums = masked_exp.sum(axis=1, keepdims=True)
+    value = -np.sum(weights * (phi - np.log(row_sums)))
+
+    g_phi = -weights + weights.sum(axis=1, keepdims=True) / row_sums * masked_exp
+    g_num = g_phi / den
+    g_den = -g_phi * num / (den * den)
+    g_cos = g_num - kappa * g_den
+    g_u = g_cos @ u + g_cos.T @ u
+    dot = (g_u * u).sum(axis=1, keepdims=True)
+    g_x = np.where(norms > 0, (g_u - u * dot) / safe, 0.0)
+    grad = np.zeros_like(c)
+    grad[idx] = g_x
+    return float(value), grad

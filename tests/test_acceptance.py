@@ -20,12 +20,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairgraph import autodiff as ad
 from fairgraph.data import load_dataset, resolve_dataset, standardize_features
 from fairgraph.errors import DatasetError, InfeasibleError
 from fairgraph.graph import edge_census, fair_edge_remove, homophily_ratios, \
     minimal_deletions
-from fairgraph.losses import LossWeights, _tvmf_matrix, select_counterfactuals
+from fairgraph.losses import LossWeights, _tvmf, select_counterfactuals
 from fairgraph.pipeline import TrainConfig, pretrain, run_experiment, run_single, \
     split_dataset
 from fairgraph.seeding import derive_seed
@@ -158,11 +157,13 @@ def test_criterion_5_tvmf_properties():
         # the similarity sc_loss trains with, over a grid of cosines
         cos = np.linspace(-1.0, 1.0, 10_000)
         for kappa in (0.0, 0.1, 0.5, 1.0, 2.0, 8.0):
-            phi = _tvmf_matrix(ad.Tensor(cos), kappa).value
+            phi, slope = _tvmf(cos, kappa)
             assert phi.min() >= -1.0 - 1e-12
             assert phi.max() <= 1.0 + 1e-12
             assert np.all(np.diff(phi) > 0.0)
-        assert np.max(np.abs(_tvmf_matrix(ad.Tensor(cos), 0.0).value - cos)) <= 1e-12
+            # the slope the contrast's gradient uses is dphi/dcos
+            assert np.allclose(slope[1:-1], np.gradient(phi, cos)[1:-1], rtol=1e-5)
+        assert np.max(np.abs(_tvmf(cos, 0.0)[0] - cos)) <= 1e-12
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(6)

@@ -25,20 +25,6 @@ def test_row_mean_neighbors_isolated_node_zero_row():
     assert np.array_equal(out.value[0], x.value[1])
 
 
-def test_cosine_matrix_diagonal_is_one_for_nonzero_rows():
-    rng = np.random.default_rng(0)
-    a = ad.Tensor(rng.standard_normal((5, 3)))
-    diag = np.diag(ad.cosine_matrix(a, a).value)
-    assert np.allclose(diag, 1.0, atol=1e-12)
-
-
-def test_cosine_matrix_zero_row_behaves_as_zero():
-    a = ad.Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    cos = ad.cosine_matrix(a, a).value
-    assert cos[0, 0] == 0.0 and cos[0, 1] == 0.0
-    assert cos[1, 1] == 1.0
-
-
 def test_sum_of_params_grad_is_ones():
     w = ad.Tensor(np.random.default_rng(1).standard_normal((4, 3)),
                   requires_grad=True)

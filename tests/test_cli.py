@@ -13,7 +13,7 @@ from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_gen
 from fairgraph.errors import ConfigError
 from fairgraph.graph import Graph, fair_edge_remove
 from fairgraph.losses import select_counterfactuals
-from fairgraph.pipeline import TrainConfig, run_experiment
+from fairgraph.pipeline import TrainConfig, grid_search, run_experiment
 
 
 @pytest.fixture()
@@ -186,6 +186,21 @@ def test_bad_thread_count_is_config_error(toy_dir, tmp_path, threads, monkeypatc
     for command in ("train", "grid"):
         assert main([command, "--dataset", toy_dir, "--out", str(tmp_path / command)]) == 2
         assert "FAIRGRAPH_THREADS" in capsys.readouterr().err
+
+
+def test_invalid_weight_is_config_error(toy_dir, tmp_path, capsys):
+    assert main(["train", "--dataset", toy_dir, "--alpha", "-1",
+                 "--out", str(tmp_path / "train")]) == 2
+    assert "alpha" in capsys.readouterr().err
+    graph, table = load_dataset(resolve_dataset(toy_dir))
+    grid_file = tmp_path / "grid.json"
+    for cell in ({"alpha": [-1]}, {"K": [2.7]}):
+        grid_file.write_text(json.dumps(cell))
+        assert main(["grid", "--dataset", toy_dir, "--grid-json", str(grid_file),
+                     "--out", str(tmp_path / "grid")]) == 2
+        assert next(iter(cell)) in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            grid_search(graph, table, TrainConfig(T_pre=1, T_train=1), cell)
 
 
 def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):

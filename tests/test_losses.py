@@ -1,13 +1,14 @@
 """The five objectives against hand arithmetic and brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator
-from fairgraph.errors import CapacityError, NumericError, UndefinedMetricError
+from fairgraph.errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
 from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
     CounterfactualIndex,
@@ -23,7 +24,7 @@ from fairgraph.losses import (
     total_loss,
 )
 from fairgraph.model import encode, init_params, predict
-from oracles import grad_check, tvmf
+from oracles import grad_check, sc_loss_dense, tvmf
 
 
 def tensor(values):
@@ -355,6 +356,73 @@ def test_sc_loss_skips_unlabeled_nodes():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_sc_loss_excludes_self_similarity():
+    # every row is a scaled copy of another, so each anchor has a cosine of 1
+    # with its own row and with one other row; only the other one counts
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((3, 4))
+    c = np.vstack([base, 2.5 * base])
+    labels = [0, 1, 1, 0, 1, 0]
+    got = float(sc_loss(tensor(c), labels, [True] * 6, kappa=1.0).value)
+    assert got == pytest.approx(sc_loss_oracle(c, labels, 1.0), abs=1e-12)
+
+
+def test_sc_loss_zero_row_behaves_as_cos_zero():
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((5, 3))
+    c[2] = 0.0
+    labels = [0, 0, 1, 1, 0]
+    x = ad.Tensor(c, requires_grad=True)
+    loss = sc_loss(x, labels, [True] * 5, kappa=2.0)
+    assert float(loss.value) == pytest.approx(sc_loss_oracle(c, labels, 2.0), abs=1e-12)
+    (g,) = ad.grad(loss, [x])
+    assert np.array_equal(g[2], np.zeros(3))
+
+
+@pytest.mark.parametrize("n_l,kappa,classes", [
+    (2, 1.0, 1), (5, 1.0, 2), (40, 0.0, 3), (513, 2.5, 2), (1100, 1.0, 3)])
+def test_sc_loss_matches_dense_reference(n_l, kappa, classes):
+    """The blockwise kernel against full n_l x n_l matrices: one case
+    straddles the 512-row block by one row, one crosses two boundaries."""
+    rng = np.random.default_rng(n_l)
+    n = n_l + n_l // 3
+    c = rng.standard_normal((n, 6))
+    mask = np.zeros(n, bool)
+    mask[rng.choice(n, n_l, replace=False)] = True
+    idx = np.flatnonzero(mask)
+    y = rng.integers(0, classes, n)
+    y[idx[:2]] = 0  # some anchor has a positive
+    if n_l > 3:
+        c[idx[2]] = 0.0          # a zero content row
+        y[idx[3]] = -1           # a class with a single member: no positives
+    if n_l > 512:
+        # identical rows on both sides of the first block boundary
+        c[idx[500:530]] = c[idx[500]]
+    x = ad.Tensor(c, requires_grad=True)
+    loss = sc_loss(x, y, mask, kappa)
+    (got,) = ad.grad(loss, [x])
+    want_value, want = sc_loss_dense(c, y, mask, kappa)
+    assert abs(float(loss.value) - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1e-300, np.max(np.abs(want)))
+    assert not np.any(got[~mask])
+
+
+def test_sc_loss_memory_is_blockwise():
+    """One forward and reverse pass at n_l=4000 stays below the bytes of two
+    n_l x n_l float64 matrices; a dense composition needs several."""
+    n_l = 4000
+    rng = np.random.default_rng(13)
+    x = ad.Tensor(rng.standard_normal((n_l, 16)), requires_grad=True)
+    y = rng.integers(0, 2, n_l)
+    tracemalloc.start()
+    try:
+        ad.grad(sc_loss(x, y, np.ones(n_l, bool), 1.0), [x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_l * n_l * 8, f"peak {peak / 2**20:.0f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # environmental loss
 
@@ -432,8 +500,11 @@ def test_total_loss_rejects_non_finite():
 def test_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(alpha=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights.from_dict({"alpha": 1.0, "bogus": 2})
+    # from_dict reads outside input, so every failure is a ConfigError
+    for doc in ({"alpha": 1.0, "bogus": 2}, {"alpha": -1}, {"K": 0},
+                {"kappa": "x"}, [1, 2]):
+        with pytest.raises(ConfigError):
+            LossWeights.from_dict(doc)
     w = LossWeights.from_dict({"alpha": 2.0, "K": 3, "K_prime": 7})
     assert (w.alpha, w.k, w.k_prime) == (2.0, 3, 7)
     assert LossWeights.from_dict(w.to_dict()) == w

@@ -99,6 +99,15 @@ def test_config_round_trip_and_validation():
                        ("reinit_phase2", False)):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({**doc, key: value})
+    # counts are whole numbers: 5.0 loads as 5, 2.7 is not truncated to 2
+    for field in ("K", "K_prime"):
+        loaded = TrainConfig.from_dict({"weights": {field: 5.0}}).weights
+        assert (loaded.k if field == "K" else loaded.k_prime) == 5
+        for bad in (2.7, float("inf"), "3", True):
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig.from_dict({"weights": {field: bad}})
+    with pytest.raises(ConfigError, match="alpha"):
+        TrainConfig.from_dict({"weights": {"alpha": -1}})
 
 
 # ---------------------------------------------------------------------------
