@@ -110,40 +110,48 @@ def _flatten_pairs(id_lists):
     return anchors, partners.astype(np.int64, copy=False)
 
 
-_BLOCK = 512   # anchor rows per block of the top-k and contrast kernels
+_BLOCK = 128   # anchor rows per block of the top-k and contrast kernels
 
 
-def _nearest(x, allowed, k):
-    """Exact k nearest allowed candidates per row of x by squared L2.
+def _nearest(x, cells, k):
+    """Exact k nearest candidates per row of x by squared L2, cell by cell.
 
-    allowed(rows) gives the candidate mask of shape (block, n) for a slice of
-    anchor rows. Returns (counts, ids): the number of hits per row and the
-    hits flattened in (row, distance, id) order, so ties go to the smaller
-    id. A row has fewer than k hits only when it has fewer candidates.
-    Distances are sq_i + sq_j - 2 x_i.x_j clamped at 0, one row block at a
-    time, so memory stays O(block * n).
+    cells holds (anchors, candidates) pairs of increasing node-id arrays;
+    each row is an anchor of at most one cell, and its candidates are that
+    cell's. Returns (counts, ids): the number of hits per row and the hits
+    flattened in (row, distance, id) order, so ties go to the smaller id. A
+    row has fewer than k hits only when it has fewer candidates. Distances
+    are sq_i + sq_j - 2 x_i.x_j clamped at 0, one block of a cell's anchors
+    against the cell's candidate columns at a time, so memory stays
+    O(block * candidates).
     """
     sq = (x * x).sum(axis=1)
-    n = x.shape[0]
-    kth = min(k, n) - 1
-    counts, ids = [], []
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
-        d = sq[rows, None] + sq[None, :] - 2.0 * (x[rows] @ x.T)
-        np.maximum(d, 0.0, out=d)
-        mask = allowed(rows)
-        d[~mask] = np.inf
-        # every candidate at or below the k-th smallest distance, then an
-        # exact (row, distance, id) sort of those few
-        cut = np.partition(d, kth, axis=1)[:, kth, None]
-        r, c = np.nonzero(mask & (d <= cut))
-        order = np.lexsort((c, d[r, c], r))
-        r, c = r[order], c[order]
-        row_hits = np.bincount(r, minlength=d.shape[0])
-        keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
-        counts.append(np.minimum(row_hits, k))
-        ids.append(c[keep])
-    return np.concatenate(counts), np.concatenate(ids)
+    counts = np.zeros(x.shape[0], dtype=np.int64)
+    rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for anchors, cand in cells:
+        if len(cand) == 0:
+            continue
+        xc, sqc = x[cand], sq[cand]
+        kth = min(k, len(cand)) - 1
+        for start in range(0, len(anchors), _BLOCK):
+            block = anchors[start:start + _BLOCK]
+            d = sq[block, None] + sqc[None, :] - 2.0 * (x[block] @ xc.T)
+            np.maximum(d, 0.0, out=d)
+            # every candidate at or below the k-th smallest distance, then an
+            # exact (row, distance, id) sort of those few; the columns are in
+            # id order, so the column breaks a tie as the id would
+            cut = np.partition(d, kth, axis=1)[:, kth, None]
+            r, c = np.nonzero(d <= cut)
+            order = np.lexsort((c, d[r, c], r))
+            r, c = r[order], c[order]
+            row_hits = np.bincount(r, minlength=len(block))
+            keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
+            counts[block] = np.minimum(row_hits, k)
+            rows.append(block[r[keep]])
+            ids.append(cand[c[keep]])
+    # back to row order; the stable sort keeps each row's hits in order
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    return counts, np.concatenate(ids)[order]
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
@@ -154,16 +162,24 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
     pseudo = np.asarray(pseudo)
     sensitive = np.asarray(sensitive)
 
-    def nearest(allowed):
-        counts, ids = _nearest(h, allowed, k)
+    # one cell per (pseudo-label, group) pair: e-type candidates share the
+    # label and differ in group, c-type candidates the reverse
+    e_cells, c_cells = [], []
+    for label in np.unique(pseudo):
+        same_label = pseudo == label
+        for group in np.unique(sensitive[same_label]):
+            same_group = sensitive == group
+            anchors = np.flatnonzero(same_label & same_group)
+            e_cells.append((anchors, np.flatnonzero(same_label & (sensitive != group))))
+            c_cells.append((anchors, np.flatnonzero((pseudo != label) & same_group)))
+
+    def nearest(cells):
+        counts, ids = _nearest(h, cells, k)
         return (tuple(np.split(ids, np.cumsum(counts)[:-1])),
                 int(np.count_nonzero(counts == 0)))
 
-    # e-type: same pseudo-label, other group; c-type: other label, same group
-    e_ids, empty_e = nearest(
-        lambda r: (pseudo[r, None] == pseudo) & (sensitive[r, None] != sensitive))
-    c_ids, empty_c = nearest(
-        lambda r: (pseudo[r, None] != pseudo) & (sensitive[r, None] == sensitive))
+    e_ids, empty_e = nearest(e_cells)
+    c_ids, empty_c = nearest(c_cells)
     if empty_e or empty_c:
         log.debug("counterfactual selection: %d nodes without e-type, %d without c-type",
                   empty_e, empty_c)
@@ -189,11 +205,12 @@ def pred_loss(probs: Tensor, labels, mask) -> Tensor:
 
 def _pair_distances(x: Tensor, anchors, partners):
     """Cosine distance 1 - cos between rows `anchors` and `partners`."""
-    zero_rows = int(np.sum(
-        (np.linalg.norm(x.value[anchors], axis=1) == 0)
-        | (np.linalg.norm(x.value[partners], axis=1) == 0)))
-    if zero_rows:
-        log.debug("cosine distance: %d zero-vector rows treated as cos=0", zero_rows)
+    if log.isEnabledFor(logging.DEBUG):
+        zero_rows = int(np.sum(
+            (np.linalg.norm(x.value[anchors], axis=1) == 0)
+            | (np.linalg.norm(x.value[partners], axis=1) == 0)))
+        if zero_rows:
+            log.debug("cosine distance: %d zero-vector rows treated as cos=0", zero_rows)
     return 1.0 - ad.rowwise_cosine(ad.gather_rows(x, anchors),
                                    ad.gather_rows(x, partners))
 
@@ -357,7 +374,9 @@ def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
     n = len(s)
     if (s == s[0]).all():
         raise UndefinedMetricError("environment loss needs both sensitive groups")
-    counts, partners = _nearest(e.value, lambda r: s[r, None] != s, k_prime)
+    cells = [(np.flatnonzero(s == group), np.flatnonzero(s != group))
+             for group in np.unique(s)]
+    counts, partners = _nearest(e.value, cells, k_prime)
     anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
     w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
     dist = ad.row_l2_norm(ad.gather_rows(e, anchors) - ad.gather_rows(e, partners))

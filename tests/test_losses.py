@@ -1,5 +1,6 @@
 """The five objectives against hand arithmetic and brute-force oracles."""
 
+import logging
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from fairgraph.autodiff import NeighborAggregator
 from fairgraph.errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
 from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
+    _BLOCK,
     CounterfactualIndex,
     LossParts,
     LossWeights,
@@ -84,20 +86,56 @@ def tied_rows(rng, n, d):
     return rng.standard_normal((n // 3, d))[rng.integers(0, n // 3, n)]
 
 
+def assert_selection_exhaustive(h, pseudo, sens, k):
+    cf = select_counterfactuals(h, pseudo, sens, k)
+    e_ids, c_ids = exhaustive_counterfactuals(h, pseudo, sens, k)
+    for i in range(len(h)):
+        assert cf.e_ids[i].tolist() == e_ids[i]
+        assert cf.c_ids[i].tolist() == c_ids[i]
+    assert cf.empty_e == sum(not ids for ids in e_ids)
+    assert cf.empty_c == sum(not ids for ids in c_ids)
+    return cf
+
+
+def cells_with_big_first(rng, sizes, d):
+    """Tied rows for shuffled cells of the given sizes; the first cell has
+    more anchors than one block, and its anchors on both sides of its first
+    block boundary share one row, so their distance rows tie exactly."""
+    n = sum(sizes)
+    cell = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    h = tied_rows(rng, n, d)
+    first = np.flatnonzero(cell == 0)
+    assert len(first) > _BLOCK and len(first) % _BLOCK
+    h[first[_BLOCK - 2:_BLOCK + 2]] = h[first[_BLOCK - 2]]
+    return h, cell
+
+
 def test_selection_matches_exhaustive_scan():
     rng = np.random.default_rng(2)
-    # 600 rows cross the 512-row block boundary; k=20 at n=30 exceeds the
-    # candidate pool of most nodes
+    # 4 * _BLOCK + 88 rows: each of the four (label, group) cells holds about
+    # _BLOCK + 22 anchors, and the largest crosses its block boundary; k=20
+    # at n=30 exceeds the candidate pool of most nodes
+    big = 4 * _BLOCK + 88
     for n, k, ties in ((10, 1, False), (25, 3, False), (50, 5, False),
-                       (30, 20, False), (600, 5, True)):
+                       (30, 20, False), (big, 5, True)):
         h = tied_rows(rng, n, 4) if ties else rng.standard_normal((n, 4))
         pseudo = rng.integers(0, 2, n)
         sens = rng.integers(0, 2, n)
-        cf = select_counterfactuals(h, pseudo, sens, k)
-        e_ids, c_ids = exhaustive_counterfactuals(h, pseudo, sens, k)
-        for i in range(n):
-            assert cf.e_ids[i].tolist() == e_ids[i]
-            assert cf.c_ids[i].tolist() == c_ids[i]
+        if n == big:
+            assert np.bincount(2 * pseudo + sens).max() > _BLOCK
+        assert_selection_exhaustive(h, pseudo, sens, k)
+    # three labels and three groups, so "other group" spans several cells.
+    # Cell (0, 0) has more anchors than one block; label 2 lives only in
+    # group 0, so its e-type cell has no candidates; group 2 holds only label
+    # 0, so its c-type cell has none; and (1, 0) has an e-type pool of 3 < k
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    sizes = [3 * _BLOCK // 2 + 1, 40, 30, 30, 3, 4]
+    h, cell = cells_with_big_first(rng, sizes, 4)
+    pseudo = np.array([pairs[c][0] for c in cell])
+    sens = np.array([pairs[c][1] for c in cell])
+    cf = assert_selection_exhaustive(h, pseudo, sens, 5)
+    assert (cf.empty_e, cf.empty_c) == (4, 30)
+    assert all(len(cf.e_ids[i]) == 3 for i in np.flatnonzero(cell == 3))
 
 
 def test_selection_constraints_always_hold():
@@ -163,6 +201,21 @@ def test_inv_loss_vanishes_when_aligned_and_orthogonal():
     c = tensor([[1.0, 0.0], [1.0, 0.0]])
     e = tensor([[0.0, 1.0], [0.0, 1.0]])
     assert float(inv_loss(c, e, cf_pair(), gamma=2.0).value) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_inv_loss_logs_zero_rows_at_debug(caplog):
+    # one of the three e-type pairs has a zero content row; c-type is empty
+    c = tensor([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = tensor([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    empty = np.zeros(0, dtype=np.int64)
+    cf = CounterfactualIndex(e_ids=(np.array([1]), np.array([2]), np.array([1])),
+                             c_ids=(empty, empty, empty), k=1)
+    quiet = float(inv_loss(c, e, cf, gamma=1.0).value)
+    with caplog.at_level(logging.DEBUG, logger="fairgraph.losses"):
+        loud = float(inv_loss(c, e, cf, gamma=1.0).value)
+    assert loud == quiet
+    messages = [r.getMessage() for r in caplog.records if r.name == "fairgraph.losses"]
+    assert messages == ["cosine distance: 1 zero-vector rows treated as cos=0"]
 
 
 def test_inv_loss_gamma_linearity():
@@ -380,10 +433,12 @@ def test_sc_loss_zero_row_behaves_as_cos_zero():
 
 
 @pytest.mark.parametrize("n_l,kappa,classes", [
-    (2, 1.0, 1), (5, 1.0, 2), (40, 0.0, 3), (513, 2.5, 2), (1100, 1.0, 3)])
+    (2, 1.0, 1), (5, 1.0, 2), (40, 0.0, 3),
+    pytest.param(_BLOCK + 1, 2.5, 2, id="block+1-2.5-2"),
+    pytest.param(2 * _BLOCK + 76, 1.0, 3, id="2block+76-1.0-3")])
 def test_sc_loss_matches_dense_reference(n_l, kappa, classes):
     """The blockwise kernel against full n_l x n_l matrices: one case
-    straddles the 512-row block by one row, one crosses two boundaries."""
+    straddles the _BLOCK-row block by one row, one crosses two boundaries."""
     rng = np.random.default_rng(n_l)
     n = n_l + n_l // 3
     c = rng.standard_normal((n, 6))
@@ -395,9 +450,9 @@ def test_sc_loss_matches_dense_reference(n_l, kappa, classes):
     if n_l > 3:
         c[idx[2]] = 0.0          # a zero content row
         y[idx[3]] = -1           # a class with a single member: no positives
-    if n_l > 512:
+    if n_l > _BLOCK:
         # identical rows on both sides of the first block boundary
-        c[idx[500:530]] = c[idx[500]]
+        c[idx[_BLOCK - 12:_BLOCK + 18]] = c[idx[_BLOCK - 12]]
     x = ad.Tensor(c, requires_grad=True)
     loss = sc_loss(x, y, mask, kappa)
     (got,) = ad.grad(loss, [x])
@@ -453,16 +508,45 @@ def test_env_loss_matches_brute_force():
     s = np.array([0, 1, 0, 1, 1])
     got = float(env_loss(tensor(e), s, 2).value)
     assert got == pytest.approx(env_loss_oracle(e, s, 2), abs=1e-12)
-    # 600 rows with exact ties cross the 512-row block boundary
-    e = tied_rows(rng, 600, 3)
-    s = rng.integers(0, 2, 600)
+    # 4 * _BLOCK + 88 rows with exact ties: each group's anchors cross its
+    # block boundaries
+    n = 4 * _BLOCK + 88
+    e = tied_rows(rng, n, 3)
+    s = rng.integers(0, 2, n)
     got = float(env_loss(tensor(e), s, 4).value)
     assert got == pytest.approx(env_loss_oracle(e, s, 4), abs=1e-12)
     # a group of three: K' = 5 exceeds its pool for every node of the other
-    minority = np.zeros(600, dtype=int)
-    minority[[7, 300, 590]] = 1
+    minority = np.zeros(n, dtype=int)
+    minority[[7, n // 2, n - 10]] = 1
     got = float(env_loss(tensor(e), minority, 5).value)
     assert got == pytest.approx(env_loss_oracle(e, minority, 5), abs=1e-12)
+    # three groups, so the other group spans two cells; group 0 has more
+    # anchors than one block, with ties across its block boundary; in the
+    # second case its pool of 3 is below K' = 5
+    for sizes, k_prime in (([3 * _BLOCK // 2 + 1, 60, 47], 4),
+                           ([3 * _BLOCK // 2 + 1, 2, 1], 5)):
+        e, s = cells_with_big_first(rng, sizes, 3)
+        got = float(env_loss(tensor(e), s, k_prime).value)
+        assert got == pytest.approx(env_loss_oracle(e, s, k_prime), abs=1e-12)
+
+
+def test_topk_memory_is_cellwise():
+    """One selection and one env_loss at n=4000, d=32 stay below the bytes
+    of one 512 x n float64 array; the mask-based kernel held several. K and
+    K' are 3: at K' = 5 the three (n*K', d) arrays env_loss puts on the tape
+    come to 15 MiB by themselves."""
+    n, d = 4000, 32
+    rng = np.random.default_rng(14)
+    h = rng.standard_normal((n, d))
+    s = rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        select_counterfactuals(h, rng.integers(0, 2, n), s, 3)
+        env_loss(tensor(h), s, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_env_loss_nonpositive_and_group_error():
