@@ -3,7 +3,9 @@
 A Tensor wraps an ndarray; each operation records its parents and a
 vector-Jacobian product, and `grad` accumulates gradients in reverse
 creation order, so accumulation order is fixed and repeated runs are
-bit-identical.
+bit-identical. `logistic`, `unit_rows` and `unit_rows_backward` are the
+array forms of `sigmoid` and `row_l2_normalize`, shared with the fused loss
+kernels that compute their gradients in closed form.
 """
 
 from __future__ import annotations
@@ -128,26 +130,26 @@ def tsum(a, axis=None, keepdims=False):
     return _make(av.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.value > 0
     return _make(np.where(mask, a.value, 0.0), [(a, lambda g: g * mask)])
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)) elementwise, never overflowing: negative entries
+    take the exp(x) / (1 + exp(x)) form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    av = a.value
-    out = np.empty_like(av)
-    pos = av >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ez = np.exp(av[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = logistic(a.value)
     return _make(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -157,12 +159,6 @@ def tlog(a):
         raise NumericError("log of non-positive value")
     av = a.value
     return _make(np.log(av), [(a, lambda g: g / av)])
-
-
-def tabs(a):
-    a = as_tensor(a)
-    sign = np.where(a.value >= 0, 1.0, -1.0)
-    return _make(np.abs(a.value), [(a, lambda g: g * sign)])
 
 
 def clamp(a, lo, hi):
@@ -212,40 +208,32 @@ def gather_rows(a, idx):
     return _make(av[idx], [(a, vjp)])
 
 
-def scalar_with_grad(a, value, grad_a):
-    """Scalar node whose gradient with respect to `a` is `grad_a`, for a fused
-    kernel that computes a loss and its gradient together in closed form."""
-    a = as_tensor(a)
-    return _make(np.float64(value), [(a, lambda g: g * grad_a)])
+def scalar_with_grad(value, *inputs):
+    """Scalar node for a fused kernel that computes a loss and its gradients
+    together in closed form; `inputs` are (tensor, d value / d tensor) pairs."""
+    return _make(np.float64(value), [(as_tensor(a), lambda g, grad_a=grad_a: g * grad_a)
+                                     for a, grad_a in inputs])
+
+
+def unit_rows(x):
+    """Rows of the array x scaled to unit L2 norm (all-zero rows stay zero),
+    and the (n, 1) column of norms."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    return x / np.where(norms > 0, norms, 1.0), norms
+
+
+def unit_rows_backward(g, u, norms):
+    """Gradient with respect to x, given the gradient g with respect to u,
+    where (u, norms) = unit_rows(x); zero rows get zero."""
+    back = (g - u * (g * u).sum(axis=1, keepdims=True)) / np.where(norms > 0, norms, 1.0)
+    return np.where(norms > 0, back, 0.0)
 
 
 def row_l2_normalize(a):
     """Rows scaled to unit L2 norm; all-zero rows stay zero."""
     a = as_tensor(a)
-    av = a.value
-    norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0, norms, 1.0)
-    out = av / safe
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        res = (g - out * dot) / safe
-        return np.where(norms > 0, res, 0.0)
-
-    return _make(out, [(a, vjp)])
-
-
-def row_l2_norm(a):
-    """Per-row Euclidean norm as an (n, 1) column; zero rows get zero grad."""
-    a = as_tensor(a)
-    av = a.value
-    norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0, norms, 1.0)
-
-    def vjp(g):
-        return np.where(norms > 0, g * av / safe, 0.0)
-
-    return _make(norms, [(a, vjp)])
+    out, norms = unit_rows(a.value)
+    return _make(out, [(a, lambda g: unit_rows_backward(g, out, norms))])
 
 
 class NeighborAggregator:
@@ -288,11 +276,6 @@ def row_mean_neighbors(a, agg):
         raise ShapeError(f"row count {av.shape[0]} != node count {agg.n}")
     inv = agg.inv_deg[:, None]
     return _make((agg.adj @ av) * inv, [(a, lambda g: agg.adj @ (g * inv))])
-
-
-def rowwise_cosine(a, b):
-    """Per-row cosine between matching rows, as an (n, 1) column."""
-    return tsum(mul(row_l2_normalize(a), row_l2_normalize(b)), axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ environmental separation — plus counterfactual selection and negative-edge
 sampling.
 
 All losses return scalar autodiff Tensors so one reverse pass covers the
-whole composite objective.
+whole composite objective. The four terms beyond prediction are one tape node
+each: a kernel computes the value and its gradient in closed form, the
+pairwise ones (invariance, structure, environment) one block of node pairs
+at a time with one sparse product for the gradient.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -110,7 +114,8 @@ def _flatten_pairs(id_lists):
     return anchors, partners.astype(np.int64, copy=False)
 
 
-_BLOCK = 128   # anchor rows per block of the top-k and contrast kernels
+_BLOCK = 128          # anchor rows per block of the top-k and contrast kernels
+_PAIR_BLOCK = 1024    # node pairs per block of the pairwise kernels
 
 
 def _nearest(x, cells, k):
@@ -203,16 +208,63 @@ def pred_loss(probs: Tensor, labels, mask) -> Tensor:
     return -(ad.tsum(ad.mul(w, ll)) * (1.0 / count))
 
 
-def _pair_distances(x: Tensor, anchors, partners):
-    """Cosine distance 1 - cos between rows `anchors` and `partners`."""
-    if log.isEnabledFor(logging.DEBUG):
-        zero_rows = int(np.sum(
-            (np.linalg.norm(x.value[anchors], axis=1) == 0)
-            | (np.linalg.norm(x.value[partners], axis=1) == 0)))
-        if zero_rows:
-            log.debug("cosine distance: %d zero-vector rows treated as cos=0", zero_rows)
-    return 1.0 - ad.rowwise_cosine(ad.gather_rows(x, anchors),
-                                   ad.gather_rows(x, partners))
+def _pair_dots(x, i, j, differences=False):
+    """x[i_k] . x[j_k] for every pair k, or the squared distance |x[i_k] -
+    x[j_k]|^2 when differences is set, one block of pairs at a time, so no
+    (pairs, d) array is ever held."""
+    out = np.empty(len(i))
+    for start in range(0, len(i), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        rows = np.take(x, i[block], axis=0)
+        if differences:
+            rows -= np.take(x, j[block], axis=0)
+            rows *= rows
+        else:
+            rows *= np.take(x, j[block], axis=0)
+        out[block] = rows.sum(axis=1)
+    return out
+
+
+def _symmetric(n, i, j, w):
+    """W + W^T as an n x n sparse matrix, W holding w[k] at (i[k], j[k]) with
+    repeated pairs added: for a sum of f(x_i . x_j) over the pairs it maps x
+    to the gradient when w[k] is f'."""
+    return sp.coo_matrix((np.concatenate([w, w]),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(n, n))
+
+
+def _inv_value_and_grad(c, e, cf, gamma):
+    """Invariance loss and its gradients with respect to c and e.
+
+    With u and v the unit rows of c and e, the loss is gamma * mean_i
+    |u_i . v_i| plus, per block, the mean of 1 - u_i . u_j over its pairs
+    (e-type pairs on c, c-type pairs on e). A zero row counts as cos = 0,
+    and d|cos|/dcos is +1 at 0. The gradient of a mean over P pairs with
+    respect to u is -(S + S^T) u / P, S counting the pairs; all of it then
+    goes back through the normalisation.
+    """
+    n = c.shape[0]
+    u, c_norms = ad.unit_rows(c)
+    v, e_norms = ad.unit_rows(e)
+    cos = (u * v).sum(axis=1)
+    value = np.abs(cos).sum() * (1.0 / n) * gamma
+    own = (gamma * (1.0 / n) * np.where(cos >= 0, 1.0, -1.0))[:, None]
+    grads = []
+    for x, norms, other, (i, j) in ((u, c_norms, v, cf.pairs_e()),
+                                    (v, e_norms, u, cf.pairs_c())):
+        g = own * other
+        if len(i):
+            if log.isEnabledFor(logging.DEBUG):
+                zero = norms[:, 0] == 0
+                zero_rows = int(np.count_nonzero(zero[i] | zero[j]))
+                if zero_rows:
+                    log.debug("cosine distance: %d zero-vector rows treated as cos=0",
+                              zero_rows)
+            value = value + (1.0 - _pair_dots(x, i, j)).sum() * (1.0 / len(i))
+            g -= _symmetric(n, i, j, np.full(len(i), 1.0 / len(i))) @ x
+        grads.append(ad.unit_rows_backward(g, x, norms))
+    return value, grads[0], grads[1]
 
 
 def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma) -> Tensor:
@@ -222,16 +274,11 @@ def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma) -> Tensor:
 
     Missing counterfactual terms are skipped and each distance sum is
     averaged over realized pairs only; the |cos(c_i, e_i)| term always
-    contributes gamma * mean_i |cos| once per node.
+    contributes gamma * mean_i |cos| once per node. One tape node; its value
+    and gradients come from a closed form.
     """
-    ie, je = cf.pairs_e()
-    ic, jc = cf.pairs_c()
-    total = ad.mul(ad.tmean(ad.tabs(ad.rowwise_cosine(c, e))), float(gamma))
-    if len(ie):
-        total = total + ad.tmean(_pair_distances(c, ie, je))
-    if len(ic):
-        total = total + ad.tmean(_pair_distances(e, ic, jc))
-    return total
+    value, grad_c, grad_e = _inv_value_and_grad(c.value, e.value, cf, float(gamma))
+    return ad.scalar_with_grad(value, (c, grad_c), (e, grad_e))
 
 
 def _in_sorted(codes, values):
@@ -269,21 +316,37 @@ def sample_negative_edges(g: Graph, count, seed):
     return np.stack([picked // n, picked % n], axis=1)
 
 
+def _suf_value_and_grad(h, pairs, n_pos):
+    """Structure loss over node pairs, the first n_pos of them edges, and its
+    gradient with respect to h.
+
+    With s = h_i . h_j, p = sigmoid(s) clamped to [PROB_FLOOR, 1 -
+    PROB_FLOOR] and a = 1 on edges, the loss is minus the mean of a log p +
+    (1 - a) log(1 - p), and dL/ds = -(a - p) [p inside the clamp] / N over
+    the N pairs.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    p = ad.logistic(_pair_dots(h, i, j))
+    inside = (p >= PROB_FLOOR) & (p <= 1.0 - PROB_FLOOR)
+    np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
+    ll = np.log(np.concatenate([p[:n_pos], 1.0 - p[n_pos:]]))
+    value = -(ll.sum() * (1.0 / len(p)))
+    p[:n_pos] -= 1.0
+    slope = np.where(inside, p, 0.0) * (1.0 / len(p))
+    return value, _symmetric(h.shape[0], i, j, slope) @ h
+
+
 def suf_loss(h: Tensor, pos_edges, neg_edges) -> Tensor:
     """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
     averaged over positive and negative pairs together. Both edge sets are
-    (k, 2) arrays of node pairs."""
+    (k, 2) arrays or sequences of node pairs. One tape node; its value and
+    gradient come from a closed form, the pair dots one block at a time."""
     if len(pos_edges) == 0 or len(neg_edges) == 0:
         raise UndefinedMetricError("structure loss needs positive and negative edges")
-    pairs = np.concatenate([pos_edges, neg_edges])
-    a = np.concatenate([np.ones(len(pos_edges)), np.zeros(len(neg_edges))])
-    a = a.reshape(-1, 1)
-    hi = ad.gather_rows(h, pairs[:, 0])
-    hj = ad.gather_rows(h, pairs[:, 1])
-    logits = ad.tsum(ad.mul(hi, hj), axis=1, keepdims=True)
-    p = ad.clamp(ad.sigmoid(logits), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    ll = ad.mul(a, ad.tlog(p)) + ad.mul(1.0 - a, ad.tlog(1.0 - p))
-    return -(ad.tsum(ll) * (1.0 / pairs.shape[0]))
+    pairs = np.concatenate([np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2),
+                            np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)])
+    value, grad = _suf_value_and_grad(h.value, pairs, len(pos_edges))
+    return ad.scalar_with_grad(value, (h, grad))
 
 
 def _tvmf(cos, kappa):
@@ -362,12 +425,13 @@ def sc_loss(c: Tensor, labels, participant_mask, kappa) -> Tensor:
     by_label = np.argsort(y, kind="stable")
     u = ad.row_l2_normalize(ad.gather_rows(c, idx[by_label]))
     value, grad = _sc_value_and_grad(u.value, y[by_label], float(kappa))
-    return ad.scalar_with_grad(u, value, grad)
+    return ad.scalar_with_grad(value, (u, grad))
 
 
 def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
     """Environmental separation: minus the mean distance from each node to its
-    K' nearest opposite-group neighbors in the environment block."""
+    K' nearest opposite-group neighbors in the environment block. One tape
+    node; its value and gradient come from a closed form."""
     if k_prime < 1:
         raise ValueError("K_prime must be >= 1")
     s = np.asarray(sensitive).reshape(-1)
@@ -378,9 +442,14 @@ def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
              for group in np.unique(s)]
     counts, partners = _nearest(e.value, cells, k_prime)
     anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
-    w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
-    dist = ad.row_l2_norm(ad.gather_rows(e, anchors) - ad.gather_rows(e, partners))
-    return -ad.tsum(ad.mul(w, dist))
+    w = 1.0 / (n * counts[anchors])
+    dist = np.sqrt(_pair_dots(e.value, anchors, partners, differences=True))
+    # d dist / d e_i = (e_i - e_j) / dist, so the gradient is minus the
+    # Laplacian weighted by w / dist times e; a zero distance adds nothing
+    slope = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
+    degree = np.bincount(anchors, slope, n) + np.bincount(partners, slope, n)
+    grad = _symmetric(n, anchors, partners, slope) @ e.value - degree[:, None] * e.value
+    return ad.scalar_with_grad(-(w * dist).sum(), (e, grad))
 
 
 @dataclass

@@ -6,11 +6,15 @@ as they import `test_losses`.
 `grad_check` compares analytic gradients with central differences. It skips
 every coordinate whose +/-eps probes land on different activation patterns
 of a kinked op, because subgradients legitimately disagree across a kink.
-The patterns are recorded by wrapping `ad.relu`, `ad.tabs` and `ad.clamp`
-while the check runs; every caller in fairgraph looks those ops up as
-`ad.<name>` at call time, so the wrappers see each of their calls. The
-record lives in a context variable, so forward passes on other threads
-never enter it.
+The patterns are recorded by wrapping the kinked ops while the check runs:
+`ad.relu` and `ad.clamp` on the tape, and two fused loss kernels whose kinks
+sit inside them. For `losses._suf_value_and_grad` the pattern is which pair
+logits h_i . h_j put sigmoid inside the PROB_FLOOR clamp; for
+`losses._inv_value_and_grad` it is the sign of every cos(c_i, e_i), the
+kink of |cos|. Every caller in fairgraph looks those names up in their
+module at call time, so the wrappers see each of their calls. The record
+lives in a context variable, so forward passes on other threads never
+enter it.
 """
 
 import contextvars
@@ -18,26 +22,53 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+from scipy.special import expit
 
 from fairgraph import autodiff as ad
+from fairgraph import losses
 from fairgraph.errors import NumericError
+from fairgraph.losses import PROB_FLOOR
 
-_KINKED = {  # op -> the activation pattern of one call
-    "relu": lambda a: a.value > 0,
-    "tabs": lambda a: a.value >= 0,
-    "clamp": lambda a, lo, hi: (a.value >= lo) & (a.value <= hi),
+
+def _unit(x):
+    """Rows scaled to unit L2 norm as the tape scaled them, with the norms
+    and the divisors; zero rows stay zero."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    safe = np.where(norms > 0, norms, 1.0)
+    return x / safe, norms, safe
+
+
+def _clamp_pattern(a, lo, hi):
+    a = ad.as_tensor(a).value
+    return (a >= lo) & (a <= hi)
+
+
+def _suf_clamp_pattern(h, pairs, *_):
+    p = expit((h[pairs[:, 0]] * h[pairs[:, 1]]).sum(axis=1))
+    return (p >= PROB_FLOOR) & (p <= 1.0 - PROB_FLOOR)
+
+
+def _cos_sign_pattern(c, e, *_):
+    return (_unit(c)[0] * _unit(e)[0]).sum(axis=1) >= 0
+
+
+_KINKED = {  # (module, op) -> the activation pattern of one call
+    (ad, "relu"): lambda a: ad.as_tensor(a).value > 0,
+    (ad, "clamp"): _clamp_pattern,
+    (losses, "_suf_value_and_grad"): _suf_clamp_pattern,
+    (losses, "_inv_value_and_grad"): _cos_sign_pattern,
 }
 
 _patterns = contextvars.ContextVar("kink_patterns", default=None)
 _hooks_lock = threading.Lock()  # one check at a time rebinds the ops
 
 
-def _recording(name, op):
-    def wrapped(a, *args):
-        out = op(a, *args)
+def _recording(op, pattern):
+    def wrapped(*args):
+        out = op(*args)
         patterns = _patterns.get()
         if patterns is not None:
-            patterns.append(_KINKED[name](ad.as_tensor(a), *args))
+            patterns.append(pattern(*args))
         return out
     return wrapped
 
@@ -45,14 +76,14 @@ def _recording(name, op):
 @contextmanager
 def _kink_hooks():
     with _hooks_lock:
-        saved = {name: getattr(ad, name) for name in _KINKED}
-        for name, op in saved.items():
-            setattr(ad, name, _recording(name, op))
+        saved = {key: getattr(*key) for key in _KINKED}
+        for (module, name), op in saved.items():
+            setattr(module, name, _recording(op, _KINKED[module, name]))
         try:
             yield
         finally:
-            for name, op in saved.items():
-                setattr(ad, name, op)
+            for (module, name), op in saved.items():
+                setattr(module, name, op)
 
 
 def _probe(loss_fn):
@@ -72,7 +103,8 @@ def grad_check(loss_fn, params, eps=1e-5, max_coords=24, seed=0):
 
     loss_fn() must rebuild the scalar loss from the current parameter values.
     Coordinates whose +/-eps probes land on different activation patterns
-    (ReLU/abs/clamp masks) are skipped.
+    (ReLU and clamp masks, the suf clamp, the signs of cos(c_i, e_i)) are
+    skipped.
     """
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps must lie in [1e-7, 1e-4]")
@@ -154,4 +186,97 @@ def sc_loss_dense(c, labels, participant_mask, kappa):
     g_x = np.where(norms > 0, (g_u - u * dot) / safe, 0.0)
     grad = np.zeros_like(c)
     grad[idx] = g_x
+    return float(value), grad
+
+
+# The tape compositions the fused pairwise kernels replaced, forward and
+# reverse op by op: gather the pair rows, apply the row ops, reduce, then
+# scatter each pair's gradient back with np.add.at. They share no algebra
+# with the kernels, which sum over pairs first and differentiate once.
+
+def _unit_vjp(g, u, norms, safe):
+    """Reverse of _unit: the gradient with respect to x given g for u."""
+    dot = (g * u).sum(axis=1, keepdims=True)
+    return np.where(norms > 0, (g - u * dot) / safe, 0.0)
+
+
+def _scatter_rows(n, idx, g):
+    out = np.zeros((n, g.shape[1]))
+    np.add.at(out, idx, g)
+    return out
+
+
+def suf_loss_tape(h, pos_edges, neg_edges):
+    """Reference for `losses.suf_loss`: its value and dL/dh."""
+    h = np.asarray(h, dtype=np.float64)
+    pos = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
+    neg = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.concatenate([pos, neg])
+    a = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))]).reshape(-1, 1)
+    hi, hj = h[pairs[:, 0]], h[pairs[:, 1]]
+    logits = (hi * hj).sum(axis=1, keepdims=True)
+    sig = np.empty_like(logits)
+    up = logits >= 0
+    sig[up] = 1.0 / (1.0 + np.exp(-logits[up]))
+    sig[~up] = np.exp(logits[~up]) / (1.0 + np.exp(logits[~up]))
+    inside = (sig >= PROB_FLOOR) & (sig <= 1.0 - PROB_FLOOR)
+    p = np.clip(sig, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    ll = a * np.log(p) + (1.0 - a) * np.log(1.0 - p)
+    value = -(ll.sum() * (1.0 / len(pairs)))
+
+    g_ll = np.full_like(ll, -1.0 / len(pairs))
+    g_p = g_ll * a / p - g_ll * (1.0 - a) / (1.0 - p)
+    g_logits = g_p * inside * sig * (1.0 - sig)
+    n = h.shape[0]
+    grad = _scatter_rows(n, pairs[:, 0], g_logits * hj) \
+        + _scatter_rows(n, pairs[:, 1], g_logits * hi)
+    return float(value), grad
+
+
+def inv_loss_tape(c, e, cf, gamma):
+    """Reference for `losses.inv_loss`: its value, dL/dc and dL/de. Each pair
+    is normalised after its gather, as the tape did, and d|cos|/dcos is +1
+    at cos = 0."""
+    c = np.asarray(c, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    n = c.shape[0]
+    uc, c_norms, c_safe = _unit(c)
+    ue, e_norms, e_safe = _unit(e)
+    cos = (uc * ue).sum(axis=1, keepdims=True)
+    value = np.abs(cos).sum() * (1.0 / n) * gamma
+    g_cos = gamma * (1.0 / n) * np.where(cos >= 0, 1.0, -1.0)
+    grad_c = _unit_vjp(g_cos * ue, uc, c_norms, c_safe)
+    grad_e = _unit_vjp(g_cos * uc, ue, e_norms, e_safe)
+    for x, grad, (i, j) in ((c, grad_c, cf.pairs_e()), (e, grad_e, cf.pairs_c())):
+        if not len(i):
+            continue
+        ua, a_norms, a_safe = _unit(x[i])
+        ub, b_norms, b_safe = _unit(x[j])
+        dist = 1.0 - (ua * ub).sum(axis=1, keepdims=True)
+        value = value + dist.sum() * (1.0 / len(i))
+        g_cos = np.full((len(i), 1), -1.0 / len(i))
+        grad += _scatter_rows(n, i, _unit_vjp(g_cos * ub, ua, a_norms, a_safe)) \
+            + _scatter_rows(n, j, _unit_vjp(g_cos * ua, ub, b_norms, b_safe))
+    return float(value), grad_c, grad_e
+
+
+def env_loss_tape(e, sensitive, k_prime):
+    """Reference for `losses.env_loss`: its value and dL/de; a zero distance
+    passes no gradient. Each node's K' nearest opposite-group rows come from
+    `losses._nearest`, as they did on the tape: a scan by exact distance can
+    order rows tied at distance 0 differently."""
+    e = np.asarray(e, dtype=np.float64)
+    s = np.asarray(sensitive).reshape(-1)
+    n = len(s)
+    cells = [(np.flatnonzero(s == group), np.flatnonzero(s != group))
+             for group in np.unique(s)]
+    counts, partners = losses._nearest(e, cells, k_prime)
+    anchors = np.repeat(np.arange(n), counts)
+    w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
+    diff = e[anchors] - e[partners]
+    dist = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
+    value = -(w * dist).sum()
+
+    g_diff = np.where(dist > 0, -w * diff / np.where(dist > 0, dist, 1.0), 0.0)
+    grad = _scatter_rows(n, anchors, g_diff) - _scatter_rows(n, partners, g_diff)
     return float(value), grad

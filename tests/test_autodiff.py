@@ -98,12 +98,12 @@ def test_gather_scatter_gradient():
     assert grad_check(loss_fn, [w], eps=1e-5) < 1e-8
 
 
-def test_row_normalize_and_norm_gradients():
+def test_row_normalize_gradient():
     rng = np.random.default_rng(6)
     w = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
 
     def loss_fn():
-        return ad.tsum(ad.row_l2_norm(w)) + ad.tsum(ad.row_l2_normalize(w))
+        return ad.tsum(ad.row_l2_normalize(w))
 
     assert grad_check(loss_fn, [w], eps=1e-5) < 1e-8
 

@@ -13,6 +13,8 @@ from fairgraph.errors import CapacityError, ConfigError, NumericError, Undefined
 from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
     _BLOCK,
+    _PAIR_BLOCK,
+    PROB_FLOOR,
     CounterfactualIndex,
     LossParts,
     LossWeights,
@@ -26,11 +28,19 @@ from fairgraph.losses import (
     total_loss,
 )
 from fairgraph.model import encode, init_params, predict
-from oracles import grad_check, sc_loss_dense, tvmf
+from oracles import (env_loss_tape, grad_check, inv_loss_tape, sc_loss_dense,
+                     suf_loss_tape, tvmf)
 
 
 def tensor(values):
     return ad.Tensor(np.asarray(values, dtype=np.float64))
+
+
+def assert_matches_tape(got_value, got_grads, want_value, want_grads):
+    """A fused kernel against its tape reference, to 1e-12 relative."""
+    assert abs(got_value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    for got, want in zip(got_grads, want_grads, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1e-300, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +253,31 @@ def test_inv_loss_nonnegative_cosine_metric():
         assert float(inv_loss(c, e, cf, gamma=0.7).value) >= 0.0
 
 
+def test_inv_loss_matches_tape():
+    """More e-type and c-type pairs than one pair block, zero rows in both
+    blocks, and nodes whose cos(c_i, e_i) is exactly 0, where |cos| takes
+    the +1 side."""
+    rng = np.random.default_rng(15)
+    n, d = 1000, 6
+    c, e = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    c[::97] = 0.0
+    e[3::89] = 0.0
+    orthogonal = np.arange(5, n, 101)
+    c[orthogonal], e[orthogonal] = np.eye(d)[0], np.eye(d)[1] * 2.0
+    cf = select_counterfactuals(np.hstack([c, e]), rng.integers(0, 2, n),
+                                rng.integers(0, 2, n), 5)
+    assert min(len(cf.pairs_e()[0]), len(cf.pairs_c()[0])) > _PAIR_BLOCK
+    x, y = ad.Tensor(c, requires_grad=True), ad.Tensor(e, requires_grad=True)
+    loss = inv_loss(x, y, cf, gamma=0.7)
+    grads = ad.grad(loss, [x, y])
+    want_value, *want = inv_loss_tape(c, e, cf, 0.7)
+    assert_matches_tape(float(loss.value), grads, want_value, want)
+    # a zero row gets zero gradient; an orthogonal pair still gets the
+    # gradient of |cos| on its + side
+    assert not np.any(grads[0][::97]) and not np.any(grads[1][3::89])
+    assert np.all(grads[0][orthogonal, 1] > 0) and np.all(grads[1][orthogonal, 0] > 0)
+
+
 # ---------------------------------------------------------------------------
 # negative sampling and structure loss
 
@@ -323,6 +358,52 @@ def test_suf_loss_empty_errors():
     h = tensor(np.zeros((3, 2)))
     with pytest.raises(UndefinedMetricError):
         suf_loss(h, [], [(0, 1)])
+
+
+def test_suf_loss_matches_tape():
+    """More pairs than one pair block, with logits beyond the clamp at both
+    ends (|s| > 28, where the gradient is 0) and repeated pairs."""
+    rng = np.random.default_rng(16)
+    n, m = 400, 2600
+    h = rng.standard_normal((n, 8))
+    h[::7] *= 12.0
+    pos = rng.integers(0, n, (m, 2))
+    neg = rng.integers(0, n, (m, 2))
+    logits = (h[pos[:, 0]] * h[pos[:, 1]]).sum(axis=1)
+    assert 2 * m > _PAIR_BLOCK and logits.max() > 28 and logits.min() < -28
+    x = ad.Tensor(h, requires_grad=True)
+    loss = suf_loss(x, pos, neg)
+    want_value, want = suf_loss_tape(h, pos, neg)
+    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
+
+
+def test_suf_loss_takes_edge_tuples():
+    # the graph's edges as tuples, as the gradient suite passes them
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 5), (3, 8), (4, 7), (0, 8)])
+    neg = sample_negative_edges(g, g.m, seed=2)
+    h = np.random.default_rng(17).standard_normal((9, 4))
+    x = ad.Tensor(h, requires_grad=True)
+    loss = suf_loss(x, g.edges, neg)
+    want_value, want = suf_loss_tape(h, g.edges, neg)
+    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
+    assert float(loss.value) == float(suf_loss(tensor(h), g.edge_array, neg).value)
+
+
+def test_suf_loss_memory_is_blockwise():
+    """One forward and reverse pass at m = 143k edges (n = 20k, d = 32)
+    stays below the bytes of one (2m, d) float64 array; the tape held
+    several."""
+    n, m, d = 20_000, 143_000, 32
+    rng = np.random.default_rng(18)
+    x = ad.Tensor(rng.standard_normal((n, d)) * 0.2, requires_grad=True)
+    pos, neg = rng.integers(0, n, (m, 2)), rng.integers(0, n, (m, 2))
+    tracemalloc.start()
+    try:
+        ad.grad(suf_loss(x, pos, neg), [x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * d * 8, f"peak {peak / 2**20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +612,44 @@ def test_env_loss_matches_brute_force():
 
 
 def test_topk_memory_is_cellwise():
-    """One selection and one env_loss at n=4000, d=32 stay below the bytes
-    of one 512 x n float64 array; the mask-based kernel held several. K and
-    K' are 3: at K' = 5 the three (n*K', d) arrays env_loss puts on the tape
-    come to 15 MiB by themselves."""
+    """One selection and one env_loss forward and reverse pass at n=4000,
+    d=32 and the default K = K' = 5 stay below the bytes of one 512 x n
+    float64 array; the mask-based kernel held several, and a tape over the
+    n*K' pairs three (n*K', d) arrays."""
     n, d = 4000, 32
     rng = np.random.default_rng(14)
-    h = rng.standard_normal((n, d))
+    x = ad.Tensor(rng.standard_normal((n, d)), requires_grad=True)
     s = rng.integers(0, 2, n)
     tracemalloc.start()
     try:
-        select_counterfactuals(h, rng.integers(0, 2, n), s, 3)
-        env_loss(tensor(h), s, 3)
+        select_counterfactuals(x.value, rng.integers(0, 2, n), s, 5)
+        ad.grad(env_loss(x, s, 5), [x])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 512 * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_env_loss_matches_tape():
+    """More pairs than one pair block, and repeated rows on both sides of
+    the groups, so some nearest pairs sit at distance 0."""
+    rng = np.random.default_rng(19)
+    n = 1000
+    e = tied_rows(rng, n, 4)
+    s = rng.integers(0, 2, n)
+    x = ad.Tensor(e, requires_grad=True)
+    loss = env_loss(x, s, 5)
+    want_value, want = env_loss_tape(e, s, 5)
+    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
+    anchors = np.flatnonzero(s == 0)
+    assert 5 * n > _PAIR_BLOCK and min(
+        np.min(np.linalg.norm(e[s == 1] - e[i], axis=1)) for i in anchors) == 0.0
+
+
+def test_env_loss_zero_distance_passes_no_gradient():
+    e = ad.Tensor(np.tile([1.0, -2.0, 0.5], (6, 1)), requires_grad=True)
+    (g,) = ad.grad(env_loss(e, [0, 0, 0, 1, 1, 1], 2), [e])
+    assert np.array_equal(g, np.zeros((6, 3)))
 
 
 def test_env_loss_nonpositive_and_group_error():
@@ -635,6 +738,27 @@ def loss_builders(seed):
         return total_loss(parts, w)
 
     return enc, pred, build
+
+
+def test_grad_check_skips_abs_cos_kink():
+    # node 0's content and environment rows are orthogonal, so |cos(c_0, e_0)|
+    # sits on its kink; the probes of c_0[1] and e_0[0] flip the sign of the
+    # cosine, and central differences there read 0 against the + side's 0.5
+    c = ad.Tensor(np.array([[1.0, 0.0], [0.6, 0.8]]), requires_grad=True)
+    e = ad.Tensor(np.array([[0.0, 1.0], [0.8, -0.3]]), requires_grad=True)
+    empty = np.zeros(0, dtype=np.int64)
+    cf = CounterfactualIndex(e_ids=(empty, empty), c_ids=(empty, empty), k=1)
+    assert grad_check(lambda: inv_loss(c, e, cf, 1.0), [c, e]) < 1e-9
+
+
+def test_grad_check_skips_suf_clamp_crossing():
+    # the edge's logit h_0 . h_1 sits where sigmoid meets PROB_FLOOR, so the
+    # probes of h_0[0] and h_1[0] cross the clamp: central differences there
+    # read about half of the inside slope
+    s = math.log(PROB_FLOOR / (1.0 - PROB_FLOOR))
+    h = ad.Tensor(np.array([[s, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+                  requires_grad=True)
+    assert grad_check(lambda: suf_loss(h, [(0, 1)], [(2, 3)]), [h]) < 1e-9
 
 
 @pytest.mark.parametrize("which", ["pred", "inv", "suf", "sc", "env", "total"])
