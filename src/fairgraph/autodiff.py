@@ -1,139 +1,21 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""The model's reverse pass in closed form, and the array kernels it shares
+with the forward pass and the losses.
 
-A Tensor wraps an ndarray; each operation records its parents and a
-vector-Jacobian product, and `grad` accumulates gradients in reverse
-creation order, so accumulation order is fixed and repeated runs are
-bit-identical. `logistic`, `unit_rows` and `unit_rows_backward` are the
-array forms of `sigmoid` and `row_l2_normalize`, shared with the fused loss
-kernels that compute their gradients in closed form.
+`grad` maps the loss's gradients with respect to the latent matrix H and
+the predictor's logit to the gradients of the six parameters, through the
+predictor and the two encoder layers, reading what it needs off the
+forward cache that `model.encode` keeps. Every sum runs in a fixed order,
+so repeated runs are bit-identical. `logistic` is the overflow-free
+sigmoid; `unit_rows` and `unit_rows_backward` are the row normalisation
+and its reverse, which the contrast and invariance losses use.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericError, ShapeError, TapeError
-
-_COUNTER = itertools.count()
-
-
-class Tensor:
-    """Node in the computation graph. Leaves with requires_grad=True are the
-    trainable parameters; everything else is treated as a constant."""
-
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_id")
-
-    def __init__(self, value, requires_grad=False):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents = ()
-        self._id = next(_COUNTER)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars and arrays are coerced to constant tensors
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _tracked(t: Tensor):
-    return t.requires_grad or bool(t._parents)
-
-
-def _make(value, parents):
-    """New graph node; parents is a list of (tensor, vjp) pairs."""
-    kept = tuple((p, f) for p, f in parents if _tracked(p))
-    out = Tensor(value)
-    out._parents = kept
-    return out
-
-
-def _unbroadcast(g, shape):
-    """Reduce a broadcast gradient back to the original operand shape."""
-    g = np.asarray(g)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
-    av, bv = a.value, b.value
-    return _make(av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    ash, bsh = a.value.shape, b.value.shape
-    return _make(a.value + b.value,
-                 [(a, lambda g: _unbroadcast(g, ash)), (b, lambda g: _unbroadcast(g, bsh))])
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    ash, bsh = a.value.shape, b.value.shape
-    return _make(a.value - b.value,
-                 [(a, lambda g: _unbroadcast(g, ash)), (b, lambda g: _unbroadcast(-g, bsh))])
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.value, b.value
-    return _make(av * bv, [(a, lambda g: _unbroadcast(g * bv, av.shape)),
-                           (b, lambda g: _unbroadcast(g * av, bv.shape))])
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _make(-a.value, [(a, lambda g: -g)])
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    av = a.value
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, av.shape).copy()
-
-    return _make(av.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
-
-
-def relu(a):
-    a = as_tensor(a)
-    mask = a.value > 0
-    return _make(np.where(mask, a.value, 0.0), [(a, lambda g: g * mask)])
+from .errors import ShapeError
 
 
 def logistic(x):
@@ -145,74 +27,6 @@ def logistic(x):
     ez = np.exp(x[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    out = logistic(a.value)
-    return _make(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
-def tlog(a):
-    a = as_tensor(a)
-    if np.any(a.value <= 0):
-        raise NumericError("log of non-positive value")
-    av = a.value
-    return _make(np.log(av), [(a, lambda g: g / av)])
-
-
-def clamp(a, lo, hi):
-    a = as_tensor(a)
-    inside = (a.value >= lo) & (a.value <= hi)
-    return _make(np.clip(a.value, lo, hi), [(a, lambda g: g * inside)])
-
-
-def hstack(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError(f"hstack: {a.value.shape} vs {b.value.shape}")
-    ka = a.value.shape[1]
-    return _make(np.concatenate([a.value, b.value], axis=1),
-                 [(a, lambda g: g[:, :ka]), (b, lambda g: g[:, ka:])])
-
-
-def slice_cols(a, start, stop):
-    a = as_tensor(a)
-    av = a.value
-
-    def vjp(g):
-        out = np.zeros_like(av)
-        out[:, start:stop] = g
-        return out
-
-    # copy so the slice never aliases the parent's storage
-    return _make(av[:, start:stop].copy(), [(a, vjp)])
-
-
-def gather_rows(a, idx):
-    """Rows `idx` (non-negative, repeats allowed) of `a`.
-
-    The reverse pass is `pick.T @ g` with `pick` the (len(idx), n) one-hot
-    selection matrix: scipy's kernel adds g[k] into row idx[k] for k in
-    order, starting from zero, so the result is bit-identical to an
-    unbuffered scatter-add."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    av = a.value
-
-    def vjp(g):
-        pick = sp.csr_matrix((np.ones(len(idx)), idx, np.arange(len(idx) + 1)),
-                             shape=(len(idx), av.shape[0]))
-        return pick.T @ g
-
-    return _make(av[idx], [(a, vjp)])
-
-
-def scalar_with_grad(value, *inputs):
-    """Scalar node for a fused kernel that computes a loss and its gradients
-    together in closed form; `inputs` are (tensor, d value / d tensor) pairs."""
-    return _make(np.float64(value), [(as_tensor(a), lambda g, grad_a=grad_a: g * grad_a)
-                                     for a, grad_a in inputs])
 
 
 def unit_rows(x):
@@ -227,13 +41,6 @@ def unit_rows_backward(g, u, norms):
     where (u, norms) = unit_rows(x); zero rows get zero."""
     back = (g - u * (g * u).sum(axis=1, keepdims=True)) / np.where(norms > 0, norms, 1.0)
     return np.where(norms > 0, back, 0.0)
-
-
-def row_l2_normalize(a):
-    """Rows scaled to unit L2 norm; all-zero rows stay zero."""
-    a = as_tensor(a)
-    out, norms = unit_rows(a.value)
-    return _make(out, [(a, lambda g: unit_rows_backward(g, out, norms))])
 
 
 class NeighborAggregator:
@@ -264,74 +71,39 @@ class NeighborAggregator:
         self.inv_deg = inv
 
 
-def row_mean_neighbors(a, agg):
-    """Mean of neighbor rows per node; isolated nodes get a zero row.
+def row_mean_neighbors(x, agg):
+    """Mean of neighbour rows per node of the array x; isolated nodes get a
+    zero row. `agg` is the graph's NeighborAggregator."""
+    if x.shape[0] != agg.n:
+        raise ShapeError(f"row count {x.shape[0]} != node count {agg.n}")
+    return (agg.adj @ x) * agg.inv_deg[:, None]
 
-    `agg` is the graph's NeighborAggregator. The adjacency is symmetric, so
-    the reverse pass multiplies by `adj` itself.
+
+def row_mean_neighbors_backward(g, agg):
+    """Gradient with respect to x of row_mean_neighbors(x, agg), given the
+    gradient g of its output. The adjacency is symmetric, so this is a
+    product with `adj` itself: row i adds g_j / deg_j over its neighbours j
+    in ascending order, from zero, as a scatter-add would."""
+    return agg.adj @ (g * agg.inv_deg[:, None])
+
+
+def grad(enc, latent, g_h, g_logit):
+    """Gradients [dW1, db1, dW2, db2, dw, db] of a loss, given its gradient
+    g_h with respect to H (every term's, the prediction's share of the C
+    columns included) and g_logit with respect to the predictor's logit.
+
+    `latent` is the LatentState that `model.encode` returned for the
+    parameters `enc`; its forward cache holds the layer inputs [X | mean X]
+    and [H1 | mean H1], the ReLU mask and the content block C.
     """
-    a = as_tensor(a)
-    av = a.value
-    if av.shape[0] != agg.n:
-        raise ShapeError(f"row count {av.shape[0]} != node count {agg.n}")
-    inv = agg.inv_deg[:, None]
-    return _make((agg.adj @ av) * inv, [(a, lambda g: agg.adj @ (g * inv))])
-
-
-# ---------------------------------------------------------------------------
-# reverse pass
-
-def _topo_order(root):
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if node._id in seen:
-            continue
-        seen.add(node._id)
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if parent._id not in seen:
-                stack.append((parent, False))
-    return order
-
-
-def backward(loss):
-    """Populate .grad on every tensor reachable from the scalar loss."""
-    loss = as_tensor(loss)
-    if loss.value.shape != ():
-        raise TapeError(f"backward needs a scalar, got shape {loss.value.shape}")
-    order = _topo_order(loss)
-    for node in order:
-        node.grad = None
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node.grad is None:
-            continue
-        for parent, vjp in node._parents:
-            contribution = vjp(node.grad)
-            parent.grad = contribution if parent.grad is None \
-                else parent.grad + contribution
-
-
-def grad(loss, params):
-    """Gradients of a scalar loss with respect to parameter tensors.
-
-    Raises TapeError when a parameter never entered the recorded computation
-    (zero would silently hide an unrecorded dependency).
-    """
-    for p in params:
-        if not isinstance(p, Tensor) or not p.requires_grad:
-            raise TapeError("parameters must be Tensors with requires_grad=True")
-        p.grad = None  # drop leftovers from earlier reverse passes
-    backward(loss)
-    out = []
-    for p in params:
-        if p.grad is None:
-            raise TapeError("parameter never entered the recorded computation")
-        out.append(p.grad)
-    return out
+    g_w = latent.c.T @ g_logit
+    g_b = g_logit.sum(axis=0)
+    g_w2 = latent.z2.T @ g_h
+    g_b2 = g_h.sum(axis=0)
+    g_z2 = g_h @ enc.w2.T
+    hidden = latent.active.shape[1]
+    g_h1 = g_z2[:, :hidden] + row_mean_neighbors_backward(g_z2[:, hidden:], latent.agg)
+    g_a1 = g_h1 * latent.active
+    g_w1 = latent.z1.T @ g_a1
+    g_b1 = g_a1.sum(axis=0)
+    return [g_w1, g_b1, g_w2, g_b2, g_w, g_b]

@@ -99,13 +99,46 @@ def load_config_or_default(args):
 def _pseudo_labels_from_checkpoint(graph, table, checkpoint_path):
     enc, pred, meta = load_checkpoint(checkpoint_path)
     x = table.features
+    width = x.shape[1]
+    if enc.w1.shape[0] != 2 * width:
+        raise ConfigError(f"checkpoint {checkpoint_path} is for {enc.w1.shape[0] // 2} "
+                          f"features; the dataset has {width}")
     if meta.get("feature_mean") is not None:
-        mean = np.asarray(meta["feature_mean"])
-        std = np.asarray(meta["feature_std"])
+        try:
+            mean = np.asarray(meta["feature_mean"], dtype=np.float64)
+            std = np.asarray(meta.get("feature_std"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint {checkpoint_path}: bad feature statistics: "
+                              f"{exc}") from exc
+        if mean.shape != (width,) or std.shape != (width,):
+            raise ConfigError(f"checkpoint {checkpoint_path}: feature statistics do not "
+                              f"fit the dataset's {width} features")
         x = (x - mean) / std
     latent = encode(enc, NeighborAggregator(graph), x)
     pseudo = hard_labels(predict(pred, latent.c))
     return table.labels.with_pseudo(pseudo), enc, pred, latent
+
+
+def _load_report(path, fields=("splits",)):
+    """A stored run report holding each of `fields` as a mapping; a file
+    that cannot be read or lacks one of them is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    missing = [f for f in fields
+               if not isinstance(stored, dict) or not isinstance(stored.get(f), dict)]
+    if missing:
+        raise ConfigError(f"report {path} is not a run report: no {missing} block")
+    return stored
+
+
+def _stored_splits(stored, n):
+    try:
+        return Splits.from_dict(stored["splits"], n)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"stored report's splits do not fit the dataset: {exc!r}") from exc
 
 
 def _graph_after_stored_edit(graph, stored):
@@ -220,13 +253,12 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     graph, table = _load_dataset_arg(args.dataset)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
+    stored = _load_report(args.report, fields=("splits", "test"))
     graph = _graph_after_stored_edit(graph, stored)
     labels, enc, pred, latent = _pseudo_labels_from_checkpoint(
         graph, table, args.checkpoint)
-    splits = Splits.from_dict(stored["splits"], table.n)
-    probs = predict(pred, latent.c).value
+    splits = _stored_splits(stored, table.n)
+    probs = predict(pred, latent.c)
     report = evaluate_predictions(probs, table.labels.class_label,
                                   table.labels.sensitive, mask=splits.test,
                                   seed=stored.get("seed", 0),
@@ -235,9 +267,9 @@ def cmd_evaluate(args):
     print(json.dumps(payload, indent=2))
     if args.json:
         _write_json(args.json, payload)
-    mismatches = {k: (payload[k], stored["test"][k])
+    mismatches = {k: (payload[k], stored["test"].get(k))
                   for k in ("bacc", "auc", "f1", "delta_sp", "delta_eo", "score")
-                  if payload[k] != stored["test"][k]}
+                  if payload[k] != stored["test"].get(k)}
     if mismatches:
         print(f"stored report differs: {mismatches}", file=sys.stderr)
         return 1
@@ -303,21 +335,20 @@ def cmd_export(args):
     split_names = ["unlabeled"] * table.n
     stored = None
     if args.report:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+        stored = _load_report(args.report)
         graph = _graph_after_stored_edit(graph, stored)
     labels, enc, pred, latent = _pseudo_labels_from_checkpoint(
         graph, table, args.checkpoint)
     if stored is not None:
-        splits = Splits.from_dict(stored["splits"], table.n)
+        splits = _stored_splits(stored, table.n)
         for name, mask in (("train", splits.train), ("val", splits.val),
                            ("test", splits.test)):
             for i in np.where(mask)[0]:
                 split_names[i] = name
-    export_embeddings(args.out, latent.c.value, latent.e.value, table.labels,
+    export_embeddings(args.out, latent.c, latent.e, table.labels,
                       split_names)
     print(f"wrote {args.out} ({table.n} rows, "
-          f"{4 + latent.c.value.shape[1] + latent.e.value.shape[1]} columns)")
+          f"{4 + latent.c.shape[1] + latent.e.shape[1]} columns)")
     return 0
 
 

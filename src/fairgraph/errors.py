@@ -17,10 +17,6 @@ class NumericError(FairGraphError):
     """Non-finite values or domain violations in a numeric kernel."""
 
 
-class TapeError(FairGraphError):
-    """Gradient requested for a value not built from recorded operations."""
-
-
 class UndefinedRatioError(FairGraphError):
     """Homophily ratio requested on a graph with no edges."""
 

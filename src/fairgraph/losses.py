@@ -3,11 +3,16 @@ reconstruction, supervised contrast with bounded angular similarity, and
 environmental separation — plus counterfactual selection and negative-edge
 sampling.
 
-All losses return scalar autodiff Tensors so one reverse pass covers the
-whole composite objective. The four terms beyond prediction are one tape node
-each: a kernel computes the value and its gradient in closed form, the
-pairwise ones (invariance, structure, environment) one block of node pairs
-at a time with one sparse product for the gradient.
+Every loss returns its value and its gradient with respect to its own
+inputs, as plain arrays: prediction with respect to the logit, invariance
+with respect to C and E, structure with respect to H, contrast with respect
+to C and environment with respect to E. Each term beyond prediction takes
+its weight in the composite and returns the gradient of the weighted term,
+so the weight enters where the composite's chain rule puts it. A kernel
+computes each value and gradient in closed form, the pairwise terms
+(invariance, structure, environment) one block of node pairs at a time with
+one sparse product for the gradient. `total_loss` adds the gradients into
+one dL/dH and one dL/dlogit, which `autodiff.grad` takes through the model.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
 from .graph import Graph, pair_codes
 
@@ -195,17 +199,28 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
 # ---------------------------------------------------------------------------
 # losses
 
-def pred_loss(probs: Tensor, labels, mask) -> Tensor:
-    """Mean binary cross-entropy over masked nodes, probabilities clamped."""
+def pred_loss(probs, labels, mask):
+    """Mean binary cross-entropy over masked nodes, probabilities clamped to
+    [PROB_FLOOR, 1 - PROB_FLOOR]; returns (value, dL/dlogit), probs being
+    the (n, 1) sigmoid of the logit.
+
+    The gradient runs the reverse of the composition link by link, each
+    log, the clamp and the sigmoid in turn, rather than the simplified
+    (p - y) mask / count, so every rounding is the same as that chain's.
+    """
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
         raise UndefinedMetricError("prediction loss needs a nonempty mask")
     y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     w = mask.astype(np.float64).reshape(-1, 1)
-    p = ad.clamp(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    ll = ad.mul(y, ad.tlog(p)) + ad.mul(1.0 - y, ad.tlog(1.0 - p))
-    return -(ad.tsum(ad.mul(w, ll)) * (1.0 / count))
+    p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    value = -((w * ll).sum() * (1.0 / count))
+    g = -(1.0 / count) * w
+    g = g * y / p - g * (1.0 - y) / (1.0 - p)
+    inside = (probs >= PROB_FLOOR) & (probs <= 1.0 - PROB_FLOOR)
+    return value, g * inside * probs * (1.0 - probs)
 
 
 def _pair_dots(x, i, j, differences=False):
@@ -267,18 +282,18 @@ def _inv_value_and_grad(c, e, cf, gamma):
     return value, grads[0], grads[1]
 
 
-def inv_loss(c: Tensor, e: Tensor, cf: CounterfactualIndex, gamma) -> Tensor:
+def inv_loss(c, e, cf: CounterfactualIndex, gamma, weight=1.0):
     """Counterfactual invariance: content should match its e-type
     counterfactuals, environment its c-type counterfactuals, and the two
     blocks should stay orthogonal per node.
 
     Missing counterfactual terms are skipped and each distance sum is
     averaged over realized pairs only; the |cos(c_i, e_i)| term always
-    contributes gamma * mean_i |cos| once per node. One tape node; its value
-    and gradients come from a closed form.
+    contributes gamma * mean_i |cos| once per node. Returns (value,
+    d(weight * value)/dc, d(weight * value)/de), from a closed form.
     """
-    value, grad_c, grad_e = _inv_value_and_grad(c.value, e.value, cf, float(gamma))
-    return ad.scalar_with_grad(value, (c, grad_c), (e, grad_e))
+    value, grad_c, grad_e = _inv_value_and_grad(c, e, cf, float(gamma))
+    return value, weight * grad_c, weight * grad_e
 
 
 def _in_sorted(codes, values):
@@ -336,17 +351,18 @@ def _suf_value_and_grad(h, pairs, n_pos):
     return value, _symmetric(h.shape[0], i, j, slope) @ h
 
 
-def suf_loss(h: Tensor, pos_edges, neg_edges) -> Tensor:
+def suf_loss(h, pos_edges, neg_edges, weight=1.0):
     """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
     averaged over positive and negative pairs together. Both edge sets are
-    (k, 2) arrays or sequences of node pairs. One tape node; its value and
-    gradient come from a closed form, the pair dots one block at a time."""
+    (k, 2) arrays or sequences of node pairs. Returns (value,
+    d(weight * value)/dh), from a closed form with the pair dots one block
+    at a time."""
     if len(pos_edges) == 0 or len(neg_edges) == 0:
         raise UndefinedMetricError("structure loss needs positive and negative edges")
     pairs = np.concatenate([np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2),
                             np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)])
-    value, grad = _suf_value_and_grad(h.value, pairs, len(pos_edges))
-    return ad.scalar_with_grad(value, (h, grad))
+    value, grad = _suf_value_and_grad(h, pairs, len(pos_edges))
+    return value, weight * grad
 
 
 def _tvmf(cos, kappa):
@@ -409,29 +425,35 @@ def _sc_value_and_grad(u, y, kappa):
     return row_loss.sum(), grad
 
 
-def sc_loss(c: Tensor, labels, participant_mask, kappa) -> Tensor:
+def sc_loss(c, labels, participant_mask, kappa, weight=1.0):
     """Supervised contrast on content rows: each participating node is pulled
     toward same-label participants and pushed from the rest, with the t-vMF
     similarity in place of the dot product. Nodes without positives are
     skipped; if no node has a positive the loss is undefined.
 
-    The contrast is one tape node over the normalised participant rows; its
-    value and gradient come from a blockwise closed form."""
+    Returns (value, d(weight * value)/dc). The kernel works on the
+    normalised participant rows, blockwise; the weight scales its gradient
+    before the reverse of the normalisation, whose rounding does not commute
+    with it, and the reverse of the gather puts each participant's row back
+    in place (each participates once). Other rows get zero."""
     mask = np.asarray(participant_mask, dtype=bool)
     idx = np.where(mask)[0]
     if len(idx) < 2:
         raise UndefinedMetricError("supervised contrast needs >= 2 participating nodes")
     y = np.asarray(labels).reshape(-1)[idx]
     by_label = np.argsort(y, kind="stable")
-    u = ad.row_l2_normalize(ad.gather_rows(c, idx[by_label]))
-    value, grad = _sc_value_and_grad(u.value, y[by_label], float(kappa))
-    return ad.scalar_with_grad(value, (u, grad))
+    rows = idx[by_label]
+    u, norms = ad.unit_rows(c[rows])
+    value, grad_u = _sc_value_and_grad(u, y[by_label], float(kappa))
+    grad = np.zeros_like(c)
+    grad[rows] = ad.unit_rows_backward(weight * grad_u, u, norms)
+    return value, grad
 
 
-def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
+def env_loss(e, sensitive, k_prime, weight=1.0):
     """Environmental separation: minus the mean distance from each node to its
-    K' nearest opposite-group neighbors in the environment block. One tape
-    node; its value and gradient come from a closed form."""
+    K' nearest opposite-group neighbors in the environment block. Returns
+    (value, d(weight * value)/de), from a closed form."""
     if k_prime < 1:
         raise ValueError("K_prime must be >= 1")
     s = np.asarray(sensitive).reshape(-1)
@@ -440,46 +462,69 @@ def env_loss(e: Tensor, sensitive, k_prime) -> Tensor:
         raise UndefinedMetricError("environment loss needs both sensitive groups")
     cells = [(np.flatnonzero(s == group), np.flatnonzero(s != group))
              for group in np.unique(s)]
-    counts, partners = _nearest(e.value, cells, k_prime)
+    counts, partners = _nearest(e, cells, k_prime)
     anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
     w = 1.0 / (n * counts[anchors])
-    dist = np.sqrt(_pair_dots(e.value, anchors, partners, differences=True))
+    dist = np.sqrt(_pair_dots(e, anchors, partners, differences=True))
     # d dist / d e_i = (e_i - e_j) / dist, so the gradient is minus the
     # Laplacian weighted by w / dist times e; a zero distance adds nothing
     slope = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
     degree = np.bincount(anchors, slope, n) + np.bincount(partners, slope, n)
-    grad = _symmetric(n, anchors, partners, slope) @ e.value - degree[:, None] * e.value
-    return ad.scalar_with_grad(-(w * dist).sum(), (e, grad))
+    grad = _symmetric(n, anchors, partners, slope) @ e - degree[:, None] * e
+    return -(w * dist).sum(), weight * grad
 
 
 @dataclass
 class LossParts:
-    """The five component values; absent terms stay None."""
+    """The five terms as their losses returned them, (value, gradients...);
+    absent terms stay None. The gradients of every term but prediction are
+    those of the weighted term."""
 
-    pred: Tensor
-    inv: Tensor | None = None
-    suf: Tensor | None = None
-    sc: Tensor | None = None
-    env: Tensor | None = None
+    pred: tuple
+    inv: tuple | None = None
+    suf: tuple | None = None
+    sc: tuple | None = None
+    env: tuple | None = None
 
     def values(self):
-        return {name: (None if t is None else float(t.value))
-                for name, t in (("pred", self.pred), ("inv", self.inv),
-                                ("suf", self.suf), ("sc", self.sc),
-                                ("env", self.env))}
+        return {name: (None if part is None else float(part[0]))
+                for name, part in (("pred", self.pred), ("inv", self.inv),
+                                   ("suf", self.suf), ("sc", self.sc),
+                                   ("env", self.env))}
 
 
-def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    """pred + alpha*inv + beta*suf + omega*sc + eta*env over present parts."""
+def total_loss(parts: LossParts, weights: LossWeights, w_pred):
+    """pred + alpha*inv + beta*suf + omega*sc + eta*env over present parts.
+
+    Returns (value, dL/dH, dL/dlogit). The auxiliary parts must come from
+    losses called with these weights. w_pred is the predictor's (d_c, 1)
+    weight column, through which the prediction term reaches C; E is as
+    wide as C. Each block adds its terms in one fixed order: C prediction,
+    invariance, contrast; E invariance, environment; then H the structure
+    term.
+    """
     terms = [(1.0, parts.pred), (weights.alpha, parts.inv),
              (weights.beta, parts.suf), (weights.omega, parts.sc),
              (weights.eta, parts.env)]
     total = None
-    for coeff, term in terms:
-        if term is None:
+    for coeff, part in terms:
+        if part is None:
             continue
-        if not np.isfinite(term.value):
+        if not np.isfinite(part[0]):
             raise NumericError("non-finite loss component")
-        piece = ad.mul(term, float(coeff))
+        piece = part[0] * float(coeff)
         total = piece if total is None else total + piece
-    return total
+    g_logit = parts.pred[1]
+    g_c = g_logit @ w_pred.T
+    g_e = np.zeros_like(g_c)
+    if parts.inv is not None:
+        g_c = g_c + parts.inv[1]
+        g_e = parts.inv[2]
+    if parts.sc is not None:
+        g_c = g_c + parts.sc[1]
+    if parts.env is not None:
+        g_e = g_e + parts.env[1]
+    g_h = np.concatenate([g_c, g_e], axis=1)
+    if parts.suf is not None:
+        g_h = g_h + parts.suf[1]
+    return total, g_h, g_logit

@@ -15,42 +15,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NeighborAggregator, Tensor
+from .autodiff import NeighborAggregator
 from .data import atomic_open
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 CHECKPOINT_VERSION = 1
 
 
 @dataclass
 class EncoderParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
     d_c: int
     d_e: int
 
-    def tensors(self):
+    def arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
 
 @dataclass
 class PredictorParams:
-    w: Tensor
-    b: Tensor
+    w: np.ndarray
+    b: np.ndarray
 
-    def tensors(self):
+    def arrays(self):
         return [self.w, self.b]
 
 
 @dataclass
 class LatentState:
-    """H = [C | E]; C is the first d_c columns, E the rest."""
+    """H = [C | E]; C is the first d_c columns, E the rest, each a
+    contiguous copy. The rest is the forward cache `autodiff.grad` reads:
+    the layer inputs z1 = [X | mean X] and z2 = [H1 | mean H1], the ReLU
+    mask `active` of layer one, and the aggregator."""
 
-    h: Tensor
-    c: Tensor
-    e: Tensor
+    h: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    active: np.ndarray
+    agg: NeighborAggregator
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -65,56 +72,53 @@ def init_params(d_in, hidden, d_c, seed):
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     d_out = 2 * d_c
-    enc = EncoderParams(
-        w1=Tensor(_glorot(rng, 2 * d_in, hidden), requires_grad=True),
-        b1=Tensor(np.zeros(hidden), requires_grad=True),
-        w2=Tensor(_glorot(rng, 2 * hidden, d_out), requires_grad=True),
-        b2=Tensor(np.zeros(d_out), requires_grad=True),
-        d_c=d_c, d_e=d_c)
-    pred = PredictorParams(
-        w=Tensor(_glorot(rng, d_c, 1), requires_grad=True),
-        b=Tensor(np.zeros(1), requires_grad=True))
+    enc = EncoderParams(w1=_glorot(rng, 2 * d_in, hidden), b1=np.zeros(hidden),
+                        w2=_glorot(rng, 2 * hidden, d_out), b2=np.zeros(d_out),
+                        d_c=d_c, d_e=d_c)
+    pred = PredictorParams(w=_glorot(rng, d_c, 1), b=np.zeros(1))
     return enc, pred
 
 
 def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
     """Forward pass producing the latent state for every node of the graph
     that `agg` aggregates over."""
-    x = ad.as_tensor(x)
-    if x.value.ndim != 2 or x.value.shape[0] != agg.n:
-        raise ShapeError(f"features must be ({agg.n}, d), got {x.value.shape}")
-    if 2 * x.value.shape[1] != params.w1.value.shape[0]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != agg.n:
+        raise ShapeError(f"features must be ({agg.n}, d), got {x.shape}")
+    if 2 * x.shape[1] != params.w1.shape[0]:
         raise ShapeError(
-            f"feature width {x.value.shape[1]} incompatible with W1 {params.w1.value.shape}")
-    h1 = ad.relu(ad.matmul(ad.hstack(x, ad.row_mean_neighbors(x, agg)), params.w1)
-                 + params.b1)
-    h = ad.matmul(ad.hstack(h1, ad.row_mean_neighbors(h1, agg)), params.w2) + params.b2
-    c = ad.slice_cols(h, 0, params.d_c)
-    e = ad.slice_cols(h, params.d_c, params.d_c + params.d_e)
-    return LatentState(h=h, c=c, e=e)
+            f"feature width {x.shape[1]} incompatible with W1 {params.w1.shape}")
+    z1 = np.concatenate([x, ad.row_mean_neighbors(x, agg)], axis=1)
+    a1 = z1 @ params.w1 + params.b1
+    active = a1 > 0
+    h1 = np.where(active, a1, 0.0)
+    z2 = np.concatenate([h1, ad.row_mean_neighbors(h1, agg)], axis=1)
+    h = z2 @ params.w2 + params.b2
+    # copies, so that C^T g and C W sum in the order of a contiguous array
+    c = h[:, :params.d_c].copy()
+    e = h[:, params.d_c:params.d_c + params.d_e].copy()
+    return LatentState(h=h, c=c, e=e, z1=z1, z2=z2, active=active, agg=agg)
 
 
-def predict(phi: PredictorParams, c) -> Tensor:
+def predict(phi: PredictorParams, c):
     """Per-node positive-class probability, shape (n, 1)."""
-    return ad.sigmoid(ad.matmul(ad.as_tensor(c), phi.w) + phi.b)
+    return ad.logistic(c @ phi.w + phi.b)
 
 
 def hard_labels(probs):
     """Threshold at 0.5; the tie at exactly 0.5 goes to class 1."""
-    values = probs.value if isinstance(probs, Tensor) else np.asarray(probs)
-    return (values.reshape(-1) >= 0.5).astype(np.int64)
+    return (np.asarray(probs).reshape(-1) >= 0.5).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _array_payload(t: Tensor):
-    return {"shape": list(t.value.shape), "data": t.value.reshape(-1).tolist()}
+def _array_payload(a):
+    return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
 
 
-def _array_restore(payload, requires_grad=True):
-    arr = np.asarray(payload["data"], dtype=np.float64).reshape(payload["shape"])
-    return Tensor(arr, requires_grad=requires_grad)
+def _array_restore(payload):
+    return np.asarray(payload["data"], dtype=np.float64).reshape(payload["shape"])
 
 
 def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
@@ -134,17 +138,46 @@ def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns (EncoderParams, PredictorParams, meta)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    enc = EncoderParams(
-        w1=_array_restore(doc["encoder"]["w1"]),
-        b1=_array_restore(doc["encoder"]["b1"]),
-        w2=_array_restore(doc["encoder"]["w2"]),
-        b2=_array_restore(doc["encoder"]["b2"]),
-        d_c=int(doc["d_c"]), d_e=int(doc["d_e"]))
-    pred = PredictorParams(w=_array_restore(doc["predictor"]["w"]),
-                           b=_array_restore(doc["predictor"]["b"]))
-    return enc, pred, doc.get("meta", {})
+    """Returns (EncoderParams, PredictorParams, meta). A file that cannot be
+    read, another format version, a missing field, an environment block not
+    as wide as the content block (d_e != d_c), or arrays whose shapes
+    disagree with each other or with d_c are a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint {path}: unsupported format version {version!r}")
+    try:
+        arrays = {name: _array_restore(doc[block][name])
+                  for block, names in (("encoder", ("w1", "b1", "w2", "b2")),
+                                       ("predictor", ("w", "b")))
+                  for name in names}
+        d_c, d_e = doc["d_c"], doc["d_e"]
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: bad array: {exc}") from exc
+    if not (isinstance(d_c, int) and not isinstance(d_c, bool) and d_c > 0
+            and d_e == d_c):
+        raise ConfigError(f"checkpoint {path}: d_c and d_e must be one positive "
+                          f"integer, got {d_c!r} and {d_e!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"checkpoint {path}: meta must be a mapping")
+    w1 = arrays["w1"]
+    if w1.ndim != 2 or w1.shape[0] % 2 or 0 in w1.shape:
+        raise ConfigError(f"checkpoint {path}: w1 has shape {w1.shape}")
+    hidden = w1.shape[1]
+    expected = {"b1": (hidden,), "w2": (2 * hidden, 2 * d_c), "b2": (2 * d_c,),
+                "w": (d_c, 1), "b": (1,)}
+    wrong = [f"{name} {arrays[name].shape} != {shape}"
+             for name, shape in expected.items() if arrays[name].shape != shape]
+    if wrong:
+        raise ConfigError(f"checkpoint {path}: array shapes disagree: {', '.join(wrong)}")
+    enc = EncoderParams(w1=w1, b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
+                        d_c=d_c, d_e=d_e)
+    pred = PredictorParams(w=arrays["w"], b=arrays["b"])
+    return enc, pred, meta

@@ -156,8 +156,11 @@ class Splits:
     def from_dict(cls, doc, n):
         masks = []
         for key in ("train", "val", "test"):
+            ids = np.asarray(doc[key], dtype=np.int64)
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"{key} ids outside 0..{n - 1}")
             m = np.zeros(n, dtype=bool)
-            m[np.asarray(doc[key], dtype=np.int64)] = True
+            m[ids] = True
             masks.append(m)
         return cls(*masks)
 
@@ -185,16 +188,16 @@ def split_dataset(n, labeled_ids, fractions, seed) -> Splits:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizers: each step updates the parameter arrays in place
 
 class _GradientDescent:
     def __init__(self, params, lr):
         self.params = params
         self.lr = lr
 
-    def step(self):
-        for p in self.params:
-            p.value = p.value - self.lr * p.grad
+    def step(self, grads):
+        for p, g in zip(self.params, grads):
+            p -= self.lr * g
 
 
 class _Adam:
@@ -203,18 +206,17 @@ class _Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
-    def step(self):
+    def step(self, grads):
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             m_hat = self.m[i] / (1 - self.beta1 ** self.t)
             v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _make_optimizer(name, params, lr):
@@ -241,20 +243,19 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
     agg = NeighborAggregator(graph)
     enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
                             derive_seed(seed, "init"))
-    params = enc.tensors() + pred.tensors()
-    opt = _make_optimizer(cfg.optimizer, params, cfg.lr)
+    opt = _make_optimizer(cfg.optimizer, enc.arrays() + pred.arrays(), cfg.lr)
     y = labels.class_label
     losses = []
     for epoch in range(1, cfg.T_pre + 1):
         latent = encode(enc, agg, x)
         probs = predict(pred, latent.c)
-        loss = pred_loss(probs, np.where(y >= 0, y, 0), train_mask)
-        if not np.isfinite(loss.value):
+        parts = LossParts(pred=pred_loss(probs, np.where(y >= 0, y, 0), train_mask))
+        if not np.isfinite(parts.pred[0]):
             raise DivergenceError("pre-training loss became non-finite",
                                   epoch=epoch, phase="pretrain")
-        ad.grad(loss, params)
-        opt.step()
-        losses.append(float(loss.value))
+        loss, g_h, g_logit = total_loss(parts, cfg.weights, pred.w)
+        opt.step(ad.grad(enc, latent, g_h, g_logit))
+        losses.append(float(loss))
     probs = predict(pred, encode(enc, agg, x).c)
     pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
     return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
@@ -335,7 +336,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     use_env = contrast and w.eta > 0
 
     agg = NeighborAggregator(graph)
-    params = enc.tensors() + pred.tensors()
+    params = enc.arrays() + pred.arrays()
     opt = _make_optimizer(cfg.optimizer, params, cfg.lr)
     y_true = labels.class_label
     y_train = np.where(y_true >= 0, y_true, 0)
@@ -354,7 +355,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         nonlocal pseudo, cf, warned_empty
         pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
         if use_inv:
-            cf = select_counterfactuals(latent.h.value, pseudo, sens, w.k)
+            cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
             if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
                 log.warning("no counterfactual candidates exist; invariance "
                             "loss reduces to its orthogonality term")
@@ -373,33 +374,33 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
             refresh(latent, probs)
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
-            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
+            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, weight=w.alpha)
         if use_suf:
-            parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
+            parts.suf = suf_loss(latent.h, pos_edges, neg_edges, weight=w.beta)
         if use_sc:
-            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
+            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa,
+                               weight=w.omega)
         if use_env:
-            parts.env = env_loss(latent.e, sens, w.k_prime)
-        loss = total_loss(parts, w)
-        if not np.isfinite(loss.value):
+            parts.env = env_loss(latent.e, sens, w.k_prime, weight=w.eta)
+        loss, g_h, g_logit = total_loss(parts, w, pred.w)
+        if not np.isfinite(loss):
             raise DivergenceError("training loss became non-finite",
                                   epoch=epoch, phase="train")
-        ad.grad(loss, params)
-        opt.step()
+        opt.step(ad.grad(enc, latent, g_h, g_logit))
 
         latent = encode(enc, agg, x)
         probs = predict(pred, latent.c)
         try:
-            val_report = evaluate_predictions(probs.value, y_true, sens,
+            val_report = evaluate_predictions(probs, y_true, sens,
                                               mask=splits.val, seed=seed,
                                               split_id=split_id)
             val_score = val_report.score
         except UndefinedMetricError:
             val_report, val_score = None, None
-        records.append(EpochRecord(epoch=epoch, loss=float(loss.value),
+        records.append(EpochRecord(epoch=epoch, loss=float(loss),
                                    parts=parts.values(), val_score=val_score))
         if val_score is not None and (best is None or val_score > best[0]):
-            snapshot = [p.value.copy() for p in params]
+            snapshot = [p.copy() for p in params]
             best = (val_score, epoch, snapshot, val_report)
 
     if best is None:
@@ -408,9 +409,9 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
 
     # restore the best-epoch parameters and evaluate on the test mask
     for p, v in zip(params, best[2]):
-        p.value = v
+        p[...] = v
     test_latent = encode(enc, agg, x)
-    test_probs = predict(pred, test_latent.c).value
+    test_probs = predict(pred, test_latent.c)
     test_report = evaluate_predictions(test_probs, y_true, sens,
                                        mask=splits.test, seed=seed,
                                        split_id=split_id)

@@ -6,41 +6,37 @@ as they import `test_losses`.
 `grad_check` compares analytic gradients with central differences. It skips
 every coordinate whose +/-eps probes land on different activation patterns
 of a kinked op, because subgradients legitimately disagree across a kink.
-The patterns are recorded by wrapping the kinked ops while the check runs:
-`ad.relu` and `ad.clamp` on the tape, and two fused loss kernels whose kinks
-sit inside them. For `losses._suf_value_and_grad` the pattern is which pair
-logits h_i . h_j put sigmoid inside the PROB_FLOOR clamp; for
-`losses._inv_value_and_grad` it is the sign of every cos(c_i, e_i), the
-kink of |cos|. Every caller in fairgraph looks those names up in their
-module at call time, so the wrappers see each of their calls. The record
-lives in a context variable, so forward passes on other threads never
-enter it.
+Two patterns come off the forward pass each probe ran: the ReLU mask of
+the encoder's first layer (`LatentState.active`) and the prediction clamp
+(which probabilities lie inside [PROB_FLOOR, 1 - PROB_FLOOR]). Two more sit
+inside fused loss kernels and are recorded by wrapping them while the check
+runs: for `losses._suf_value_and_grad`, which pair logits h_i . h_j put
+sigmoid inside the PROB_FLOOR clamp; for `losses._inv_value_and_grad`, the
+sign of every cos(c_i, e_i), the kink of |cos|. Every caller in fairgraph
+looks those names up in their module at call time, so the wrappers see
+each of their calls. The record lives in a context variable, so forward
+passes on other threads never enter it.
 """
 
 import contextvars
 import threading
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from fairgraph import autodiff as ad
 from fairgraph import losses
 from fairgraph.errors import NumericError
 from fairgraph.losses import PROB_FLOOR
 
 
 def _unit(x):
-    """Rows scaled to unit L2 norm as the tape scaled them, with the norms
-    and the divisors; zero rows stay zero."""
+    """Rows scaled to unit L2 norm, with the norms and the divisors; zero
+    rows stay zero."""
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     safe = np.where(norms > 0, norms, 1.0)
     return x / safe, norms, safe
-
-
-def _clamp_pattern(a, lo, hi):
-    a = ad.as_tensor(a).value
-    return (a >= lo) & (a <= hi)
 
 
 def _suf_clamp_pattern(h, pairs, *_):
@@ -52,15 +48,13 @@ def _cos_sign_pattern(c, e, *_):
     return (_unit(c)[0] * _unit(e)[0]).sum(axis=1) >= 0
 
 
-_KINKED = {  # (module, op) -> the activation pattern of one call
-    (ad, "relu"): lambda a: ad.as_tensor(a).value > 0,
-    (ad, "clamp"): _clamp_pattern,
+_KINKED = {  # (module, kernel) -> the activation pattern of one call
     (losses, "_suf_value_and_grad"): _suf_clamp_pattern,
     (losses, "_inv_value_and_grad"): _cos_sign_pattern,
 }
 
 _patterns = contextvars.ContextVar("kink_patterns", default=None)
-_hooks_lock = threading.Lock()  # one check at a time rebinds the ops
+_hooks_lock = threading.Lock()  # one check at a time rebinds the kernels
 
 
 def _recording(op, pattern):
@@ -86,39 +80,58 @@ def _kink_hooks():
                 setattr(module, name, op)
 
 
+class Evaluation(NamedTuple):
+    """What a grad_check loss function returns: the loss, the analytic
+    gradient of each parameter, and the forward pass's encoder state and
+    predictor probabilities where it ran them."""
+
+    value: float
+    grads: list
+    latent: object = None
+    probs: np.ndarray | None = None
+
+
 def _probe(loss_fn):
     patterns = []
     token = _patterns.set(patterns)
     try:
-        val = loss_fn().value
+        ev = Evaluation(*loss_fn())
     finally:
         _patterns.reset(token)
-    if not np.isfinite(val):
+    if not np.isfinite(ev.value):
         raise NumericError("non-finite loss during finite-difference probe")
-    return float(val), patterns
+    if ev.latent is not None:
+        patterns.append(ev.latent.active)
+    if ev.probs is not None:
+        patterns.append((ev.probs >= PROB_FLOOR) & (ev.probs <= 1.0 - PROB_FLOOR))
+    return float(ev.value), patterns
 
 
 def grad_check(loss_fn, params, eps=1e-5, max_coords=24, seed=0):
     """Max relative error between analytic gradients and central differences.
 
-    loss_fn() must rebuild the scalar loss from the current parameter values.
+    params are contiguous float arrays, perturbed in place. loss_fn() must
+    evaluate the loss at their current values and return an Evaluation, or
+    a (value, grads) tuple when no encoder or predictor is involved.
     Coordinates whose +/-eps probes land on different activation patterns
-    (ReLU and clamp masks, the suf clamp, the signs of cos(c_i, e_i)) are
-    skipped.
+    (ReLU and prediction clamp masks, the suf clamp, the signs of
+    cos(c_i, e_i)) are skipped.
     """
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps must lie in [1e-7, 1e-4]")
-    analytic = ad.grad(loss_fn(), params)
+    analytic = Evaluation(*loss_fn()).grads
     rng = np.random.default_rng(seed)
     worst = 0.0
     with _kink_hooks():
-        for p, g in zip(params, analytic):
-            size = p.value.size
+        for p, g in zip(params, analytic, strict=True):
+            flat = p.reshape(-1)
+            if not np.shares_memory(flat, p):
+                raise ValueError("parameters must be contiguous arrays")
+            size = p.size
             if size <= max_coords:
                 coords = np.arange(size)
             else:
                 coords = rng.choice(size, size=max_coords, replace=False)
-            flat = p.value.reshape(-1)
             for i in coords:
                 x0 = flat[i]
                 flat[i] = x0 + eps
@@ -154,9 +167,10 @@ def sc_loss_dense(c, labels, participant_mask, kappa):
     """Dense reference for `losses.sc_loss`: its value and its gradient with
     respect to every row of c, built from full n_l x n_l matrices.
 
-    It follows the loss as the tape once composed it (normalise, cosine
-    matrix, t-vMF, exp, off-diagonal row sums, log, weighted sum) and runs the
-    reverse pass op by op, so it shares no algebra with the fused kernel."""
+    It follows the loss op by op, as the package's former reverse-mode tape
+    composed it (normalise, cosine matrix, t-vMF, exp, off-diagonal row
+    sums, log, weighted sum), and runs the reverse pass op by op, so it
+    shares no algebra with the fused kernel."""
     c = np.asarray(c, dtype=np.float64)
     idx = np.flatnonzero(np.asarray(participant_mask, dtype=bool))
     y = np.asarray(labels).reshape(-1)[idx]
@@ -189,8 +203,9 @@ def sc_loss_dense(c, labels, participant_mask, kappa):
     return float(value), grad
 
 
-# The tape compositions the fused pairwise kernels replaced, forward and
-# reverse op by op: gather the pair rows, apply the row ops, reduce, then
+# The op-by-op compositions the fused pairwise kernels replaced (the `_tape`
+# references, after the reverse-mode tape that once differentiated them),
+# forward and reverse: gather the pair rows, apply the row ops, reduce, then
 # scatter each pair's gradient back with np.add.at. They share no algebra
 # with the kernels, which sum over pairs first and differentiate once.
 
@@ -235,8 +250,7 @@ def suf_loss_tape(h, pos_edges, neg_edges):
 
 def inv_loss_tape(c, e, cf, gamma):
     """Reference for `losses.inv_loss`: its value, dL/dc and dL/de. Each pair
-    is normalised after its gather, as the tape did, and d|cos|/dcos is +1
-    at cos = 0."""
+    is normalised after its gather, and d|cos|/dcos is +1 at cos = 0."""
     c = np.asarray(c, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     n = c.shape[0]
@@ -263,7 +277,7 @@ def inv_loss_tape(c, e, cf, gamma):
 def env_loss_tape(e, sensitive, k_prime):
     """Reference for `losses.env_loss`: its value and dL/de; a zero distance
     passes no gradient. Each node's K' nearest opposite-group rows come from
-    `losses._nearest`, as they did on the tape: a scan by exact distance can
+    `losses._nearest`, as the loss takes them: a scan by exact distance can
     order rows tied at distance 0 differently."""
     e = np.asarray(e, dtype=np.float64)
     s = np.asarray(sensitive).reshape(-1)

@@ -142,9 +142,9 @@ def test_criterion_4_gradient_suite():
         for seed in range(5):
             enc, pred, build = loss_builders(seed)
             for which in ("pred", "inv", "suf", "sc", "env", "total"):
-                params = enc.tensors()
+                params = enc.arrays()
                 if which in ("pred", "total"):
-                    params = params + pred.tensors()
+                    params = params + pred.arrays()
                 err = grad_check(lambda: build(which), params, eps=1e-5,
                                  seed=seed)
                 assert err < 1e-4, f"{which} at seed {seed}: {err}"

@@ -13,6 +13,7 @@ from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_gen
 from fairgraph.errors import ConfigError
 from fairgraph.graph import Graph, fair_edge_remove
 from fairgraph.losses import select_counterfactuals
+from fairgraph.model import init_params, save_checkpoint
 from fairgraph.pipeline import TrainConfig, grid_search, run_experiment
 
 
@@ -150,6 +151,83 @@ def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
     assert header[:4] == ["node_id", "split", "y", "s"]
     assert len(header) == 4 + 16 + 16  # d_c = d_e = 16 defaults
     capsys.readouterr()
+
+
+def _checkpoint_and_report(toy_dir, tmp_path):
+    """An untrained checkpoint for the toy dataset and a minimal run report
+    whose splits fit it."""
+    _, table = load_dataset(resolve_dataset(toy_dir))
+    enc, pred = init_params(table.features.shape[1], 16, 16, seed=0)
+    ckpt = tmp_path / "model.ckpt.json"
+    save_checkpoint(ckpt, enc, pred)
+    report = {"splits": {"train": [0, 1], "val": [2, 3], "test": [4, 5]},
+              "test": {}, "seed": 0, "split_id": 0}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    return ckpt, report, report_path
+
+
+def _drop(doc, block, key=None):
+    del (doc if key is None else doc[block])[key or block]
+
+
+CHECKPOINT_FAULTS = {
+    "format-version": lambda doc: doc.update(format_version=2),
+    "no-encoder": lambda doc: _drop(doc, "encoder"),
+    "no-predictor-b": lambda doc: _drop(doc, "predictor", "b"),
+    "data-size": lambda doc: doc["encoder"]["w1"].update(
+        data=doc["encoder"]["w1"]["data"][:-1]),
+    "shapes-disagree": lambda doc: doc["encoder"].update(
+        b1={"shape": [3], "data": [0.0, 0.0, 0.0]}),
+    "d_c-disagrees": lambda doc: doc.update(d_c=8, d_e=8),
+    "d_e-not-d_c": lambda doc: doc.update(d_e=8),
+    "other-feature-width": lambda doc: doc["encoder"].update(
+        w1={"shape": [2, 16], "data": [0.0] * 32}),
+    "feature-stats-width": lambda doc: doc.update(
+        meta={"feature_mean": [0.0], "feature_std": [1.0]}),
+    "missing-file": None,
+    "not-json": "{",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_bad_checkpoint_is_config_error(toy_dir, tmp_path, fault, capsys):
+    ckpt, _, report_path = _checkpoint_and_report(toy_dir, tmp_path)
+    tamper = CHECKPOINT_FAULTS[fault]
+    if tamper is None:
+        ckpt.unlink()
+    elif isinstance(tamper, str):
+        ckpt.write_text(tamper)
+    else:
+        doc = json.loads(ckpt.read_text())
+        tamper(doc)
+        ckpt.write_text(json.dumps(doc))
+    for command in (["evaluate", "--report", str(report_path)],
+                    ["export", "--out", str(tmp_path / "emb.csv")]):
+        assert main([*command, "--dataset", toy_dir, "--checkpoint", str(ckpt)]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+
+
+REPORT_FAULTS = {
+    "no-splits": lambda doc: doc.pop("splits"),
+    "no-test": lambda doc: doc.pop("test"),
+    "split-id-out-of-range": lambda doc: doc["splits"].update(test=[10 ** 6]),
+    "split-id-negative": lambda doc: doc["splits"].update(val=[-1]),
+    "split-missing-mask": lambda doc: doc["splits"].pop("val"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REPORT_FAULTS) + ["not-json"])
+def test_bad_stored_report_is_config_error(toy_dir, tmp_path, fault, capsys):
+    ckpt, report, report_path = _checkpoint_and_report(toy_dir, tmp_path)
+    if fault == "not-json":
+        report_path.write_text("[1, 2")
+    else:
+        REPORT_FAULTS[fault](report)
+        report_path.write_text(json.dumps(report))
+    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", str(ckpt),
+                 "--report", str(report_path)]) == 2
+    assert "report" in capsys.readouterr().err
 
 
 def test_train_caf_mode_reduction(toy_dir, tmp_path, capsys):

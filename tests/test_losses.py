@@ -32,8 +32,8 @@ from oracles import (env_loss_tape, grad_check, inv_loss_tape, sc_loss_dense,
                      suf_loss_tape, tvmf)
 
 
-def tensor(values):
-    return ad.Tensor(np.asarray(values, dtype=np.float64))
+def floats(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def assert_matches_tape(got_value, got_grads, want_value, want_grads):
@@ -165,10 +165,10 @@ def test_selection_constraints_always_hold():
 # prediction loss
 
 def test_pred_loss_confident_and_uniform():
-    probs = tensor([[0.999999], [0.000001]])
-    assert float(pred_loss(probs, [1, 0], [True, True]).value) < 1e-5
-    half = tensor([[0.5]] * 4)
-    assert float(pred_loss(half, [0, 1, 1, 0], [True] * 4).value) == \
+    probs = floats([[0.999999], [0.000001]])
+    assert float(pred_loss(probs, [1, 0], [True, True])[0]) < 1e-5
+    half = floats([[0.5]] * 4)
+    assert float(pred_loss(half, [0, 1, 1, 0], [True] * 4)[0]) == \
         pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -176,14 +176,14 @@ def test_pred_loss_hand_sum():
     p = [0.8, 0.3, 0.6]
     y = [1, 0, 1]
     expected = -(math.log(0.8) + math.log(0.7) + math.log(0.6)) / 3
-    got = pred_loss(tensor([[v] for v in p]), y, [True] * 3)
-    assert float(got.value) == pytest.approx(expected, abs=1e-12)
+    got = pred_loss(floats([[v] for v in p]), y, [True] * 3)
+    assert float(got[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pred_loss_mask_and_errors():
-    probs = tensor([[0.9], [0.1]])
+    probs = floats([[0.9], [0.1]])
     only_first = pred_loss(probs, [1, 1], [True, False])
-    assert float(only_first.value) == pytest.approx(-math.log(0.9), abs=1e-12)
+    assert float(only_first[0]) == pytest.approx(-math.log(0.9), abs=1e-12)
     with pytest.raises(UndefinedMetricError):
         pred_loss(probs, [1, 1], [False, False])
 
@@ -201,28 +201,28 @@ def test_inv_loss_cosine_hand_sum():
     # content pair (0, 1) at 90 degrees: 1 - cos = 1; environment pair at 180
     # degrees: 1 - cos = 2; |cos(c_i, e_i)| is 1 for node 0 and 0 for node 1,
     # so gamma=2 adds 2 * 0.5. Row norms differ and must divide out.
-    c = tensor([[1.0, 0.0], [0.0, 2.0]])
-    e = tensor([[3.0, 0.0], [-0.5, 0.0]])
-    assert float(inv_loss(c, e, cf_pair(), gamma=0.0).value) == 3.0
-    assert float(inv_loss(c, e, cf_pair(), gamma=2.0).value) == 4.0
+    c = floats([[1.0, 0.0], [0.0, 2.0]])
+    e = floats([[3.0, 0.0], [-0.5, 0.0]])
+    assert float(inv_loss(c, e, cf_pair(), gamma=0.0)[0]) == 3.0
+    assert float(inv_loss(c, e, cf_pair(), gamma=2.0)[0]) == 4.0
 
 
 def test_inv_loss_vanishes_when_aligned_and_orthogonal():
-    c = tensor([[1.0, 0.0], [1.0, 0.0]])
-    e = tensor([[0.0, 1.0], [0.0, 1.0]])
-    assert float(inv_loss(c, e, cf_pair(), gamma=2.0).value) == pytest.approx(0.0, abs=1e-15)
+    c = floats([[1.0, 0.0], [1.0, 0.0]])
+    e = floats([[0.0, 1.0], [0.0, 1.0]])
+    assert float(inv_loss(c, e, cf_pair(), gamma=2.0)[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_inv_loss_logs_zero_rows_at_debug(caplog):
     # one of the three e-type pairs has a zero content row; c-type is empty
-    c = tensor([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    e = tensor([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    c = floats([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = floats([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
     empty = np.zeros(0, dtype=np.int64)
     cf = CounterfactualIndex(e_ids=(np.array([1]), np.array([2]), np.array([1])),
                              c_ids=(empty, empty, empty), k=1)
-    quiet = float(inv_loss(c, e, cf, gamma=1.0).value)
+    quiet = float(inv_loss(c, e, cf, gamma=1.0)[0])
     with caplog.at_level(logging.DEBUG, logger="fairgraph.losses"):
-        loud = float(inv_loss(c, e, cf, gamma=1.0).value)
+        loud = float(inv_loss(c, e, cf, gamma=1.0)[0])
     assert loud == quiet
     messages = [r.getMessage() for r in caplog.records if r.name == "fairgraph.losses"]
     assert messages == ["cosine distance: 1 zero-vector rows treated as cos=0"]
@@ -230,15 +230,15 @@ def test_inv_loss_logs_zero_rows_at_debug(caplog):
 
 def test_inv_loss_gamma_linearity():
     rng = np.random.default_rng(4)
-    c = tensor(rng.standard_normal((6, 3)))
-    e = tensor(rng.standard_normal((6, 3)))
-    cf = select_counterfactuals(np.hstack([c.value, e.value]),
+    c = floats(rng.standard_normal((6, 3)))
+    e = floats(rng.standard_normal((6, 3)))
+    cf = select_counterfactuals(np.hstack([c, e]),
                                 rng.integers(0, 2, 6), rng.integers(0, 2, 6), 2)
-    base = float(inv_loss(c, e, cf, gamma=1.0).value)
-    doubled = float(inv_loss(c, e, cf, gamma=2.0).value)
+    base = float(inv_loss(c, e, cf, gamma=1.0)[0])
+    doubled = float(inv_loss(c, e, cf, gamma=2.0)[0])
     mean_abs_cos = float(np.mean(np.abs(
-        [np.dot(c.value[i], e.value[i])
-         / (np.linalg.norm(c.value[i]) * np.linalg.norm(e.value[i]))
+        [np.dot(c[i], e[i])
+         / (np.linalg.norm(c[i]) * np.linalg.norm(e[i]))
          for i in range(6)])))
     assert doubled - base == pytest.approx(mean_abs_cos, abs=1e-12)
 
@@ -246,11 +246,11 @@ def test_inv_loss_gamma_linearity():
 def test_inv_loss_nonnegative_cosine_metric():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        c = tensor(rng.standard_normal((8, 3)))
-        e = tensor(rng.standard_normal((8, 3)))
-        cf = select_counterfactuals(np.hstack([c.value, e.value]),
+        c = floats(rng.standard_normal((8, 3)))
+        e = floats(rng.standard_normal((8, 3)))
+        cf = select_counterfactuals(np.hstack([c, e]),
                                     rng.integers(0, 2, 8), rng.integers(0, 2, 8), 2)
-        assert float(inv_loss(c, e, cf, gamma=0.7).value) >= 0.0
+        assert float(inv_loss(c, e, cf, gamma=0.7)[0]) >= 0.0
 
 
 def test_inv_loss_matches_tape():
@@ -267,11 +267,9 @@ def test_inv_loss_matches_tape():
     cf = select_counterfactuals(np.hstack([c, e]), rng.integers(0, 2, n),
                                 rng.integers(0, 2, n), 5)
     assert min(len(cf.pairs_e()[0]), len(cf.pairs_c()[0])) > _PAIR_BLOCK
-    x, y = ad.Tensor(c, requires_grad=True), ad.Tensor(e, requires_grad=True)
-    loss = inv_loss(x, y, cf, gamma=0.7)
-    grads = ad.grad(loss, [x, y])
+    value, *grads = inv_loss(c, e, cf, gamma=0.7)
     want_value, *want = inv_loss_tape(c, e, cf, 0.7)
-    assert_matches_tape(float(loss.value), grads, want_value, want)
+    assert_matches_tape(value, grads, want_value, want)
     # a zero row gets zero gradient; an orthogonal pair still gets the
     # gradient of |cos| on its + side
     assert not np.any(grads[0][::97]) and not np.any(grads[1][3::89])
@@ -334,28 +332,28 @@ def test_negative_sampling_matches_python_reference(n, m, count):
 
 
 def test_suf_loss_zero_embeddings():
-    h = tensor(np.zeros((4, 3)))
+    h = floats(np.zeros((4, 3)))
     loss = suf_loss(h, [(0, 1), (1, 2)], [(0, 2), (0, 3)])
-    assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
+    assert float(loss[0]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_suf_loss_hand_sum():
-    h = tensor([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    h = floats([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     pos = [(0, 1)]   # logit 2
     neg = [(0, 2)]   # logit 0
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     expected = -(math.log(sig(2.0)) + math.log(1.0 - sig(0.0))) / 2.0
-    assert float(suf_loss(h, pos, neg).value) == pytest.approx(expected, abs=1e-12)
+    assert float(suf_loss(h, pos, neg)[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_suf_loss_separates_in_the_limit():
-    h = tensor([[30.0, 0.0], [30.0, 0.0], [-30.0, 30.0], [0.0, -30.0]])
+    h = floats([[30.0, 0.0], [30.0, 0.0], [-30.0, 30.0], [0.0, -30.0]])
     loss = suf_loss(h, [(0, 1)], [(2, 3)])
-    assert float(loss.value) < 1e-8
+    assert float(loss[0]) < 1e-8
 
 
 def test_suf_loss_empty_errors():
-    h = tensor(np.zeros((3, 2)))
+    h = floats(np.zeros((3, 2)))
     with pytest.raises(UndefinedMetricError):
         suf_loss(h, [], [(0, 1)])
 
@@ -371,10 +369,9 @@ def test_suf_loss_matches_tape():
     neg = rng.integers(0, n, (m, 2))
     logits = (h[pos[:, 0]] * h[pos[:, 1]]).sum(axis=1)
     assert 2 * m > _PAIR_BLOCK and logits.max() > 28 and logits.min() < -28
-    x = ad.Tensor(h, requires_grad=True)
-    loss = suf_loss(x, pos, neg)
+    value, grad = suf_loss(h, pos, neg)
     want_value, want = suf_loss_tape(h, pos, neg)
-    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
+    assert_matches_tape(value, [grad], want_value, [want])
 
 
 def test_suf_loss_takes_edge_tuples():
@@ -382,24 +379,23 @@ def test_suf_loss_takes_edge_tuples():
     g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 5), (3, 8), (4, 7), (0, 8)])
     neg = sample_negative_edges(g, g.m, seed=2)
     h = np.random.default_rng(17).standard_normal((9, 4))
-    x = ad.Tensor(h, requires_grad=True)
-    loss = suf_loss(x, g.edges, neg)
+    value, grad = suf_loss(h, g.edges, neg)
     want_value, want = suf_loss_tape(h, g.edges, neg)
-    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
-    assert float(loss.value) == float(suf_loss(tensor(h), g.edge_array, neg).value)
+    assert_matches_tape(value, [grad], want_value, [want])
+    assert value == suf_loss(h, g.edge_array, neg)[0]
 
 
 def test_suf_loss_memory_is_blockwise():
     """One forward and reverse pass at m = 143k edges (n = 20k, d = 32)
-    stays below the bytes of one (2m, d) float64 array; the tape held
-    several."""
+    stays below the bytes of one (2m, d) float64 array; a composition of
+    per-pair ops held several."""
     n, m, d = 20_000, 143_000, 32
     rng = np.random.default_rng(18)
-    x = ad.Tensor(rng.standard_normal((n, d)) * 0.2, requires_grad=True)
+    x = rng.standard_normal((n, d)) * 0.2
     pos, neg = rng.integers(0, n, (m, 2)), rng.integers(0, n, (m, 2))
     tracemalloc.start()
     try:
-        ad.grad(suf_loss(x, pos, neg), [x])
+        suf_loss(x, pos, neg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,13 +428,13 @@ def test_tvmf_range_and_monotonicity():
 
 
 def test_sc_loss_two_identical_nodes_is_zero():
-    c = tensor([[1.0, 2.0], [1.0, 2.0]])
-    assert float(sc_loss(c, [1, 1], [True, True], kappa=1.0).value) == \
+    c = floats([[1.0, 2.0], [1.0, 2.0]])
+    assert float(sc_loss(c, [1, 1], [True, True], kappa=1.0)[0]) == \
         pytest.approx(0.0, abs=1e-15)
 
 
 def test_sc_loss_all_distinct_labels_errors():
-    c = tensor(np.random.default_rng(7).standard_normal((2, 3)))
+    c = floats(np.random.default_rng(7).standard_normal((2, 3)))
     with pytest.raises(UndefinedMetricError):
         sc_loss(c, [0, 1], [True, True], kappa=1.0)
 
@@ -464,7 +460,7 @@ def test_sc_loss_matches_hand_computation():
     rng = np.random.default_rng(8)
     c = rng.standard_normal((4, 3))
     labels = [0, 0, 1, 1]
-    got = float(sc_loss(tensor(c), labels, [True] * 4, kappa=1.0).value)
+    got = float(sc_loss(floats(c), labels, [True] * 4, kappa=1.0)[0])
     assert got == pytest.approx(sc_loss_oracle(c, labels, 1.0), abs=1e-12)
 
 
@@ -475,9 +471,9 @@ def test_sc_loss_nonnegative_and_scale_invariant():
         labels = rng.integers(0, 2, 7)
         if len(set(labels.tolist())) == 1 or min(np.bincount(labels)) == 0:
             continue
-        base = float(sc_loss(tensor(c), labels, [True] * 7, kappa=1.0).value)
+        base = float(sc_loss(floats(c), labels, [True] * 7, kappa=1.0)[0])
         assert base >= 0.0
-        scaled = float(sc_loss(tensor(3.7 * c), labels, [True] * 7, kappa=1.0).value)
+        scaled = float(sc_loss(floats(3.7 * c), labels, [True] * 7, kappa=1.0)[0])
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -485,7 +481,7 @@ def test_sc_loss_skips_unlabeled_nodes():
     rng = np.random.default_rng(10)
     c = rng.standard_normal((5, 3))
     mask = [True, True, True, False, False]
-    got = float(sc_loss(tensor(c), [0, 0, 1, 1, 1], mask, kappa=1.0).value)
+    got = float(sc_loss(floats(c), [0, 0, 1, 1, 1], mask, kappa=1.0)[0])
     want = sc_loss_oracle(c[:3], [0, 0, 1], 1.0)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -497,7 +493,7 @@ def test_sc_loss_excludes_self_similarity():
     base = rng.standard_normal((3, 4))
     c = np.vstack([base, 2.5 * base])
     labels = [0, 1, 1, 0, 1, 0]
-    got = float(sc_loss(tensor(c), labels, [True] * 6, kappa=1.0).value)
+    got = float(sc_loss(floats(c), labels, [True] * 6, kappa=1.0)[0])
     assert got == pytest.approx(sc_loss_oracle(c, labels, 1.0), abs=1e-12)
 
 
@@ -506,10 +502,8 @@ def test_sc_loss_zero_row_behaves_as_cos_zero():
     c = rng.standard_normal((5, 3))
     c[2] = 0.0
     labels = [0, 0, 1, 1, 0]
-    x = ad.Tensor(c, requires_grad=True)
-    loss = sc_loss(x, labels, [True] * 5, kappa=2.0)
-    assert float(loss.value) == pytest.approx(sc_loss_oracle(c, labels, 2.0), abs=1e-12)
-    (g,) = ad.grad(loss, [x])
+    value, g = sc_loss(c, labels, [True] * 5, kappa=2.0)
+    assert value == pytest.approx(sc_loss_oracle(c, labels, 2.0), abs=1e-12)
     assert np.array_equal(g[2], np.zeros(3))
 
 
@@ -534,11 +528,9 @@ def test_sc_loss_matches_dense_reference(n_l, kappa, classes):
     if n_l > _BLOCK:
         # identical rows on both sides of the first block boundary
         c[idx[_BLOCK - 12:_BLOCK + 18]] = c[idx[_BLOCK - 12]]
-    x = ad.Tensor(c, requires_grad=True)
-    loss = sc_loss(x, y, mask, kappa)
-    (got,) = ad.grad(loss, [x])
+    value, got = sc_loss(c, y, mask, kappa)
     want_value, want = sc_loss_dense(c, y, mask, kappa)
-    assert abs(float(loss.value) - want_value) <= 1e-12 * max(1.0, abs(want_value))
+    assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1e-300, np.max(np.abs(want)))
     assert not np.any(got[~mask])
 
@@ -548,11 +540,11 @@ def test_sc_loss_memory_is_blockwise():
     n_l x n_l float64 matrices; a dense composition needs several."""
     n_l = 4000
     rng = np.random.default_rng(13)
-    x = ad.Tensor(rng.standard_normal((n_l, 16)), requires_grad=True)
+    x = rng.standard_normal((n_l, 16))
     y = rng.integers(0, 2, n_l)
     tracemalloc.start()
     try:
-        ad.grad(sc_loss(x, y, np.ones(n_l, bool), 1.0), [x])
+        sc_loss(x, y, np.ones(n_l, bool), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -563,13 +555,13 @@ def test_sc_loss_memory_is_blockwise():
 # environmental loss
 
 def test_env_loss_symmetric_pair():
-    e = tensor([[0.0, 0.0], [3.0, 4.0]])
-    assert float(env_loss(e, [0, 1], 1).value) == pytest.approx(-5.0, abs=1e-12)
+    e = floats([[0.0, 0.0], [3.0, 4.0]])
+    assert float(env_loss(e, [0, 1], 1)[0]) == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_env_loss_identical_rows_zero():
-    e = tensor(np.ones((6, 3)))
-    assert float(env_loss(e, [0, 0, 0, 1, 1, 1], 2).value) == 0.0
+    e = floats(np.ones((6, 3)))
+    assert float(env_loss(e, [0, 0, 0, 1, 1, 1], 2)[0]) == 0.0
 
 
 def env_loss_oracle(e, s, k_prime):
@@ -587,19 +579,19 @@ def test_env_loss_matches_brute_force():
     rng = np.random.default_rng(11)
     e = rng.standard_normal((5, 3))
     s = np.array([0, 1, 0, 1, 1])
-    got = float(env_loss(tensor(e), s, 2).value)
+    got = float(env_loss(floats(e), s, 2)[0])
     assert got == pytest.approx(env_loss_oracle(e, s, 2), abs=1e-12)
     # 4 * _BLOCK + 88 rows with exact ties: each group's anchors cross its
     # block boundaries
     n = 4 * _BLOCK + 88
     e = tied_rows(rng, n, 3)
     s = rng.integers(0, 2, n)
-    got = float(env_loss(tensor(e), s, 4).value)
+    got = float(env_loss(floats(e), s, 4)[0])
     assert got == pytest.approx(env_loss_oracle(e, s, 4), abs=1e-12)
     # a group of three: K' = 5 exceeds its pool for every node of the other
     minority = np.zeros(n, dtype=int)
     minority[[7, n // 2, n - 10]] = 1
-    got = float(env_loss(tensor(e), minority, 5).value)
+    got = float(env_loss(floats(e), minority, 5)[0])
     assert got == pytest.approx(env_loss_oracle(e, minority, 5), abs=1e-12)
     # three groups, so the other group spans two cells; group 0 has more
     # anchors than one block, with ties across its block boundary; in the
@@ -607,7 +599,7 @@ def test_env_loss_matches_brute_force():
     for sizes, k_prime in (([3 * _BLOCK // 2 + 1, 60, 47], 4),
                            ([3 * _BLOCK // 2 + 1, 2, 1], 5)):
         e, s = cells_with_big_first(rng, sizes, 3)
-        got = float(env_loss(tensor(e), s, k_prime).value)
+        got = float(env_loss(floats(e), s, k_prime)[0])
         assert got == pytest.approx(env_loss_oracle(e, s, k_prime), abs=1e-12)
 
 
@@ -618,12 +610,12 @@ def test_topk_memory_is_cellwise():
     n*K' pairs three (n*K', d) arrays."""
     n, d = 4000, 32
     rng = np.random.default_rng(14)
-    x = ad.Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    x = rng.standard_normal((n, d))
     s = rng.integers(0, 2, n)
     tracemalloc.start()
     try:
-        select_counterfactuals(x.value, rng.integers(0, 2, n), s, 5)
-        ad.grad(env_loss(x, s, 5), [x])
+        select_counterfactuals(x, rng.integers(0, 2, n), s, 5)
+        env_loss(x, s, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -637,18 +629,17 @@ def test_env_loss_matches_tape():
     n = 1000
     e = tied_rows(rng, n, 4)
     s = rng.integers(0, 2, n)
-    x = ad.Tensor(e, requires_grad=True)
-    loss = env_loss(x, s, 5)
+    value, grad = env_loss(e, s, 5)
     want_value, want = env_loss_tape(e, s, 5)
-    assert_matches_tape(float(loss.value), ad.grad(loss, [x]), want_value, [want])
+    assert_matches_tape(value, [grad], want_value, [want])
     anchors = np.flatnonzero(s == 0)
     assert 5 * n > _PAIR_BLOCK and min(
         np.min(np.linalg.norm(e[s == 1] - e[i], axis=1)) for i in anchors) == 0.0
 
 
 def test_env_loss_zero_distance_passes_no_gradient():
-    e = ad.Tensor(np.tile([1.0, -2.0, 0.5], (6, 1)), requires_grad=True)
-    (g,) = ad.grad(env_loss(e, [0, 0, 0, 1, 1, 1], 2), [e])
+    e = np.tile([1.0, -2.0, 0.5], (6, 1))
+    _, g = env_loss(e, [0, 0, 0, 1, 1, 1], 2)
     assert np.array_equal(g, np.zeros((6, 3)))
 
 
@@ -658,30 +649,69 @@ def test_env_loss_nonpositive_and_group_error():
     s = rng.integers(0, 2, 8)
     while len(set(s.tolist())) < 2:
         s = rng.integers(0, 2, 8)
-    assert float(env_loss(tensor(e), s, 3).value) <= 0.0
+    assert float(env_loss(floats(e), s, 3)[0]) <= 0.0
     with pytest.raises(UndefinedMetricError):
-        env_loss(tensor(e), np.zeros(8, dtype=int), 3)
+        env_loss(floats(e), np.zeros(8, dtype=int), 3)
 
 
 # ---------------------------------------------------------------------------
 # composite
 
+def composite_parts(rng, n=5, d_c=2):
+    """Parts with the five values 1..5 and random gradients, and a predictor
+    weight column."""
+    return LossParts(pred=(1.0, rng.standard_normal((n, 1))),
+                     inv=(2.0, rng.standard_normal((n, d_c)), rng.standard_normal((n, d_c))),
+                     suf=(3.0, rng.standard_normal((n, 2 * d_c))),
+                     sc=(4.0, rng.standard_normal((n, d_c))),
+                     env=(5.0, rng.standard_normal((n, d_c)))), rng.standard_normal((d_c, 1))
+
+
 def test_total_loss_reductions():
-    parts = LossParts(pred=tensor(1.0), inv=tensor(2.0), suf=tensor(3.0),
-                      sc=tensor(4.0), env=tensor(5.0))
+    parts, w_pred = composite_parts(np.random.default_rng(20))
     w0 = LossWeights(alpha=0, beta=0, gamma=1, omega=0, eta=0)
-    assert float(total_loss(parts, w0).value) == 1.0
+    assert total_loss(parts, w0, w_pred)[0] == 1.0
     w1 = LossWeights(alpha=1, beta=1, gamma=1, omega=1, eta=1)
-    assert float(total_loss(parts, w1).value) == 15.0
-    caf = LossParts(pred=tensor(1.0), inv=tensor(2.0), suf=tensor(3.0))
+    assert total_loss(parts, w1, w_pred)[0] == 15.0
+    caf = LossParts(pred=parts.pred, inv=parts.inv, suf=parts.suf)
     wc = LossWeights(alpha=0.5, beta=2.0, gamma=1, omega=0.3, eta=0.9)
-    assert float(total_loss(caf, wc).value) == 1.0 + 0.5 * 2.0 + 2.0 * 3.0
+    assert total_loss(caf, wc, w_pred)[0] == 1.0 + 0.5 * 2.0 + 2.0 * 3.0
+
+
+def test_total_loss_adds_gradients_in_block_order():
+    """dL/dH adds, bit for bit, C: prediction (through w_pred), invariance,
+    contrast; E: invariance, environment; then the structure term on all of
+    H. The weights are already in the parts' gradients."""
+    parts, w_pred = composite_parts(np.random.default_rng(21))
+    _, g_h, g_logit = total_loss(parts, LossWeights(alpha=0.3, omega=0.7), w_pred)
+    assert g_logit is parts.pred[1]
+    g_c = (parts.pred[1] @ w_pred.T + parts.inv[1]) + parts.sc[1]
+    g_e = parts.inv[2] + parts.env[1]
+    assert np.array_equal(g_h, np.hstack([g_c, g_e]) + parts.suf[1])
+    # prediction alone reaches C only
+    _, g_h, _ = total_loss(LossParts(pred=parts.pred), LossWeights(), w_pred)
+    assert np.array_equal(g_h, np.hstack([parts.pred[1] @ w_pred.T, np.zeros((5, 2))]))
+
+
+def test_weighted_terms_scale_their_gradients():
+    rng = np.random.default_rng(22)
+    c, e = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    y, s = rng.integers(0, 2, 30), rng.integers(0, 2, 30)
+    cf = select_counterfactuals(np.hstack([c, e]), y, s, 3)
+    neg = rng.integers(0, 30, (20, 2))
+    for loss, args in ((inv_loss, (c, e, cf, 0.5)), (suf_loss, (c, neg[:10], neg[10:])),
+                       (sc_loss, (c, y, np.ones(30, bool), 1.0)), (env_loss, (e, s, 2))):
+        value, *grads = loss(*args)
+        weighted, *scaled = loss(*args, weight=0.3)
+        assert weighted == value
+        for got, want in zip(scaled, grads, strict=True):
+            assert np.max(np.abs(got - 0.3 * want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_total_loss_rejects_non_finite():
-    parts = LossParts(pred=tensor(float("nan")))
+    parts = LossParts(pred=(float("nan"), np.zeros((2, 1))))
     with pytest.raises(NumericError):
-        total_loss(parts, LossWeights())
+        total_loss(parts, LossWeights(), np.zeros((2, 1)))
 
 
 def test_weights_validation():
@@ -715,27 +745,37 @@ def loss_builders(seed):
     mask = np.ones(n, bool)
     w = LossWeights(alpha=0.7, beta=0.9, gamma=0.5, omega=0.4, eta=0.2,
                     k=2, k_prime=2, kappa=1.0)
-    cf = select_counterfactuals(encode(enc, agg, x).h.value, y, s, w.k)
+    cf = select_counterfactuals(encode(enc, agg, x).h, y, s, w.k)
     neg = sample_negative_edges(g, g.m, seed=seed + 1)
 
     def build(which):
+        """(value, parameter gradients, latent state, probabilities) of one
+        term, or of the composite for "total", computed as the pipeline
+        computes them; a single auxiliary term has encoder gradients only."""
         latent = encode(enc, agg, x)
-        if which == "pred":
-            return pred_loss(predict(pred, latent.c), y, mask)
+        probs = predict(pred, latent.c)
+        if which in ("pred", "total"):
+            parts = LossParts(pred=pred_loss(probs, y, mask))
+            if which == "total":
+                parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, weight=w.alpha)
+                parts.suf = suf_loss(latent.h, g.edges, neg, weight=w.beta)
+                parts.sc = sc_loss(latent.c, y, mask, w.kappa, weight=w.omega)
+                parts.env = env_loss(latent.e, s, w.k_prime, weight=w.eta)
+            value, g_h, g_logit = total_loss(parts, w, pred.w)
+            return value, ad.grad(enc, latent, g_h, g_logit), latent, probs
+        zeros = np.zeros_like(latent.c)
         if which == "inv":
-            return inv_loss(latent.c, latent.e, cf, w.gamma)
-        if which == "suf":
-            return suf_loss(latent.h, g.edges, neg)
-        if which == "sc":
-            return sc_loss(latent.c, y, mask, w.kappa)
-        if which == "env":
-            return env_loss(latent.e, s, w.k_prime)
-        parts = LossParts(pred=pred_loss(predict(pred, latent.c), y, mask),
-                          inv=inv_loss(latent.c, latent.e, cf, w.gamma),
-                          suf=suf_loss(latent.h, g.edges, neg),
-                          sc=sc_loss(latent.c, y, mask, w.kappa),
-                          env=env_loss(latent.e, s, w.k_prime))
-        return total_loss(parts, w)
+            value, g_c, g_e = inv_loss(latent.c, latent.e, cf, w.gamma)
+            g_h = np.hstack([g_c, g_e])
+        elif which == "suf":
+            value, g_h = suf_loss(latent.h, g.edges, neg)
+        elif which == "sc":
+            value, g_c = sc_loss(latent.c, y, mask, w.kappa)
+            g_h = np.hstack([g_c, zeros])
+        else:
+            value, g_e = env_loss(latent.e, s, w.k_prime)
+            g_h = np.hstack([zeros, g_e])
+        return value, ad.grad(enc, latent, g_h, np.zeros((n, 1)))[:4], latent
 
     return enc, pred, build
 
@@ -744,11 +784,16 @@ def test_grad_check_skips_abs_cos_kink():
     # node 0's content and environment rows are orthogonal, so |cos(c_0, e_0)|
     # sits on its kink; the probes of c_0[1] and e_0[0] flip the sign of the
     # cosine, and central differences there read 0 against the + side's 0.5
-    c = ad.Tensor(np.array([[1.0, 0.0], [0.6, 0.8]]), requires_grad=True)
-    e = ad.Tensor(np.array([[0.0, 1.0], [0.8, -0.3]]), requires_grad=True)
+    c = np.array([[1.0, 0.0], [0.6, 0.8]])
+    e = np.array([[0.0, 1.0], [0.8, -0.3]])
     empty = np.zeros(0, dtype=np.int64)
     cf = CounterfactualIndex(e_ids=(empty, empty), c_ids=(empty, empty), k=1)
-    assert grad_check(lambda: inv_loss(c, e, cf, 1.0), [c, e]) < 1e-9
+
+    def loss_fn():
+        value, g_c, g_e = inv_loss(c, e, cf, 1.0)
+        return value, [g_c, g_e]
+
+    assert grad_check(loss_fn, [c, e]) < 1e-9
 
 
 def test_grad_check_skips_suf_clamp_crossing():
@@ -756,17 +801,21 @@ def test_grad_check_skips_suf_clamp_crossing():
     # probes of h_0[0] and h_1[0] cross the clamp: central differences there
     # read about half of the inside slope
     s = math.log(PROB_FLOOR / (1.0 - PROB_FLOOR))
-    h = ad.Tensor(np.array([[s, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-                  requires_grad=True)
-    assert grad_check(lambda: suf_loss(h, [(0, 1)], [(2, 3)]), [h]) < 1e-9
+    h = np.array([[s, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+    def loss_fn():
+        value, grad = suf_loss(h, [(0, 1)], [(2, 3)])
+        return value, [grad]
+
+    assert grad_check(loss_fn, [h]) < 1e-9
 
 
 @pytest.mark.parametrize("which", ["pred", "inv", "suf", "sc", "env", "total"])
 def test_every_loss_passes_grad_check(which):
     for seed in range(5):
         enc, pred, build = loss_builders(seed)
-        params = enc.tensors()
+        params = enc.arrays()
         if which in ("pred", "total"):
-            params = params + pred.tensors()
+            params = params + pred.arrays()
         err = grad_check(lambda: build(which), params, eps=1e-5, seed=seed)
         assert err < 1e-4, f"{which} seed {seed}: {err}"

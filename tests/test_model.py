@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator
 from fairgraph.errors import ShapeError
 from fairgraph.graph import Graph
@@ -26,31 +25,31 @@ def ring(n):
 def test_init_deterministic_in_seed():
     a_enc, a_pred = init_params(7, 16, 16, seed=0)
     b_enc, b_pred = init_params(7, 16, 16, seed=0)
-    for x, y in zip(a_enc.tensors() + a_pred.tensors(),
-                    b_enc.tensors() + b_pred.tensors()):
-        assert np.array_equal(x.value, y.value)
+    for x, y in zip(a_enc.arrays() + a_pred.arrays(),
+                    b_enc.arrays() + b_pred.arrays()):
+        assert np.array_equal(x, y)
     c_enc, _ = init_params(7, 16, 16, seed=1)
-    assert not np.array_equal(a_enc.w1.value, c_enc.w1.value)
+    assert not np.array_equal(a_enc.w1, c_enc.w1)
 
 
 def test_init_shapes_and_bounds():
     enc, pred = init_params(7, 16, 16, seed=0)
-    assert enc.w1.value.shape == (14, 16)
-    assert enc.w2.value.shape == (32, 32)  # hidden=16, d_c=d_e=16
-    assert pred.w.value.shape == (16, 1)
-    assert np.array_equal(enc.b1.value, np.zeros(16))
+    assert enc.w1.shape == (14, 16)
+    assert enc.w2.shape == (32, 32)  # hidden=16, d_c=d_e=16
+    assert pred.w.shape == (16, 1)
+    assert np.array_equal(enc.b1, np.zeros(16))
     limit = np.sqrt(6.0 / (14 + 16))
-    assert np.abs(enc.w1.value).max() <= limit
+    assert np.abs(enc.w1).max() <= limit
 
 
 def test_zero_weights_give_broadcast_bias():
     enc, _ = init_params(3, 4, 2, seed=0)
-    for t in (enc.w1, enc.w2):
-        t.value = np.zeros_like(t.value)
-    enc.b2.value = np.arange(4, dtype=float)
+    for a in (enc.w1, enc.w2):
+        a[...] = 0.0
+    enc.b2[...] = np.arange(4, dtype=float)
     agg = NeighborAggregator(ring(5))
     latent = encode(enc, agg, np.random.default_rng(0).standard_normal((5, 3)))
-    assert np.array_equal(latent.h.value, np.tile(np.arange(4.0), (5, 1)))
+    assert np.array_equal(latent.h, np.tile(np.arange(4.0), (5, 1)))
 
 
 def test_isolated_node_depends_on_self_only():
@@ -60,8 +59,8 @@ def test_isolated_node_depends_on_self_only():
     x1 = rng.standard_normal((4, 3))
     x2 = x1.copy()
     x2[:3] += rng.standard_normal((3, 3))  # perturb everyone but node 3
-    h1 = encode(enc, NeighborAggregator(g), x1).h.value
-    h2 = encode(enc, NeighborAggregator(g), x2).h.value
+    h1 = encode(enc, NeighborAggregator(g), x1).h
+    h2 = encode(enc, NeighborAggregator(g), x2).h
     assert np.array_equal(h1[3], h2[3])
     assert not np.array_equal(h1[:3], h2[:3])
 
@@ -75,8 +74,8 @@ def test_permutation_equivariance():
     g2 = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges])
     x2 = np.empty_like(x)
     x2[perm] = x
-    h1 = encode(enc, NeighborAggregator(g), x).h.value
-    h2 = encode(enc, NeighborAggregator(g2), x2).h.value
+    h1 = encode(enc, NeighborAggregator(g), x).h
+    h2 = encode(enc, NeighborAggregator(g2), x2).h
     assert np.allclose(h2[perm], h1, atol=1e-12)
 
 
@@ -84,20 +83,20 @@ def test_c_and_e_are_exact_column_blocks():
     enc, _ = init_params(3, 4, 2, seed=4)
     agg = NeighborAggregator(ring(6))
     latent = encode(enc, agg, np.random.default_rng(2).standard_normal((6, 3)))
-    assert np.array_equal(latent.h.value[:, :2], latent.c.value)
-    assert np.array_equal(latent.h.value[:, 2:], latent.e.value)
+    assert np.array_equal(latent.h[:, :2], latent.c)
+    assert np.array_equal(latent.h[:, 2:], latent.e)
 
 
 def test_predict_tie_rule_and_saturation():
     _, pred = init_params(3, 4, 2, seed=0)
-    pred.w.value = np.zeros_like(pred.w.value)
-    pred.b.value = np.zeros_like(pred.b.value)
-    c = ad.Tensor(np.random.default_rng(3).standard_normal((5, 2)))
+    pred.w[...] = 0.0
+    pred.b[...] = 0.0
+    c = np.random.default_rng(3).standard_normal((5, 2))
     probs = predict(pred, c)
-    assert np.all(probs.value == 0.5)
+    assert np.all(probs == 0.5)
     assert hard_labels(probs).tolist() == [1, 1, 1, 1, 1]
-    pred.b.value = np.array([40.0])
-    assert np.all(predict(pred, c).value > 1.0 - 1e-12)
+    pred.b[...] = 40.0
+    assert np.all(predict(pred, c) > 1.0 - 1e-12)
 
 
 def test_encode_shape_mismatch():
@@ -110,15 +109,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     enc, pred = init_params(5, 8, 4, seed=9)
     g = ring(7)
     x = np.random.default_rng(4).standard_normal((7, 5))
-    probs_before = predict(pred, encode(enc, NeighborAggregator(g), x).c).value
+    probs_before = predict(pred, encode(enc, NeighborAggregator(g), x).c)
     path = tmp_path / "params.json"
     save_checkpoint(path, enc, pred, meta={"note": "test"})
     enc2, pred2, meta = load_checkpoint(path)
     assert meta["note"] == "test"
-    for a, b in zip(enc.tensors() + pred.tensors(),
-                    enc2.tensors() + pred2.tensors()):
-        assert np.array_equal(a.value, b.value)
-    probs_after = predict(pred2, encode(enc2, NeighborAggregator(g), x).c).value
+    for a, b in zip(enc.arrays() + pred.arrays(),
+                    enc2.arrays() + pred2.arrays()):
+        assert np.array_equal(a, b)
+    probs_after = predict(pred2, encode(enc2, NeighborAggregator(g), x).c)
     assert np.array_equal(probs_before, probs_after)
 
 
@@ -139,6 +138,6 @@ def test_forward_deterministic():
     g = ring(9)
     agg = NeighborAggregator(g)
     x = np.random.default_rng(5).standard_normal((9, 4))
-    a = predict(pred, encode(enc, agg, x).c).value
-    b = predict(pred, encode(enc, agg, x).c).value
+    a = predict(pred, encode(enc, agg, x).c)
+    b = predict(pred, encode(enc, agg, x).c)
     assert np.array_equal(a, b)
