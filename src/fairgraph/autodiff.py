@@ -83,7 +83,7 @@ def row_mean_neighbors_backward(g, agg):
     """Gradient with respect to x of row_mean_neighbors(x, agg), given the
     gradient g of its output. The adjacency is symmetric, so this is a
     product with `adj` itself: row i adds g_j / deg_j over its neighbours j
-    in ascending order, from zero, as a scatter-add would."""
+    in ascending order, from zero."""
     return agg.adj @ (g * agg.inv_deg[:, None])
 
 

@@ -281,8 +281,11 @@ def cmd_grid(args):
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     if args.grid_json:
-        with open(args.grid_json, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
+        try:
+            with open(args.grid_json, "r", encoding="utf-8") as fh:
+                grid = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read grid {args.grid_json}: {exc}") from exc
     else:
         grid = DEFAULT_GRID
     cells = grid_search(graph, table, cfg, grid)

@@ -6,13 +6,12 @@ sampling.
 Every loss returns its value and its gradient with respect to its own
 inputs, as plain arrays: prediction with respect to the logit, invariance
 with respect to C and E, structure with respect to H, contrast with respect
-to C and environment with respect to E. Each term beyond prediction takes
-its weight in the composite and returns the gradient of the weighted term,
-so the weight enters where the composite's chain rule puts it. A kernel
-computes each value and gradient in closed form, the pairwise terms
-(invariance, structure, environment) one block of node pairs at a time with
-one sparse product for the gradient. `total_loss` adds the gradients into
-one dL/dH and one dL/dlogit, which `autodiff.grad` takes through the model.
+to C and environment with respect to E. No loss takes a weight: a kernel
+computes each unweighted value and gradient in closed form, the pairwise
+terms (invariance, structure, environment) one block of node pairs at a
+time with one sparse product for the gradient. `total_loss` scales each
+term by its weight as it adds the gradients into one dL/dH and one
+dL/dlogit, which `autodiff.grad` takes through the model.
 """
 
 from __future__ import annotations
@@ -95,27 +94,26 @@ def _whole_number(field, value):
 class CounterfactualIndex:
     """Per node, up to K nearest latent neighbors of each counterfactual kind:
     e-type shares the pseudo-label with opposite sensitive attribute, c-type
-    the reverse. Lists may be shorter than K only when candidates run out."""
+    the reverse. Each kind is kept as `_nearest` returns it, (counts, ids):
+    counts[i] hits for node i, then every node's hits in node order, nearest
+    first. Lists are shorter than K only when candidates run out."""
 
-    e_ids: tuple          # tuple of int arrays, per node
-    c_ids: tuple
+    e: tuple
+    c: tuple
     k: int
-    empty_e: int = 0      # nodes with no e-type candidate at all
-    empty_c: int = 0
+
+    # per node, its ids as an array; and the number of nodes without any
+    e_ids = property(lambda self: tuple(np.split(self.e[1], np.cumsum(self.e[0])[:-1])))
+    c_ids = property(lambda self: tuple(np.split(self.c[1], np.cumsum(self.c[0])[:-1])))
+    empty_e = property(lambda self: int(np.count_nonzero(self.e[0] == 0)))
+    empty_c = property(lambda self: int(np.count_nonzero(self.c[0] == 0)))
 
     def pairs_e(self):
-        """Flattened (anchor_ids, counterfactual_ids) over realized e-pairs."""
-        return _flatten_pairs(self.e_ids)
+        """(anchor_ids, counterfactual_ids) over realized e-pairs."""
+        return np.repeat(np.arange(len(self.e[0])), self.e[0]), self.e[1]
 
     def pairs_c(self):
-        return _flatten_pairs(self.c_ids)
-
-
-def _flatten_pairs(id_lists):
-    counts = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
-    anchors = np.repeat(np.arange(len(id_lists), dtype=np.int64), counts)
-    partners = np.concatenate([np.zeros(0, dtype=np.int64), *id_lists])
-    return anchors, partners.astype(np.int64, copy=False)
+        return np.repeat(np.arange(len(self.c[0])), self.c[0]), self.c[1]
 
 
 _BLOCK = 128          # anchor rows per block of the top-k and contrast kernels
@@ -129,12 +127,19 @@ def _nearest(x, cells, k):
     each row is an anchor of at most one cell, and its candidates are that
     cell's. Returns (counts, ids): the number of hits per row and the hits
     flattened in (row, distance, id) order, so ties go to the smaller id. A
-    row has fewer than k hits only when it has fewer candidates. Distances
-    are sq_i + sq_j - 2 x_i.x_j clamped at 0, one block of a cell's anchors
-    against the cell's candidate columns at a time, so memory stays
-    O(block * candidates).
+    row has fewer than k hits only when it has fewer candidates.
+
+    One block of a cell's anchors is screened against the cell's candidate
+    columns at a time, so memory stays O(block * candidates): the expansion
+    sq_i + sq_j - 2 x_i.x_j keeps every candidate within the k-th smallest
+    plus twice a bound on the expansion's rounding error, and only those
+    are ranked, by their squared difference |x_i - x_j|^2, in which rows
+    equal to each other tie exactly.
     """
     sq = (x * x).sum(axis=1)
+    # the expansion is off by at most (dim + 2) eps (sq_i + sq_j), to first
+    # order; the cut and each candidate carry one such error, times 2 margin
+    slack = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps
     counts = np.zeros(x.shape[0], dtype=np.int64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for anchors, cand in cells:
@@ -145,13 +150,12 @@ def _nearest(x, cells, k):
         for start in range(0, len(anchors), _BLOCK):
             block = anchors[start:start + _BLOCK]
             d = sq[block, None] + sqc[None, :] - 2.0 * (x[block] @ xc.T)
-            np.maximum(d, 0.0, out=d)
-            # every candidate at or below the k-th smallest distance, then an
-            # exact (row, distance, id) sort of those few; the columns are in
-            # id order, so the column breaks a tie as the id would
-            cut = np.partition(d, kth, axis=1)[:, kth, None]
-            r, c = np.nonzero(d <= cut)
-            order = np.lexsort((c, d[r, c], r))
+            cut = np.partition(d, kth, axis=1)[:, kth] + slack * (sq[block] + sqc.max())
+            r, c = np.nonzero(d <= cut[:, None])
+            exact = _pair_dots(x, block[r], cand[c], differences=True)
+            # the columns are in id order, so the column breaks a tie as the
+            # id would
+            order = np.lexsort((c, exact, r))
             r, c = r[order], c[order]
             row_hits = np.bincount(r, minlength=len(block))
             keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
@@ -182,18 +186,11 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
             e_cells.append((anchors, np.flatnonzero(same_label & (sensitive != group))))
             c_cells.append((anchors, np.flatnonzero((pseudo != label) & same_group)))
 
-    def nearest(cells):
-        counts, ids = _nearest(h, cells, k)
-        return (tuple(np.split(ids, np.cumsum(counts)[:-1])),
-                int(np.count_nonzero(counts == 0)))
-
-    e_ids, empty_e = nearest(e_cells)
-    c_ids, empty_c = nearest(c_cells)
-    if empty_e or empty_c:
+    cf = CounterfactualIndex(e=_nearest(h, e_cells, k), c=_nearest(h, c_cells, k), k=k)
+    if cf.empty_e or cf.empty_c:
         log.debug("counterfactual selection: %d nodes without e-type, %d without c-type",
-                  empty_e, empty_c)
-    return CounterfactualIndex(e_ids=e_ids, c_ids=c_ids, k=k, empty_e=empty_e,
-                               empty_c=empty_c)
+                  cf.empty_e, cf.empty_c)
+    return cf
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +199,8 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
 def pred_loss(probs, labels, mask):
     """Mean binary cross-entropy over masked nodes, probabilities clamped to
     [PROB_FLOOR, 1 - PROB_FLOOR]; returns (value, dL/dlogit), probs being
-    the (n, 1) sigmoid of the logit.
-
-    The gradient runs the reverse of the composition link by link, each
-    log, the clamp and the sigmoid in turn, rather than the simplified
-    (p - y) mask / count, so every rounding is the same as that chain's.
-    """
+    the (n, 1) sigmoid of the logit. dL/dlogit is (p - y) mask / count
+    where p lies inside the clamp, and 0 where the clamp holds it."""
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
@@ -217,10 +210,8 @@ def pred_loss(probs, labels, mask):
     p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
     ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     value = -((w * ll).sum() * (1.0 / count))
-    g = -(1.0 / count) * w
-    g = g * y / p - g * (1.0 - y) / (1.0 - p)
     inside = (probs >= PROB_FLOOR) & (probs <= 1.0 - PROB_FLOOR)
-    return value, g * inside * probs * (1.0 - probs)
+    return value, np.where(inside, (probs - y) / count * w, 0.0)
 
 
 def _pair_dots(x, i, j, differences=False):
@@ -282,7 +273,7 @@ def _inv_value_and_grad(c, e, cf, gamma):
     return value, grads[0], grads[1]
 
 
-def inv_loss(c, e, cf: CounterfactualIndex, gamma, weight=1.0):
+def inv_loss(c, e, cf: CounterfactualIndex, gamma):
     """Counterfactual invariance: content should match its e-type
     counterfactuals, environment its c-type counterfactuals, and the two
     blocks should stay orthogonal per node.
@@ -290,10 +281,9 @@ def inv_loss(c, e, cf: CounterfactualIndex, gamma, weight=1.0):
     Missing counterfactual terms are skipped and each distance sum is
     averaged over realized pairs only; the |cos(c_i, e_i)| term always
     contributes gamma * mean_i |cos| once per node. Returns (value,
-    d(weight * value)/dc, d(weight * value)/de), from a closed form.
+    dvalue/dc, dvalue/de), from a closed form.
     """
-    value, grad_c, grad_e = _inv_value_and_grad(c, e, cf, float(gamma))
-    return value, weight * grad_c, weight * grad_e
+    return _inv_value_and_grad(c, e, cf, float(gamma))
 
 
 def _in_sorted(codes, values):
@@ -351,18 +341,16 @@ def _suf_value_and_grad(h, pairs, n_pos):
     return value, _symmetric(h.shape[0], i, j, slope) @ h
 
 
-def suf_loss(h, pos_edges, neg_edges, weight=1.0):
+def suf_loss(h, pos_edges, neg_edges):
     """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
     averaged over positive and negative pairs together. Both edge sets are
-    (k, 2) arrays or sequences of node pairs. Returns (value,
-    d(weight * value)/dh), from a closed form with the pair dots one block
-    at a time."""
+    (k, 2) arrays or sequences of node pairs. Returns (value, dvalue/dh),
+    from a closed form with the pair dots one block at a time."""
     if len(pos_edges) == 0 or len(neg_edges) == 0:
         raise UndefinedMetricError("structure loss needs positive and negative edges")
     pairs = np.concatenate([np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2),
                             np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)])
-    value, grad = _suf_value_and_grad(h, pairs, len(pos_edges))
-    return value, weight * grad
+    return _suf_value_and_grad(h, pairs, len(pos_edges))
 
 
 def _tvmf(cos, kappa):
@@ -425,17 +413,16 @@ def _sc_value_and_grad(u, y, kappa):
     return row_loss.sum(), grad
 
 
-def sc_loss(c, labels, participant_mask, kappa, weight=1.0):
+def sc_loss(c, labels, participant_mask, kappa):
     """Supervised contrast on content rows: each participating node is pulled
     toward same-label participants and pushed from the rest, with the t-vMF
     similarity in place of the dot product. Nodes without positives are
     skipped; if no node has a positive the loss is undefined.
 
-    Returns (value, d(weight * value)/dc). The kernel works on the
-    normalised participant rows, blockwise; the weight scales its gradient
-    before the reverse of the normalisation, whose rounding does not commute
-    with it, and the reverse of the gather puts each participant's row back
-    in place (each participates once). Other rows get zero."""
+    Returns (value, dvalue/dc). The kernel works on the normalised
+    participant rows, blockwise; each participant's gradient row goes back
+    to its own row of c (each participates once), and other rows get
+    zero."""
     mask = np.asarray(participant_mask, dtype=bool)
     idx = np.where(mask)[0]
     if len(idx) < 2:
@@ -446,14 +433,14 @@ def sc_loss(c, labels, participant_mask, kappa, weight=1.0):
     u, norms = ad.unit_rows(c[rows])
     value, grad_u = _sc_value_and_grad(u, y[by_label], float(kappa))
     grad = np.zeros_like(c)
-    grad[rows] = ad.unit_rows_backward(weight * grad_u, u, norms)
+    grad[rows] = ad.unit_rows_backward(grad_u, u, norms)
     return value, grad
 
 
-def env_loss(e, sensitive, k_prime, weight=1.0):
+def env_loss(e, sensitive, k_prime):
     """Environmental separation: minus the mean distance from each node to its
     K' nearest opposite-group neighbors in the environment block. Returns
-    (value, d(weight * value)/de), from a closed form."""
+    (value, dvalue/de), from a closed form."""
     if k_prime < 1:
         raise ValueError("K_prime must be >= 1")
     s = np.asarray(sensitive).reshape(-1)
@@ -471,14 +458,13 @@ def env_loss(e, sensitive, k_prime, weight=1.0):
     slope = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
     degree = np.bincount(anchors, slope, n) + np.bincount(partners, slope, n)
     grad = _symmetric(n, anchors, partners, slope) @ e - degree[:, None] * e
-    return -(w * dist).sum(), weight * grad
+    return -(w * dist).sum(), grad
 
 
 @dataclass
 class LossParts:
-    """The five terms as their losses returned them, (value, gradients...);
-    absent terms stay None. The gradients of every term but prediction are
-    those of the weighted term."""
+    """The five terms as their losses returned them, (value, gradients...),
+    unweighted; absent terms stay None."""
 
     pred: tuple
     inv: tuple | None = None
@@ -496,12 +482,12 @@ class LossParts:
 def total_loss(parts: LossParts, weights: LossWeights, w_pred):
     """pred + alpha*inv + beta*suf + omega*sc + eta*env over present parts.
 
-    Returns (value, dL/dH, dL/dlogit). The auxiliary parts must come from
-    losses called with these weights. w_pred is the predictor's (d_c, 1)
-    weight column, through which the prediction term reaches C; E is as
-    wide as C. Each block adds its terms in one fixed order: C prediction,
-    invariance, contrast; E invariance, environment; then H the structure
-    term.
+    Returns (value, dL/dH, dL/dlogit); this is the one place a weight
+    touches the objective. w_pred is the predictor's (d_c, 1) weight
+    column, through which the prediction term reaches C; E is as wide as C.
+    Each block adds its weighted gradients in one fixed order: C
+    prediction, invariance, contrast; E invariance, environment; then H the
+    structure term.
     """
     terms = [(1.0, parts.pred), (weights.alpha, parts.inv),
              (weights.beta, parts.suf), (weights.omega, parts.sc),
@@ -518,13 +504,13 @@ def total_loss(parts: LossParts, weights: LossWeights, w_pred):
     g_c = g_logit @ w_pred.T
     g_e = np.zeros_like(g_c)
     if parts.inv is not None:
-        g_c = g_c + parts.inv[1]
-        g_e = parts.inv[2]
+        g_c = g_c + weights.alpha * parts.inv[1]
+        g_e = weights.alpha * parts.inv[2]
     if parts.sc is not None:
-        g_c = g_c + parts.sc[1]
+        g_c = g_c + weights.omega * parts.sc[1]
     if parts.env is not None:
-        g_e = g_e + parts.env[1]
+        g_e = g_e + weights.eta * parts.env[1]
     g_h = np.concatenate([g_c, g_e], axis=1)
     if parts.suf is not None:
-        g_h = g_h + parts.suf[1]
+        g_h = g_h + weights.beta * parts.suf[1]
     return total, g_h, g_logit

@@ -46,8 +46,8 @@ class PredictorParams:
 
 @dataclass
 class LatentState:
-    """H = [C | E]; C is the first d_c columns, E the rest, each a
-    contiguous copy. The rest is the forward cache `autodiff.grad` reads:
+    """H = [C | E]; C is the first d_c columns of H and E the rest, both
+    views of H. The rest is the forward cache `autodiff.grad` reads:
     the layer inputs z1 = [X | mean X] and z2 = [H1 | mean H1], the ReLU
     mask `active` of layer one, and the aggregator."""
 
@@ -94,10 +94,8 @@ def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
     h1 = np.where(active, a1, 0.0)
     z2 = np.concatenate([h1, ad.row_mean_neighbors(h1, agg)], axis=1)
     h = z2 @ params.w2 + params.b2
-    # copies, so that C^T g and C W sum in the order of a contiguous array
-    c = h[:, :params.d_c].copy()
-    e = h[:, params.d_c:params.d_c + params.d_e].copy()
-    return LatentState(h=h, c=c, e=e, z1=z1, z2=z2, active=active, agg=agg)
+    return LatentState(h=h, c=h[:, :params.d_c], e=h[:, params.d_c:], z1=z1, z2=z2,
+                       active=active, agg=agg)
 
 
 def predict(phi: PredictorParams, c):

@@ -13,6 +13,8 @@ import hashlib
 import itertools
 import json
 import logging
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,6 +35,7 @@ from .graph import EditReport, Graph, NodeLabels, fair_edge_remove, skipped_edit
 from .losses import (
     LossParts,
     LossWeights,
+    _whole_number,
     inv_loss,
     pred_loss,
     sample_negative_edges,
@@ -83,23 +86,31 @@ class TrainConfig:
     d_c: int = 16
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.refresh_period < 1:
-            raise ConfigError("refresh_period must be >= 1")
-        if not 1 <= self.T_train <= EPOCH_CAP:
-            raise ConfigError(f"T_train must be in 1..{EPOCH_CAP}")
-        if not 1 <= self.T_pre <= EPOCH_CAP:
-            raise ConfigError(f"T_pre must be in 1..{EPOCH_CAP}")
+        """Every malformed value is a ConfigError; counts become ints."""
+        if isinstance(self.lr, bool) or not (isinstance(self.lr, numbers.Real)
+                                             and 0 < self.lr < math.inf):
+            raise ConfigError(f"lr must be a positive number, got {self.lr!r}")
+        for name, high in (("T_pre", EPOCH_CAP), ("T_train", EPOCH_CAP),
+                           ("refresh_period", math.inf), ("hidden", math.inf),
+                           ("d_c", math.inf)):
+            value = _whole_number(name, getattr(self, name))
+            if not 1 <= value <= high:
+                raise ConfigError(f"{name} must be in 1..{high}, got {value}")
+            object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("gd", "adam"):
             raise ConfigError("optimizer must be 'gd' or 'adam'")
-        if len(self.splits) != 3 or abs(sum(self.splits) - 1.0) > 1e-9 \
-                or min(self.splits) <= 0:
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        object.__setattr__(self, "seeds",
+                           tuple(_whole_number("seeds", s) for s in self.seeds))
+        splits = self.splits
+        if not isinstance(splits, (list, tuple)) or len(splits) != 3 \
+                or not all(isinstance(f, numbers.Real) and f > 0 for f in splits) \
+                or abs(sum(splits) - 1.0) > 1e-9:
             raise ConfigError("splits must be three positive fractions summing to 1")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "splits", tuple(float(f) for f in self.splits))
+        object.__setattr__(self, "splits", tuple(float(f) for f in splits))
 
     def to_dict(self):
         return {"weights": self.weights.to_dict(), "lr": self.lr,
@@ -111,6 +122,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a mapping, got {type(doc).__name__}")
         known = {"weights", "lr", "T_pre", "T_train", "refresh_period", "seeds",
                  "splits", "mode", "optimizer", "hidden", "d_c"}
         unknown = set(doc) - known
@@ -119,14 +132,7 @@ class TrainConfig:
         kwargs = dict(doc)
         if "weights" in kwargs:
             kwargs["weights"] = LossWeights.from_dict(kwargs["weights"])
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "splits" in kwargs:
-            kwargs["splits"] = tuple(kwargs["splits"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
 
     def config_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -374,14 +380,13 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
             refresh(latent, probs)
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
-            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, weight=w.alpha)
+            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
         if use_suf:
-            parts.suf = suf_loss(latent.h, pos_edges, neg_edges, weight=w.beta)
+            parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
         if use_sc:
-            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa,
-                               weight=w.omega)
+            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
         if use_env:
-            parts.env = env_loss(latent.e, sens, w.k_prime, weight=w.eta)
+            parts.env = env_loss(latent.e, sens, w.k_prime)
         loss, g_h, g_logit = total_loss(parts, w, pred.w)
         if not np.isfinite(loss):
             raise DivergenceError("training loss became non-finite",
@@ -517,12 +522,18 @@ DEFAULT_GRID = {
 
 def grid_search(graph: Graph, table: NodeTable, base_cfg: TrainConfig, grid):
     """Evaluate every grid cell across the config's seeds and rank by mean
-    best-epoch validation score (descending; ties by cell key)."""
+    best-epoch validation score (descending; ties by cell key). The grid
+    maps each tunable weight to a nonempty list of values."""
     base = base_cfg.weights.to_dict()
-    for key in grid:
+    if not isinstance(grid, dict):
+        raise ConfigError(f"a grid must be a mapping, got {type(grid).__name__}")
+    for key, values in grid.items():
         if key not in base:
             raise ConfigError(f"grid key {key!r} not tunable "
                               f"(expected {sorted(base)})")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"grid key {key!r} needs a nonempty list of values, "
+                              f"got {values!r}")
     keys = sorted(grid)
     cells = [dict(zip(keys, combo))
              for combo in itertools.product(*(grid[k] for k in keys))]

@@ -274,18 +274,29 @@ def inv_loss_tape(c, e, cf, gamma):
     return float(value), grad_c, grad_e
 
 
+def nearest_scan(x, allowed, k):
+    """Per row i, the at most k rows j with allowed[i, j] nearest to x_i, in
+    (|x_i - x_j|^2, j) order: an exact scan, one row at a time, as the
+    reference for `losses._nearest`."""
+    ids = []
+    for i, row in enumerate(allowed):
+        cand = np.flatnonzero(row)
+        d2 = ((x[cand] - x[i]) ** 2).sum(axis=1)
+        ids.append(cand[np.lexsort((cand, d2))[:k]])
+    return ids
+
+
 def env_loss_tape(e, sensitive, k_prime):
     """Reference for `losses.env_loss`: its value and dL/de; a zero distance
     passes no gradient. Each node's K' nearest opposite-group rows come from
-    `losses._nearest`, as the loss takes them: a scan by exact distance can
-    order rows tied at distance 0 differently."""
+    `nearest_scan`."""
     e = np.asarray(e, dtype=np.float64)
     s = np.asarray(sensitive).reshape(-1)
     n = len(s)
-    cells = [(np.flatnonzero(s == group), np.flatnonzero(s != group))
-             for group in np.unique(s)]
-    counts, partners = losses._nearest(e, cells, k_prime)
+    nearest = nearest_scan(e, s[:, None] != s[None, :], k_prime)
+    counts = np.array([len(ids) for ids in nearest])
     anchors = np.repeat(np.arange(n), counts)
+    partners = np.concatenate(nearest)
     w = (1.0 / (n * counts[anchors])).reshape(-1, 1)
     diff = e[anchors] - e[partners]
     dist = np.sqrt((diff * diff).sum(axis=1, keepdims=True))

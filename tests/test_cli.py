@@ -297,6 +297,32 @@ def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("hidden", 0), ("d_c", 0), ("T_pre", 2.5), ("hidden", "8"), ("seeds", ["a"]),
+    ("seeds", []), ("refresh_period", 2.5), ("lr", True)],
+    ids=["hidden-0", "d_c-0", "T_pre-2.5", "hidden-string", "seeds-string",
+         "seeds-empty", "refresh_period-2.5", "lr-bool"])
+def test_malformed_config_value_exit_2(toy_dir, tmp_path, field, value, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, field: value}))
+    assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", [None, "{not json", {"alpha": 0.5}, {"alpha": []}],
+                         ids=["missing-file", "not-json", "scalar-value", "empty-list"])
+def test_malformed_grid_exit_2(toy_dir, tmp_path, grid, capsys):
+    grid_file = tmp_path / "grid.json"
+    if grid is not None:
+        grid_file.write_text(grid if isinstance(grid, str) else json.dumps(grid))
+    assert main(["grid", "--dataset", toy_dir, "--grid-json", str(grid_file),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_roundtrip_drives_training(toy_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -28,8 +28,8 @@ from fairgraph.losses import (
     total_loss,
 )
 from fairgraph.model import encode, init_params, predict
-from oracles import (env_loss_tape, grad_check, inv_loss_tape, sc_loss_dense,
-                     suf_loss_tape, tvmf)
+from oracles import (env_loss_tape, grad_check, inv_loss_tape, nearest_scan,
+                     sc_loss_dense, suf_loss_tape, tvmf)
 
 
 def floats(values):
@@ -148,6 +148,20 @@ def test_selection_matches_exhaustive_scan():
     assert all(len(cf.e_ids[i]) == 3 for i in np.flatnonzero(cell == 3))
 
 
+def test_exact_ties_go_to_the_smaller_id():
+    """Rows equal to the anchor are all at distance 0, but the expansion
+    sq_i + sq_j - 2 x_i.x_j puts some at 0.0 and some at 8.9e-16; selection
+    must still rank them by id, as an exact scan does. One pseudo-label, so
+    the e-type cells are the two groups against each other."""
+    rng = np.random.default_rng(19)
+    n = 1000
+    h = tied_rows(rng, n, 4)
+    s = rng.integers(0, 2, n)
+    cf = select_counterfactuals(h, np.zeros(n, dtype=int), s, 5)
+    want = nearest_scan(h, s[:, None] != s[None, :], 5)
+    assert all(np.array_equal(got, ids) for got, ids in zip(cf.e_ids, want, strict=True))
+
+
 def test_selection_constraints_always_hold():
     rng = np.random.default_rng(3)
     h = rng.standard_normal((30, 3))
@@ -180,6 +194,18 @@ def test_pred_loss_hand_sum():
     assert float(got[0]) == pytest.approx(expected, abs=1e-12)
 
 
+def test_pred_loss_gradient_is_closed_form():
+    """dL/dlogit is (p - y) / count on masked rows inside the clamp, and
+    exactly 0 outside the clamp or the mask."""
+    probs = floats([[0.8], [1e-13], [0.3], [1.0 - 1e-14], [0.6], [0.5]])
+    y = np.array([1, 0, 0, 1, 1, 0])
+    mask = np.array([True, True, True, True, True, False])
+    _, g = pred_loss(probs, y, mask)
+    inside = np.array([True, False, True, False, True, True])
+    assert np.array_equal(g[mask & inside, 0], ((probs[:, 0] - y) / 5)[mask & inside])
+    assert not np.any(g[~(mask & inside)])
+
+
 def test_pred_loss_mask_and_errors():
     probs = floats([[0.9], [0.1]])
     only_first = pred_loss(probs, [1, 1], [True, False])
@@ -192,9 +218,9 @@ def test_pred_loss_mask_and_errors():
 # invariance loss
 
 def cf_pair():
-    empty = np.zeros(0, dtype=np.int64)
-    return CounterfactualIndex(
-        e_ids=(np.array([1]), empty), c_ids=(np.array([1]), empty), k=1)
+    # node 0's one counterfactual of each kind is node 1; node 1 has none
+    one = (np.array([1, 0]), np.array([1]))
+    return CounterfactualIndex(e=one, c=one, k=1)
 
 
 def test_inv_loss_cosine_hand_sum():
@@ -217,9 +243,9 @@ def test_inv_loss_logs_zero_rows_at_debug(caplog):
     # one of the three e-type pairs has a zero content row; c-type is empty
     c = floats([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     e = floats([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
-    empty = np.zeros(0, dtype=np.int64)
-    cf = CounterfactualIndex(e_ids=(np.array([1]), np.array([2]), np.array([1])),
-                             c_ids=(empty, empty, empty), k=1)
+    cf = CounterfactualIndex(e=(np.ones(3, dtype=np.int64), np.array([1, 2, 1])),
+                             c=(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+                             k=1)
     quiet = float(inv_loss(c, e, cf, gamma=1.0)[0])
     with caplog.at_level(logging.DEBUG, logger="fairgraph.losses"):
         loud = float(inv_loss(c, e, cf, gamma=1.0)[0])
@@ -679,33 +705,19 @@ def test_total_loss_reductions():
 
 
 def test_total_loss_adds_gradients_in_block_order():
-    """dL/dH adds, bit for bit, C: prediction (through w_pred), invariance,
-    contrast; E: invariance, environment; then the structure term on all of
-    H. The weights are already in the parts' gradients."""
+    """dL/dH adds the weighted gradients, bit for bit, C: prediction
+    (through w_pred), invariance, contrast; E: invariance, environment; then
+    the structure term on all of H."""
     parts, w_pred = composite_parts(np.random.default_rng(21))
-    _, g_h, g_logit = total_loss(parts, LossWeights(alpha=0.3, omega=0.7), w_pred)
+    w = LossWeights(alpha=0.3, beta=0.6, omega=0.7, eta=0.2)
+    _, g_h, g_logit = total_loss(parts, w, w_pred)
     assert g_logit is parts.pred[1]
-    g_c = (parts.pred[1] @ w_pred.T + parts.inv[1]) + parts.sc[1]
-    g_e = parts.inv[2] + parts.env[1]
-    assert np.array_equal(g_h, np.hstack([g_c, g_e]) + parts.suf[1])
+    g_c = (parts.pred[1] @ w_pred.T + 0.3 * parts.inv[1]) + 0.7 * parts.sc[1]
+    g_e = 0.3 * parts.inv[2] + 0.2 * parts.env[1]
+    assert np.array_equal(g_h, np.hstack([g_c, g_e]) + 0.6 * parts.suf[1])
     # prediction alone reaches C only
     _, g_h, _ = total_loss(LossParts(pred=parts.pred), LossWeights(), w_pred)
     assert np.array_equal(g_h, np.hstack([parts.pred[1] @ w_pred.T, np.zeros((5, 2))]))
-
-
-def test_weighted_terms_scale_their_gradients():
-    rng = np.random.default_rng(22)
-    c, e = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
-    y, s = rng.integers(0, 2, 30), rng.integers(0, 2, 30)
-    cf = select_counterfactuals(np.hstack([c, e]), y, s, 3)
-    neg = rng.integers(0, 30, (20, 2))
-    for loss, args in ((inv_loss, (c, e, cf, 0.5)), (suf_loss, (c, neg[:10], neg[10:])),
-                       (sc_loss, (c, y, np.ones(30, bool), 1.0)), (env_loss, (e, s, 2))):
-        value, *grads = loss(*args)
-        weighted, *scaled = loss(*args, weight=0.3)
-        assert weighted == value
-        for got, want in zip(scaled, grads, strict=True):
-            assert np.max(np.abs(got - 0.3 * want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_total_loss_rejects_non_finite():
@@ -757,10 +769,10 @@ def loss_builders(seed):
         if which in ("pred", "total"):
             parts = LossParts(pred=pred_loss(probs, y, mask))
             if which == "total":
-                parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma, weight=w.alpha)
-                parts.suf = suf_loss(latent.h, g.edges, neg, weight=w.beta)
-                parts.sc = sc_loss(latent.c, y, mask, w.kappa, weight=w.omega)
-                parts.env = env_loss(latent.e, s, w.k_prime, weight=w.eta)
+                parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
+                parts.suf = suf_loss(latent.h, g.edges, neg)
+                parts.sc = sc_loss(latent.c, y, mask, w.kappa)
+                parts.env = env_loss(latent.e, s, w.k_prime)
             value, g_h, g_logit = total_loss(parts, w, pred.w)
             return value, ad.grad(enc, latent, g_h, g_logit), latent, probs
         zeros = np.zeros_like(latent.c)
@@ -786,8 +798,8 @@ def test_grad_check_skips_abs_cos_kink():
     # cosine, and central differences there read 0 against the + side's 0.5
     c = np.array([[1.0, 0.0], [0.6, 0.8]])
     e = np.array([[0.0, 1.0], [0.8, -0.3]])
-    empty = np.zeros(0, dtype=np.int64)
-    cf = CounterfactualIndex(e_ids=(empty, empty), c_ids=(empty, empty), k=1)
+    none = (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    cf = CounterfactualIndex(e=none, c=none, k=1)
 
     def loss_fn():
         value, g_c, g_e = inv_loss(c, e, cf, 1.0)

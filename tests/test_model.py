@@ -85,6 +85,7 @@ def test_c_and_e_are_exact_column_blocks():
     latent = encode(enc, agg, np.random.default_rng(2).standard_normal((6, 3)))
     assert np.array_equal(latent.h[:, :2], latent.c)
     assert np.array_equal(latent.h[:, 2:], latent.e)
+    assert latent.c.base is latent.h and latent.e.base is latent.h
 
 
 def test_predict_tie_rule_and_saturation():

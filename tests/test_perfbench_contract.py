@@ -54,7 +54,7 @@ def test_traced_workload_records_every_span_and_count(tmp_path):
     read = [key[:-len(".calls")] for key in values if key.endswith(".calls")]
     assert read and set(read) <= recorded, sorted(set(read) - recorded)
     assert {"pipeline.run_single", wl.root_span, "verify.run_suites"} <= recorded
-    for key in ("cf_slots", "sc_pairs", "verify_cases"):
+    for key in ("cf_pairs", "cf_slots", "sc_pairs", "verify_cases"):
         assert rec.counts[key] > 0, key
 
     # one reverse pass per epoch, and two forward neighbour means per

@@ -108,6 +108,9 @@ def test_config_round_trip_and_validation():
                 TrainConfig.from_dict({"weights": {field: bad}})
     with pytest.raises(ConfigError, match="alpha"):
         TrainConfig.from_dict({"weights": {"alpha": -1}})
+    # so are the epoch counts and sizes: 5.0 loads as the int 5
+    loaded = TrainConfig.from_dict({"T_pre": 5.0, "hidden": 8.0})
+    assert (loaded.T_pre, loaded.hidden) == (5, 8) and type(loaded.T_pre) is int
 
 
 # ---------------------------------------------------------------------------
