@@ -25,18 +25,10 @@ from .data import (
     export_embeddings,
     load_dataset,
     resolve_dataset,
-    standardize_features,
     synth_generate,
     write_dataset,
 )
-from .errors import (
-    ConfigError,
-    DatasetError,
-    DivergenceError,
-    FairGraphError,
-    NumericError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, DatasetError, FairGraphError
 from .graph import edge_census, fair_edge_remove, homophily_ratios
 from .losses import LossWeights
 from .metrics import evaluate_predictions
@@ -47,9 +39,9 @@ from .pipeline import (
     TrainConfig,
     grid_search,
     load_config,
+    prepare,
     pretrain,
     run_experiment,
-    split_dataset,
 )
 from .seeding import derive_seed
 from .verify import run_suites
@@ -204,10 +196,7 @@ def cmd_pretrain(args):
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     seed = cfg.seeds[0]
-    labeled_ids = np.where(table.labels.labeled_mask())[0]
-    splits = split_dataset(table.n, labeled_ids, cfg.splits,
-                           derive_seed(seed, "split"))
-    x, mean, std = standardize_features(table.features, splits.train)
+    splits, x, mean, std = prepare(table, cfg, seed)
     result = pretrain(graph, x, table.labels, splits.train, cfg, seed)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "pretrained.json")
@@ -473,9 +462,6 @@ def main(argv=None):
     except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, NumericError, UndefinedMetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FairGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from .errors import (
     MissingColumnError,
     NonBinarySensitiveError,
 )
-from .graph import UNKNOWN, Graph, NodeLabels, decode_pairs, load_edge_list
+from .graph import UNKNOWN, Graph, NodeLabels, classify_edge, decode_pairs, load_edge_list
 
 BLOCK_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))  # (y, s) node layout
 
@@ -226,12 +226,14 @@ def block_sizes(cfg: SynthConfig):
     return {(0, 0): n0 - n01, (0, 1): n01, (1, 0): n1 - n11, (1, 1): n11}
 
 
-def _pair_category(b1, b2):
-    same_y = b1[0] == b2[0]
-    same_s = b1[1] == b2[1]
-    if same_y:
-        return "I" if same_s else "II"
-    return "III" if same_s else "IV"
+def _block_pairs(sizes):
+    """(b1, b2, edge type, node pair count) for every unordered pair of
+    blocks, a block paired with itself included, in BLOCK_ORDER order."""
+    for i, b1 in enumerate(BLOCK_ORDER):
+        for b2 in BLOCK_ORDER[i:]:
+            n_pairs = (sizes[b1] * (sizes[b1] - 1) // 2 if b1 == b2
+                       else sizes[b1] * sizes[b2])
+            yield b1, b2, classify_edge(b1[0], b2[0], b1[1], b2[1]).value, n_pairs
 
 
 def edge_plan(cfg: SynthConfig):
@@ -241,16 +243,9 @@ def edge_plan(cfg: SynthConfig):
     categories as w_I=hc*hs, w_II=hc*(1-hs), w_III=(1-hc)*hs,
     w_IV=(1-hc)*(1-hs), which satisfies E[N_c]/E[m]=hc and E[N_s]/E[m]=hs.
     """
-    sizes = block_sizes(cfg)
     pair_counts = {"I": 0, "II": 0, "III": 0, "IV": 0}
-    blocks = list(BLOCK_ORDER)
-    for i, b1 in enumerate(blocks):
-        for b2 in blocks[i:]:
-            cat = _pair_category(b1, b2)
-            if b1 == b2:
-                pair_counts[cat] += sizes[b1] * (sizes[b1] - 1) // 2
-            else:
-                pair_counts[cat] += sizes[b1] * sizes[b2]
+    for _, _, cat, n_pairs in _block_pairs(block_sizes(cfg)):
+        pair_counts[cat] += n_pairs
     hc, hs = cfg.target_hr_c, cfg.target_hr_s
     mass = cfg.n * cfg.mean_degree / 2.0
     weights = {"I": hc * hs, "II": hc * (1 - hs), "III": (1 - hc) * hs,
@@ -289,25 +284,18 @@ def synth_generate(cfg: SynthConfig):
         offset += sizes[block]
 
     edges = []
-    blocks = list(BLOCK_ORDER)
-    for i, b1 in enumerate(blocks):
-        for b2 in blocks[i:]:
-            cat = _pair_category(b1, b2)
-            if b1 == b2:
-                n_pairs = sizes[b1] * (sizes[b1] - 1) // 2
-            else:
-                n_pairs = sizes[b1] * sizes[b2]
-            if n_pairs == 0:
-                continue
-            count = int(rng.binomial(n_pairs, rates[cat]))
-            if count == 0:
-                continue
-            chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
-            if b1 == b2:
-                edges.append(starts[b1] + decode_pairs(sizes[b1], chosen))
-            else:
-                edges.append(np.stack([starts[b1] + chosen // sizes[b2],
-                                       starts[b2] + chosen % sizes[b2]], axis=1))
+    for b1, b2, cat, n_pairs in _block_pairs(sizes):
+        if n_pairs == 0:
+            continue
+        count = int(rng.binomial(n_pairs, rates[cat]))
+        if count == 0:
+            continue
+        chosen = np.sort(rng.choice(n_pairs, size=count, replace=False))
+        if b1 == b2:
+            edges.append(starts[b1] + decode_pairs(sizes[b1], chosen))
+        else:
+            edges.append(np.stack([starts[b1] + chosen // sizes[b2],
+                                   starts[b2] + chosen % sizes[b2]], axis=1))
 
     graph = Graph.from_edges(cfg.n, np.concatenate(edges) if edges else [])
     d = cfg.feature_dim

@@ -13,10 +13,6 @@ class ShapeError(FairGraphError):
     """Operands with incompatible shapes."""
 
 
-class NumericError(FairGraphError):
-    """Non-finite values or domain violations in a numeric kernel."""
-
-
 class UndefinedRatioError(FairGraphError):
     """Homophily ratio requested on a graph with no edges."""
 
@@ -58,7 +54,8 @@ class NonBinarySensitiveError(DatasetError):
 
 
 class DivergenceError(FairGraphError):
-    """Training produced a non-finite loss."""
+    """A training phase ("pretrain" or "train") produced a non-finite loss at
+    the given epoch."""
 
     def __init__(self, message, epoch=None, phase=None):
         super().__init__(message)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
+from .errors import CapacityError, ConfigError, UndefinedMetricError
 from .graph import Graph, pair_codes
 
 log = logging.getLogger(__name__)
@@ -94,7 +94,7 @@ def _whole_number(field, value):
 class CounterfactualIndex:
     """Per node, up to K nearest latent neighbors of each counterfactual kind:
     e-type shares the pseudo-label with opposite sensitive attribute, c-type
-    the reverse. Each kind is kept as `_nearest` returns it, (counts, ids):
+    the reverse. Each kind is kept as the (counts, ids) `_nearest` returns:
     counts[i] hits for node i, then every node's hits in node order, nearest
     first. Lists are shorter than K only when candidates run out."""
 
@@ -125,9 +125,10 @@ def _nearest(x, cells, k):
 
     cells holds (anchors, candidates) pairs of increasing node-id arrays;
     each row is an anchor of at most one cell, and its candidates are that
-    cell's. Returns (counts, ids): the number of hits per row and the hits
-    flattened in (row, distance, id) order, so ties go to the smaller id. A
-    row has fewer than k hits only when it has fewer candidates.
+    cell's. Returns (counts, ids, sq_dists): the number of hits per row, the
+    hits flattened in (row, distance, id) order, so ties go to the smaller
+    id, and each hit's squared distance |x_row - x_id|^2. A row has fewer
+    than k hits only when it has fewer candidates.
 
     One block of a cell's anchors is screened against the cell's candidate
     columns at a time, so memory stays O(block * candidates): the expansion
@@ -142,6 +143,7 @@ def _nearest(x, cells, k):
     slack = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps
     counts = np.zeros(x.shape[0], dtype=np.int64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    dists = [np.zeros(0)]
     for anchors, cand in cells:
         if len(cand) == 0:
             continue
@@ -156,15 +158,16 @@ def _nearest(x, cells, k):
             # the columns are in id order, so the column breaks a tie as the
             # id would
             order = np.lexsort((c, exact, r))
-            r, c = r[order], c[order]
+            r, c, exact = r[order], c[order], exact[order]
             row_hits = np.bincount(r, minlength=len(block))
             keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
             counts[block] = np.minimum(row_hits, k)
             rows.append(block[r[keep]])
             ids.append(cand[c[keep]])
+            dists.append(exact[keep])
     # back to row order; the stable sort keeps each row's hits in order
     order = np.argsort(np.concatenate(rows), kind="stable")
-    return counts, np.concatenate(ids)[order]
+    return counts, np.concatenate(ids)[order], np.concatenate(dists)[order]
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
@@ -186,7 +189,8 @@ def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:
             e_cells.append((anchors, np.flatnonzero(same_label & (sensitive != group))))
             c_cells.append((anchors, np.flatnonzero((pseudo != label) & same_group)))
 
-    cf = CounterfactualIndex(e=_nearest(h, e_cells, k), c=_nearest(h, c_cells, k), k=k)
+    cf = CounterfactualIndex(e=_nearest(h, e_cells, k)[:2],
+                             c=_nearest(h, c_cells, k)[:2], k=k)
     if cf.empty_e or cf.empty_c:
         log.debug("counterfactual selection: %d nodes without e-type, %d without c-type",
                   cf.empty_e, cf.empty_c)
@@ -449,10 +453,10 @@ def env_loss(e, sensitive, k_prime):
         raise UndefinedMetricError("environment loss needs both sensitive groups")
     cells = [(np.flatnonzero(s == group), np.flatnonzero(s != group))
              for group in np.unique(s)]
-    counts, partners = _nearest(e, cells, k_prime)
+    counts, partners, sq_dist = _nearest(e, cells, k_prime)
     anchors = np.repeat(np.arange(n, dtype=np.int64), counts)
     w = 1.0 / (n * counts[anchors])
-    dist = np.sqrt(_pair_dots(e, anchors, partners, differences=True))
+    dist = np.sqrt(sq_dist)
     # d dist / d e_i = (e_i - e_j) / dist, so the gradient is minus the
     # Laplacian weighted by w / dist times e; a zero distance adds nothing
     slope = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
@@ -496,8 +500,6 @@ def total_loss(parts: LossParts, weights: LossWeights, w_pred):
     for coeff, part in terms:
         if part is None:
             continue
-        if not np.isfinite(part[0]):
-            raise NumericError("non-finite loss component")
         piece = part[0] * float(coeff)
         total = piece if total is None else total + piece
     g_logit = parts.pred[1]

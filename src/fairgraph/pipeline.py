@@ -1,7 +1,8 @@
 """Three-phase training: pre-train the encoder/predictor on the prediction
 loss, edit the graph with the resulting pseudo-labels, then train the full
 objective on the edited graph with periodic pseudo-label and counterfactual
-refreshes. Also the split protocol, epoch selection, and grid search.
+refreshes. Pre-training and phase 2 run on one optimisation loop,
+`_descend`. Also the split protocol, epoch selection, and grid search.
 
 Everything is deterministic given (config, data, seed): per-component seeds
 are derived from the run seed by labeled hashing.
@@ -232,6 +233,34 @@ def _make_optimizer(name, params, lr):
 # ---------------------------------------------------------------------------
 # phases
 
+def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
+             cfg: TrainConfig, epochs, phase, objective):
+    """The optimisation loop of every phase: `epochs` steps of a fresh
+    cfg.optimizer on the weighted objective, updating enc and pred in place.
+
+    objective(epoch, latent, probs) returns the epoch's LossParts from the
+    forward pass of the current parameters. A non-finite weighted loss
+    raises DivergenceError with the epoch and `phase`. Each step yields
+    (epoch, loss, parts, probs), probs from the forward pass of the stepped
+    parameters; that pass also feeds the next epoch's objective, so each
+    parameter state is encoded once.
+    """
+    agg = NeighborAggregator(graph)
+    opt = _make_optimizer(cfg.optimizer, enc.arrays() + pred.arrays(), cfg.lr)
+    latent = encode(enc, agg, x)
+    probs = predict(pred, latent.c)
+    for epoch in range(1, epochs + 1):
+        parts = objective(epoch, latent, probs)
+        loss, g_h, g_logit = total_loss(parts, cfg.weights, pred.w)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"{phase} loss became non-finite at epoch {epoch}",
+                                  epoch=epoch, phase=phase)
+        opt.step(ad.grad(enc, latent, g_h, g_logit))
+        latent = encode(enc, agg, x)
+        probs = predict(pred, latent.c)
+        yield epoch, float(loss), parts, probs
+
+
 @dataclass
 class PretrainResult:
     encoder: EncoderParams
@@ -246,23 +275,14 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
     trained predictor (ground truth retained where known)."""
     if not np.asarray(train_mask, dtype=bool).any():
         raise UndefinedMetricError("pre-training needs a nonempty training mask")
-    agg = NeighborAggregator(graph)
     enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
                             derive_seed(seed, "init"))
-    opt = _make_optimizer(cfg.optimizer, enc.arrays() + pred.arrays(), cfg.lr)
-    y = labels.class_label
+    y = np.where(labels.class_label >= 0, labels.class_label, 0)
     losses = []
-    for epoch in range(1, cfg.T_pre + 1):
-        latent = encode(enc, agg, x)
-        probs = predict(pred, latent.c)
-        parts = LossParts(pred=pred_loss(probs, np.where(y >= 0, y, 0), train_mask))
-        if not np.isfinite(parts.pred[0]):
-            raise DivergenceError("pre-training loss became non-finite",
-                                  epoch=epoch, phase="pretrain")
-        loss, g_h, g_logit = total_loss(parts, cfg.weights, pred.w)
-        opt.step(ad.grad(enc, latent, g_h, g_logit))
-        losses.append(float(loss))
-    probs = predict(pred, encode(enc, agg, x).c)
+    for _, loss, _, probs in _descend(
+            graph, x, enc, pred, cfg, cfg.T_pre, "pretrain",
+            lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
+        losses.append(loss)
     pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
     return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
                           losses=losses)
@@ -303,8 +323,8 @@ class RunResult:
     splits: Splits
     config_hash: str
     optimizer: str
-    feature_mean: np.ndarray | None = None
-    feature_std: np.ndarray | None = None
+    feature_mean: np.ndarray
+    feature_std: np.ndarray
 
     def to_dict(self):
         return {
@@ -325,14 +345,17 @@ class RunResult:
 
 def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                enc: EncoderParams, pred: PredictorParams, cfg: TrainConfig,
-               seed, edit_report: EditReport, split_id=0,
-               feature_stats=None) -> RunResult:
+               seed, edit_report: EditReport, feature_stats,
+               split_id=0) -> RunResult:
     """Phase 2: full objective on the edited graph.
 
-    Pseudo-labels and counterfactuals refresh every refresh_period epochs
-    (plus once before the first epoch); the edit itself stays frozen. The
-    best epoch maximizes the validation selection score, earliest on ties;
-    epochs with undefined validation metrics are disqualified.
+    Pseudo-labels and counterfactuals refresh at epoch 1 and every
+    refresh_period epochs, from the forward pass that epoch's loss uses;
+    the edit itself stays frozen. The best epoch maximizes the validation
+    selection score, earliest on ties; epochs with undefined validation
+    metrics are disqualified. The test report reads the best epoch's
+    forward pass, and enc and pred end holding that epoch's parameters.
+    feature_stats is the (mean, std) that standardized x.
     """
     contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
@@ -341,9 +364,6 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     use_sc = contrast and w.omega > 0
     use_env = contrast and w.eta > 0
 
-    agg = NeighborAggregator(graph)
-    params = enc.arrays() + pred.arrays()
-    opt = _make_optimizer(cfg.optimizer, params, cfg.lr)
     y_true = labels.class_label
     y_train = np.where(y_true >= 0, y_true, 0)
     sens = labels.sensitive
@@ -357,27 +377,16 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     cf = None
     warned_empty = False
 
-    def refresh(latent, probs):
+    def objective(epoch, latent, probs):
         nonlocal pseudo, cf, warned_empty
-        pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
-        if use_inv:
-            cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
-            if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
-                log.warning("no counterfactual candidates exist; invariance "
-                            "loss reduces to its orthogonality term")
-                warned_empty = True
-
-    # one forward pass per parameter state: it serves the loss, the refresh
-    # and the validation report of the step that produced it
-    latent = encode(enc, agg, x)
-    probs = predict(pred, latent.c)
-    refresh(latent, probs)
-
-    records = []
-    best = None  # (score, epoch, param values, val_report)
-    for epoch in range(1, cfg.T_train + 1):
-        if epoch % cfg.refresh_period == 0:
-            refresh(latent, probs)
+        if epoch == 1 or epoch % cfg.refresh_period == 0:
+            pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
+            if use_inv:
+                cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
+                if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
+                    log.warning("no counterfactual candidates exist; invariance "
+                                "loss reduces to its orthogonality term")
+                    warned_empty = True
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
             parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
@@ -387,14 +396,13 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
             parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
         if use_env:
             parts.env = env_loss(latent.e, sens, w.k_prime)
-        loss, g_h, g_logit = total_loss(parts, w, pred.w)
-        if not np.isfinite(loss):
-            raise DivergenceError("training loss became non-finite",
-                                  epoch=epoch, phase="train")
-        opt.step(ad.grad(enc, latent, g_h, g_logit))
+        return parts
 
-        latent = encode(enc, agg, x)
-        probs = predict(pred, latent.c)
+    params = enc.arrays() + pred.arrays()
+    records = []
+    best = None  # (score, epoch, param values, val_report, probs)
+    for epoch, loss, parts, probs in _descend(graph, x, enc, pred, cfg, cfg.T_train,
+                                              "train", objective):
         try:
             val_report = evaluate_predictions(probs, y_true, sens,
                                               mask=splits.val, seed=seed,
@@ -402,26 +410,20 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
             val_score = val_report.score
         except UndefinedMetricError:
             val_report, val_score = None, None
-        records.append(EpochRecord(epoch=epoch, loss=float(loss),
+        records.append(EpochRecord(epoch=epoch, loss=loss,
                                    parts=parts.values(), val_score=val_score))
         if val_score is not None and (best is None or val_score > best[0]):
-            snapshot = [p.copy() for p in params]
-            best = (val_score, epoch, snapshot, val_report)
+            best = (val_score, epoch, [p.copy() for p in params], val_report, probs)
 
     if best is None:
         raise UndefinedMetricError(
             "no epoch produced defined validation metrics; split too small")
 
-    # restore the best-epoch parameters and evaluate on the test mask
     for p, v in zip(params, best[2]):
         p[...] = v
-    test_latent = encode(enc, agg, x)
-    test_probs = predict(pred, test_latent.c)
-    test_report = evaluate_predictions(test_probs, y_true, sens,
-                                       mask=splits.test, seed=seed,
-                                       split_id=split_id)
-
-    mean, std = (None, None) if feature_stats is None else feature_stats
+    test_report = evaluate_predictions(best[4], y_true, sens, mask=splits.test,
+                                       seed=seed, split_id=split_id)
+    mean, std = feature_stats
     return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],
                      test_report=test_report, edit_report=edit_report,
@@ -431,17 +433,24 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                      feature_std=std)
 
 
+def prepare(table: NodeTable, cfg: TrainConfig, seed):
+    """The split of the labelled nodes for this seed and the features
+    standardized on its training rows: (splits, x, mean, std)."""
+    labeled_ids = np.where(table.labels.labeled_mask())[0]
+    splits = split_dataset(table.n, labeled_ids, cfg.splits,
+                           derive_seed(seed, "split"))
+    x, mean, std = standardize_features(table.features, splits.train)
+    return splits, x, mean, std
+
+
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
     """One complete run: split, standardize, pre-train, edit, train.
 
     An edit that would remove every edge is not applied: phase 2 trains on
     the unedited graph and the edit report is marked `degenerate`."""
+    splits, x, mean, std = prepare(table, cfg, seed)
     labels = table.labels
-    labeled_ids = np.where(labels.labeled_mask())[0]
-    splits = split_dataset(table.n, labeled_ids, cfg.splits,
-                           derive_seed(seed, "split"))
-    x, mean, std = standardize_features(table.features, splits.train)
     pre = pretrain(graph, x, labels, splits.train, cfg, seed)
     labels_p = labels.with_pseudo(pre.pseudo_labels)
     try:
@@ -454,8 +463,7 @@ def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
         edit_report = replace(skipped_edit_report(graph, labels_p),
                               skipped=False, degenerate=True)
     return train_full(edited, x, labels_p, splits, pre.encoder, pre.predictor,
-                      cfg, seed, edit_report, split_id=split_id,
-                      feature_stats=(mean, std))
+                      cfg, seed, edit_report, (mean, std), split_id=split_id)
 
 
 def _thread_count():

@@ -149,9 +149,11 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
         census = edge_census(g, labels)
         hr_c, hr_s = homophily_ratios(g, labels)
         report.graphs_checked += 1
-        for e in g.edge_array.tolist():
+        for i, e in enumerate(g.edge_array.tolist()):
             t = classify_edge(int(y[e[0]]), int(y[e[1]]), int(s[e[0]]), int(s[e[1]]))
-            edited = g.remove_edges([e])
+            keep = np.ones(g.m, dtype=bool)
+            keep[i] = False
+            edited = Graph(n=g.n, edge_array=g.edge_array[keep])
             hr_c2, hr_s2 = homophily_ratios(edited, labels)
             dc, ds = hr_c2 - hr_c, hr_s2 - hr_s
             want_dc, want_ds = single_edge_effect(census, t)

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import expit
 
 from fairgraph import losses
-from fairgraph.errors import NumericError
 from fairgraph.losses import PROB_FLOOR
 
 
@@ -99,7 +98,7 @@ def _probe(loss_fn):
     finally:
         _patterns.reset(token)
     if not np.isfinite(ev.value):
-        raise NumericError("non-finite loss during finite-difference probe")
+        raise FloatingPointError("non-finite loss during finite-difference probe")
     if ev.latent is not None:
         patterns.append(ev.latent.active)
     if ev.probs is not None:

@@ -281,6 +281,17 @@ def test_invalid_weight_is_config_error(toy_dir, tmp_path, capsys):
             grid_search(graph, table, TrainConfig(T_pre=1, T_train=1), cell)
 
 
+def test_divergence_exit_1(toy_dir, tmp_path, capsys):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 20}))
+    out = tmp_path / "train"
+    with np.errstate(all="ignore"):
+        assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
+                     "--lr", "1e6", "--out", str(out)]) == 1
+    assert "train loss became non-finite at epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"mode": "NOPE"}))

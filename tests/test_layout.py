@@ -46,3 +46,25 @@ def test_every_top_level_name_is_used_by_the_package():
               for name, node in _definitions(tree)
               if everywhere[name] == _uses(node)[name] and name not in ALLOWLIST]
     assert not unused, f"defined in src/fairgraph but used only outside it: {unused}"
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in errors.body if isinstance(node, ast.ClassDef)}
+    covered = set()
+    for name in raised & set(bases):
+        while name in bases and name not in covered:
+            covered.add(name)
+            name = bases[name][0] if bases[name] else None
+    idle = sorted(set(bases) - covered)
+    assert not idle, f"error classes that nothing in src/fairgraph raises: {idle}"

@@ -9,7 +9,7 @@ import pytest
 
 from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator
-from fairgraph.errors import CapacityError, ConfigError, NumericError, UndefinedMetricError
+from fairgraph.errors import CapacityError, ConfigError, UndefinedMetricError
 from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
     _BLOCK,
@@ -718,12 +718,6 @@ def test_total_loss_adds_gradients_in_block_order():
     # prediction alone reaches C only
     _, g_h, _ = total_loss(LossParts(pred=parts.pred), LossWeights(), w_pred)
     assert np.array_equal(g_h, np.hstack([parts.pred[1] @ w_pred.T, np.zeros((5, 2))]))
-
-
-def test_total_loss_rejects_non_finite():
-    parts = LossParts(pred=(float("nan"), np.zeros((2, 1))))
-    with pytest.raises(NumericError):
-        total_loss(parts, LossWeights(), np.zeros((2, 1)))
 
 
 def test_weights_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairgraph.data import SynthConfig, standardize_features, synth_generate
-from fairgraph.errors import ConfigError, UndefinedMetricError
+from fairgraph.errors import ConfigError, DivergenceError, UndefinedMetricError
 from fairgraph.graph import Graph
 from fairgraph.losses import LossWeights
 from fairgraph.metrics import selection_score
@@ -151,6 +151,19 @@ def test_pretrain_deterministic():
     assert np.array_equal(a.pseudo_labels, b.pseudo_labels)
 
 
+def test_pretrain_divergence_names_phase_and_epoch():
+    # an infinite feature passes the ReLU as +inf, and layer two's weights of
+    # both signs turn it into a NaN logit (inf - inf)
+    g, table = toy_dataset(n=120, seed=2)
+    mask = np.ones(120, bool)
+    x, _, _ = standardize_features(table.features, mask)
+    x[3, 2] = np.inf
+    with np.errstate(all="ignore"), \
+            pytest.raises(DivergenceError, match="pretrain") as info:
+        pretrain(g, x, table.labels, mask, quick_config(T_pre=5), seed=0)
+    assert (info.value.phase, info.value.epoch) == ("pretrain", 1)
+
+
 # ---------------------------------------------------------------------------
 # phase 1 gating
 
@@ -225,6 +238,23 @@ def test_threaded_fanout_matches_sequential(monkeypatch):
     _, threaded = run_experiment(g, table, cfg)
     assert sequential == threaded
     assert grid_search(g, table, cfg, grid) == grid_sequential
+
+
+def test_training_divergence_names_phase_and_epoch():
+    # pre-training's clamped loss survives one huge step; phase 2's
+    # unbounded terms overflow a few epochs later
+    g, table = toy_dataset(n=120, seed=2)
+    cfg = TrainConfig(lr=1e6, T_pre=1, T_train=20)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="train") as info:
+        run_single(g, table, cfg, seed=1)
+    epoch = info.value.epoch
+    assert info.value.phase == "train" and 1 < epoch <= cfg.T_train
+    # the named epoch is the first non-finite one: a run that stops before
+    # it ends with every loss finite
+    with np.errstate(all="ignore"):
+        stopped = run_single(g, table, replace(cfg, T_train=epoch - 1), seed=1)
+    assert len(stopped.epochs) == epoch - 1
+    assert all(np.isfinite(e.loss) for e in stopped.epochs)
 
 
 def test_edited_graph_feeds_phase2():
