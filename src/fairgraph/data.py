@@ -8,7 +8,8 @@ The on-disk dataset layout is three files in one directory:
                  "sensitive_positive_value"} plus optional "feature_cols"
                  and "drop_cols"
 Rows with a missing label become unlabeled nodes; the sensitive column must
-be binary after mapping and defined everywhere.
+be binary after mapping and defined everywhere. A missing feature value
+reads as 0.0; any other must be a finite number.
 """
 
 from __future__ import annotations
@@ -34,14 +35,23 @@ BLOCK_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))  # (y, s) node layout
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Per-node features plus labels; features are raw (not standardized)."""
+    """Per-node features plus labels; features are raw (not standardized).
+    The table keeps its own read-only copy of the features, and every value
+    must be finite: a NaN or infinite feature is a DatasetParseError naming
+    its row, as the node id, and its column, not a column that trains to NaN."""
 
     features: np.ndarray
     labels: NodeLabels
     feature_names: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.features, dtype=np.float64)
+        arr = np.array(self.features, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            i, j = bad[0]
+            raise DatasetParseError(
+                f"node {i}, column {self.feature_names[j]!r}: "
+                f"feature value {arr[i, j]} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "features", arr)
 

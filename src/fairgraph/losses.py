@@ -131,15 +131,20 @@ def _nearest(x, cells, k):
     than k hits only when it has fewer candidates.
 
     One block of a cell's anchors is screened against the cell's candidate
-    columns at a time, so memory stays O(block * candidates): the expansion
-    sq_i + sq_j - 2 x_i.x_j keeps every candidate within the k-th smallest
-    plus twice a bound on the expansion's rounding error, and only those
-    are ranked, by their squared difference |x_i - x_j|^2, in which rows
-    equal to each other tie exactly.
+    columns at a time: the expansion (-2 x_i.x_j + sq_j) + sq_i keeps every
+    candidate within the k-th smallest plus twice a bound on the
+    expansion's rounding error, and only those are ranked, by their squared
+    difference |x_i - x_j|^2, in which rows equal to each other tie exactly.
+    The rounding bound is (dim + 2) eps (sq_i + sq_j) to first order, for
+    this order of the three terms as for any other: with u = eps / 2, the
+    product is off by at most dim u (sq_i + sq_j), as 2 |x_i.x_j| <= sq_i +
+    sq_j, and the two additions by u (sq_i + 2 sq_j) and 2u (sq_i + sq_j).
+    Memory stays two (block, candidates) buffers per cell, allocated once
+    and reused by every block: the expansion, and the copy that is
+    partitioned for the cut.
     """
     sq = (x * x).sum(axis=1)
-    # the expansion is off by at most (dim + 2) eps (sq_i + sq_j), to first
-    # order; the cut and each candidate carry one such error, times 2 margin
+    # the cut and each candidate carry one rounding bound, times 2 margin
     slack = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps
     counts = np.zeros(x.shape[0], dtype=np.int64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -147,13 +152,24 @@ def _nearest(x, cells, k):
     for anchors, cand in cells:
         if len(cand) == 0:
             continue
-        xc, sqc = x[cand], sq[cand]
+        # scaling by -2 is exact, so the product is -2 x_i.x_j bit for bit
+        yt = (-2.0 * x[cand]).T
+        sqc = sq[cand]
+        margin = sqc.max()
         kth = min(k, len(cand)) - 1
+        expansion = np.empty((min(_BLOCK, len(anchors)), len(cand)))
+        ranked = np.empty_like(expansion)
         for start in range(0, len(anchors), _BLOCK):
             block = anchors[start:start + _BLOCK]
-            d = sq[block, None] + sqc[None, :] - 2.0 * (x[block] @ xc.T)
-            cut = np.partition(d, kth, axis=1)[:, kth] + slack * (sq[block] + sqc.max())
-            r, c = np.nonzero(d <= cut[:, None])
+            d = expansion[:len(block)]
+            np.matmul(x[block], yt, out=d)
+            d += sqc
+            d += sq[block, None]
+            part = ranked[:len(block)]
+            np.copyto(part, d)
+            part.partition(kth, axis=1)
+            cut = part[:, kth] + slack * (sq[block] + margin)
+            r, c = np.divmod(np.flatnonzero(d <= cut[:, None]), len(cand))
             exact = _pair_dots(x, block[r], cand[c], differences=True)
             # the columns are in id order, so the column breaks a tie as the
             # id would
@@ -357,14 +373,20 @@ def suf_loss(h, pos_edges, neg_edges):
     return _suf_value_and_grad(h, pairs, len(pos_edges))
 
 
-def _tvmf(cos, kappa):
+def _tvmf(cos, kappa, phi=None, slope=None):
     """Bounded angular similarity phi = (1 + cos) / (1 + kappa*(1 - cos)) - 1,
     elementwise over an array of cosines, and its slope dphi/dcos =
-    (1 + 2 kappa) / (1 + kappa*(1 - cos))^2."""
-    den = (1.0 - cos) * kappa + 1.0
-    phi = (cos + 1.0) / den - 1.0
+    (1 + 2 kappa) / (1 + kappa*(1 - cos))^2. Given phi and slope, arrays
+    shaped like cos, it writes the results there instead of allocating
+    them; phi may be cos itself."""
+    den = np.subtract(1.0, cos, out=slope)
+    den *= kappa
+    den += 1.0
+    phi = np.add(cos, 1.0, out=phi)
+    phi /= den
+    phi -= 1.0
     den *= den
-    return phi, (1.0 + 2.0 * kappa) / den
+    return phi, np.divide(1.0 + 2.0 * kappa, den, out=den)
 
 
 def _sc_value_and_grad(u, y, kappa):
@@ -377,7 +399,9 @@ def _sc_value_and_grad(u, y, kappa):
     rows of i's class, the loss is sum over rows with |P(i)| > 0 of
     log D_i - mean_{j in P(i)} phi_ij, and dL/dphi_ij = exp(phi_ij) / D_i -
     [j in P(i)] / |P(i)| for those rows (0 for the rest). Memory stays
-    O(block * n).
+    O(block * n): three (block, n) buffers, allocated once per call and
+    reused by every block, hold cos then phi, the slope, and exp(phi) then
+    dL/dcos.
     """
     n = u.shape[0]
     _, starts, class_sizes = np.unique(y, return_index=True, return_counts=True)
@@ -389,11 +413,14 @@ def _sc_value_and_grad(u, y, kappa):
     inv_pos = np.divide(1.0, pos_counts, out=np.zeros(n), where=pos_counts > 0)
     row_loss = np.empty(n)
     grad = np.zeros_like(u)
+    buffers = np.empty((3, min(_BLOCK, n), n))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         diag = (np.arange(stop - start), np.arange(start, stop))
-        phi, slope = _tvmf(u[start:stop] @ u.T, kappa)
-        g = np.exp(phi)
+        phi, slope, g = buffers[:, :stop - start]
+        np.matmul(u[start:stop], u.T, out=phi)
+        _tvmf(phi, kappa, phi, slope)
+        np.exp(phi, out=g)
         g[diag] = 0.0
         exp_sums = g.sum(axis=1)
         g *= (has_pos[start:stop] / exp_sums)[:, None]

@@ -292,6 +292,22 @@ def test_divergence_exit_1(toy_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_feature_exit_2(toy_dir, tmp_path, capsys):
+    features = os.path.join(toy_dir, "features.csv")
+    with open(features, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    row = lines[5].split(",")
+    row[0] = "1e999"
+    lines[5] = ",".join(row)
+    with open(features, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "train"
+    assert main(["train", "--dataset", toy_dir, "--out", str(out)]) == 2
+    assert f"node 4, column {header[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"mode": "NOPE"}))

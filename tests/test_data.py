@@ -10,6 +10,7 @@ import pytest
 
 from fairgraph.data import (
     DatasetSpec,
+    NodeTable,
     SynthConfig,
     atomic_open,
     edge_plan,
@@ -26,7 +27,7 @@ from fairgraph.errors import (
     MissingColumnError,
     NonBinarySensitiveError,
 )
-from fairgraph.graph import UNKNOWN, edge_census, homophily_ratios
+from fairgraph.graph import UNKNOWN, NodeLabels, edge_census, homophily_ratios
 
 
 def write_toy_dataset(tmp_path, rows=None, meta=None, edges="0 1\n1 2\n"):
@@ -89,6 +90,35 @@ def test_loader_typed_errors(tmp_path):
         load_dataset(write_toy_dataset(tmp_path, edges="0 1 7\n"))
     with pytest.raises(DatasetParseError):
         resolve_dataset("no-such-dataset-name")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity", "+nan"])
+def test_non_finite_feature_is_a_parse_error(tmp_path, cell):
+    spec = write_toy_dataset(
+        tmp_path, rows=f"age,income,approved,group\n30,50,1,0\n40,{cell},0,1\n50,9,1,1\n")
+    with pytest.raises(DatasetParseError, match=r"node 1, column 'income'"):
+        load_dataset(spec)
+
+
+def test_missing_feature_text_still_reads_as_zero(tmp_path):
+    _, table = load_dataset(write_toy_dataset(
+        tmp_path, rows="age,income,approved,group\n30,nan,1,0\n40,,0,1\n50,NA,1,1\n"))
+    assert table.features[:, 1].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_node_table_owns_its_features():
+    """A NaN in an in-memory table is refused, and one written into the
+    caller's array afterwards never reaches the table."""
+    labels = NodeLabels.create(sensitive=np.array([0, 1, 1]),
+                               class_label=np.array([1, 0, 1]))
+    x = np.arange(6, dtype=np.float64).reshape(3, 2)
+    x[2, 1] = np.nan
+    with pytest.raises(DatasetParseError, match=r"node 2, column 'b'"):
+        NodeTable(features=x, labels=labels, feature_names=("a", "b"))
+    x[2, 1] = 5.0
+    table = NodeTable(features=x, labels=labels, feature_names=("a", "b"))
+    x[0, 0] = np.nan
+    assert np.isfinite(table.features).all() and x.flags.writeable
 
 
 def test_duplicate_edges_deduplicated(tmp_path):

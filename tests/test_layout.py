@@ -68,3 +68,30 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
             name = bases[name][0] if bases[name] else None
     idle = sorted(set(bases) - covered)
     assert not idle, f"error classes that nothing in src/fairgraph raises: {idle}"
+
+
+# NumPy calls that allocate an array; bound at module level, the array is
+# one buffer shared by every thread that runs the module's kernels
+ARRAY_CONSTRUCTORS = {"empty", "zeros", "ones", "full", "array"}
+
+
+def _array_constructions(node):
+    """The NumPy array constructors called anywhere under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and isinstance(n.func.value, ast.Name) \
+                and n.func.value.id in ("np", "numpy") \
+                and n.func.attr in ARRAY_CONSTRUCTORS:
+            yield f"{n.func.value.id}.{n.func.attr}"
+
+
+def test_no_module_level_arrays():
+    """Kernels allocate their scratch per call: the worker pool runs them on
+    several threads at once, so a module-level buffer would be written by
+    two calls together."""
+    shared = [f"{path.name}:{node.lineno} {call}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for call in _array_constructions(node)]
+    assert not shared, f"module-level NumPy arrays in src/fairgraph: {shared}"

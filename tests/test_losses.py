@@ -2,6 +2,8 @@
 
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from fairgraph.losses import (
     CounterfactualIndex,
     LossParts,
     LossWeights,
+    _nearest,
     env_loss,
     inv_loss,
     pred_loss,
@@ -173,6 +176,96 @@ def test_selection_constraints_always_hold():
             assert pseudo[j] == pseudo[i] and sens[j] != sens[i] and j != i
         for j in cf.c_ids[i]:
             assert pseudo[j] != pseudo[i] and sens[j] == sens[i] and j != i
+
+
+def random_cell(rng, n, n_anchors, n_cand):
+    """(anchors, candidates): disjoint increasing id arrays drawn from n rows."""
+    ids = rng.permutation(n)
+    return np.sort(ids[:n_anchors]), np.sort(ids[n_anchors:n_anchors + n_cand])
+
+
+def assert_nearest_is_exhaustive(x, cells, k):
+    """`_nearest` against the exhaustive scan: the same ids in the same
+    order for every row, and each hit's |x_i - x_j|^2 exactly."""
+    n = len(x)
+    allowed = np.zeros((n, n), dtype=bool)
+    for anchors, cand in cells:
+        allowed[np.ix_(anchors, cand)] = True
+    counts, ids, sq_dists = _nearest(x, cells, k)
+    got = np.split(ids, np.cumsum(counts)[:-1])
+    want = nearest_scan(x, allowed, k)
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    rows = np.repeat(np.arange(n), counts)
+    assert np.array_equal(sq_dists, ((x[rows] - x[ids]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("n_anchors,n_cand,k", [
+    (1, 30, 5), (_BLOCK, 40, 5), (_BLOCK + 1, 40, 5), (2 * _BLOCK + 3, 40, 5),
+    (_BLOCK + 1, 3, 5), (_BLOCK + 1, 1, 5), (_BLOCK + 1, 1, 1), (5, 0, 5)],
+    ids=["one-anchor", "block", "block+1", "2block+3", "fewer-cands-than-k",
+         "one-cand", "one-cand-k1", "no-cands"])
+def test_nearest_block_buffer_edges(n_anchors, n_cand, k):
+    """One cell whose anchors fill no block, exactly one, or spill one row
+    into a partial last block (a slice of the reused buffers), with pools
+    below k, of one candidate, or empty; repeated rows make exact ties."""
+    rng = np.random.default_rng(n_anchors * 100 + n_cand)
+    n = n_anchors + n_cand + 7
+    x = tied_rows(rng, n, 4)
+    assert_nearest_is_exhaustive(x, [random_cell(rng, n, n_anchors, n_cand)], k)
+
+
+def test_top_k_and_contrast_repeat_bit_for_bit():
+    """Two back-to-back calls return the same bytes: nothing a call writes
+    into its buffers outlives it."""
+    rng = np.random.default_rng(42)
+    n = 2 * _BLOCK + 3
+    x = rng.standard_normal((n, 6))
+    cells = [random_cell(rng, n, _BLOCK + 1, 90)]
+    first, second = _nearest(x, cells, 5), _nearest(x, cells, 5)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second, strict=True))
+    y = rng.integers(0, 3, n)
+    mask = np.ones(n, dtype=bool)
+    (v1, g1), (v2, g2) = sc_loss(x, y, mask, 1.0), sc_loss(x, y, mask, 1.0)
+    assert v1 == v2 and g1.tobytes() == g2.tobytes()
+
+
+def test_top_k_kernels_agree_across_threads():
+    """env_loss and select_counterfactuals on four threads at once (more
+    than the cores), with the interpreter switching threads often, return
+    what they return one at a time: each call owns its buffers."""
+    rng = np.random.default_rng(43)
+    inputs = []
+    for t in range(4):
+        n = 2 * _BLOCK + 40 * t + 3
+        inputs.append((rng.standard_normal((n, 8)), rng.integers(0, 2, n),
+                       rng.integers(0, 2, n)))
+
+    def run(h, pseudo, s):
+        cf = select_counterfactuals(h, pseudo, s, 5)
+        value, grad = env_loss(h, s, 5)
+        return b"".join(np.asarray(a).tobytes() for a in (*cf.e, *cf.c, value, grad))
+
+    want = [run(*args) for args in inputs]
+    got = [[] for _ in inputs]
+
+    def worker(t):
+        for _ in range(3):
+            got[t].append(run(*inputs[t]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(4):
+        assert len(got[t]) == 3
+        assert all(result == want[t] for result in got[t])
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +628,14 @@ def test_sc_loss_zero_row_behaves_as_cos_zero():
 
 @pytest.mark.parametrize("n_l,kappa,classes", [
     (2, 1.0, 1), (5, 1.0, 2), (40, 0.0, 3),
+    pytest.param(_BLOCK, 0.5, 2, id="block-0.5-2"),
     pytest.param(_BLOCK + 1, 2.5, 2, id="block+1-2.5-2"),
+    pytest.param(2 * _BLOCK + 3, 1.0, 2, id="2block+3-1.0-2"),
     pytest.param(2 * _BLOCK + 76, 1.0, 3, id="2block+76-1.0-3")])
 def test_sc_loss_matches_dense_reference(n_l, kappa, classes):
-    """The blockwise kernel against full n_l x n_l matrices: one case
-    straddles the _BLOCK-row block by one row, one crosses two boundaries."""
+    """The blockwise kernel against full n_l x n_l matrices: one case fills
+    the _BLOCK-row buffers exactly, one straddles them by one row, and two
+    cross two boundaries, ending in a partial block of 3 or 76 rows."""
     rng = np.random.default_rng(n_l)
     n = n_l + n_l // 3
     c = rng.standard_normal((n, 6))

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from fairgraph.data import SynthConfig, standardize_features, synth_generate
-from fairgraph.errors import ConfigError, DivergenceError, UndefinedMetricError
+from fairgraph import pipeline
+from fairgraph.errors import (
+    ConfigError,
+    DatasetParseError,
+    DivergenceError,
+    UndefinedMetricError,
+)
 from fairgraph.graph import Graph
 from fairgraph.losses import LossWeights
 from fairgraph.metrics import selection_score
@@ -162,6 +168,19 @@ def test_pretrain_divergence_names_phase_and_epoch():
             pytest.raises(DivergenceError, match="pretrain") as info:
         pretrain(g, x, table.labels, mask, quick_config(T_pre=5), seed=0)
     assert (info.value.phase, info.value.epoch) == ("pretrain", 1)
+
+
+def test_nan_feature_table_raises_before_any_epoch(monkeypatch):
+    """A NaN feature would pass the ReLU as 0 and train a constant predictor
+    with NaN weights; an in-memory table holding one fails at once."""
+    g, table = toy_dataset(n=120, seed=2)
+    epochs = []
+    monkeypatch.setattr(pipeline, "_descend", lambda *args: epochs.append(args))
+    x = np.array(table.features)
+    x[3, 2] = np.nan
+    with pytest.raises(DatasetParseError, match=r"node 3, column"):
+        run_single(g, replace(table, features=x), quick_config(), seed=1)
+    assert not epochs
 
 
 # ---------------------------------------------------------------------------
