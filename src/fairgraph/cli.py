@@ -74,11 +74,16 @@ def _build_config(args):
         cfg = replace(cfg, mode=args.mode)
     if getattr(args, "lr", None) is not None:
         cfg = replace(cfg, lr=args.lr)
+    # the config's seeds stand unless --seed or --splits replaces them
+    seed = getattr(args, "seed", None)
     if getattr(args, "splits", None) is not None:
-        seeds = tuple(derive_seed(args.seed, f"run:{i}") for i in range(args.splits))
-        cfg = replace(cfg, seeds=seeds)
-    elif getattr(args, "seed", None) is not None and len(cfg.seeds) == 1:
-        cfg = replace(cfg, seeds=(args.seed,))
+        cfg = replace(cfg, seeds=tuple(derive_seed(seed or 0, f"run:{i}")
+                                       for i in range(args.splits)))
+    elif seed is not None:
+        if len(cfg.seeds) > 1:
+            raise ConfigError(f"--seed {seed} conflicts with the config's seeds "
+                              f"{list(cfg.seeds)}; give one or the other")
+        cfg = replace(cfg, seeds=(seed,))
     return cfg
 
 
@@ -382,7 +387,7 @@ def build_parser():
     p = sub.add_parser("pretrain", help="prediction-loss pre-training")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pretrain)
 
@@ -390,7 +395,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
     p.add_argument("--mode", choices=("HSCCAF", "CAF", "CAF+GE", "HSCCAF-GE"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--splits", type=int, help="number of random splits")
     p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
@@ -408,7 +413,7 @@ def build_parser():
     p = sub.add_parser("grid", help="hyper-parameter grid search")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--splits", type=int)
     p.add_argument("--grid-json", help="JSON file {param: [values]}")
     p.add_argument("--top", type=int, default=10)

@@ -106,10 +106,18 @@ def load_dataset(spec: DatasetSpec):
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetParseError(f"cannot read meta file {spec.meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DatasetParseError(f"meta file {spec.meta_path} must hold a JSON object, "
+                                f"got {type(meta).__name__}")
     for key in ("label_col", "sensitive_col", "positive_value",
                 "sensitive_positive_value"):
         if key not in meta:
             raise DatasetParseError(f"meta file missing key {key!r}")
+    for key in ("drop_cols", "feature_cols"):
+        cols = meta.get(key, [])
+        if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
+            raise DatasetParseError(f"meta key {key!r} must be a list of column names, "
+                                    f"got {cols!r}")
 
     try:
         with open(spec.features_path, "r", encoding="utf-8", newline="") as fh:
@@ -126,7 +134,7 @@ def load_dataset(spec: DatasetSpec):
 
     drop = set(meta.get("drop_cols", []))
     if "feature_cols" in meta:
-        feature_cols = list(meta["feature_cols"])
+        feature_cols = meta["feature_cols"]
         missing = [c for c in feature_cols if c not in col_index]
         if missing:
             raise MissingColumnError(f"feature columns {missing} not in header")

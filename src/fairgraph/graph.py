@@ -162,37 +162,30 @@ def load_edge_list(path):
 
 @dataclass(frozen=True)
 class NodeLabels:
-    """Per-node binary class labels (partially observed), sensitive attributes
-    (fully observed) and pseudo-labels. Unknown entries are -1."""
+    """Per-node binary class labels (unknown entries are -1) and sensitive
+    attributes (known for every node). A complete labelling, which the edge
+    taxonomy needs, is `with_pseudo` of a partial one."""
 
     class_label: np.ndarray
     sensitive: np.ndarray
-    pseudo_label: np.ndarray
 
     def __post_init__(self):
-        for name in ("class_label", "sensitive", "pseudo_label"):
+        for name in ("class_label", "sensitive"):
             arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = self.class_label.shape[0]
-        if self.sensitive.shape != (n,) or self.pseudo_label.shape != (n,):
+        if self.sensitive.shape != (self.n,):
             raise ValueError("label arrays must share one length")
         if not ((self.sensitive >= 0) & (self.sensitive <= 1)).all():
             raise ValueError("sensitive attribute must be 0/1 for every node")
-        for name in ("class_label", "pseudo_label"):
-            arr = getattr(self, name)
-            if not ((arr >= UNKNOWN) & (arr <= 1)).all():
-                raise ValueError(f"{name} values must be in {{-1, 0, 1}}")
+        if not ((self.class_label >= UNKNOWN) & (self.class_label <= 1)).all():
+            raise ValueError("class_label values must be in {-1, 0, 1}")
 
     @classmethod
-    def create(cls, sensitive, class_label=None, pseudo_label=None):
-        n = len(sensitive)
+    def create(cls, sensitive, class_label=None):
         if class_label is None:
-            class_label = np.full(n, UNKNOWN)
-        if pseudo_label is None:
-            pseudo_label = np.full(n, UNKNOWN)
-        return cls(class_label=np.asarray(class_label), sensitive=np.asarray(sensitive),
-                   pseudo_label=np.asarray(pseudo_label))
+            class_label = np.full(len(sensitive), UNKNOWN)
+        return cls(class_label=np.asarray(class_label), sensitive=np.asarray(sensitive))
 
     @property
     def n(self):
@@ -201,20 +194,24 @@ class NodeLabels:
     def labeled_mask(self):
         return self.class_label != UNKNOWN
 
-    def effective_label(self):
-        """Ground-truth class label where observed, pseudo-label elsewhere."""
-        eff = np.where(self.class_label != UNKNOWN, self.class_label, self.pseudo_label)
-        if (eff == UNKNOWN).any():
-            missing = int((eff == UNKNOWN).sum())
-            raise ValueError(f"{missing} nodes have neither class label nor pseudo-label")
-        return eff
-
     def with_pseudo(self, pseudo):
-        """New labels with the given pseudo-labels (ground truth retained)."""
+        """The labelling completed by `pseudo`: ground truth where it is
+        known, the pseudo-label elsewhere."""
         pseudo = np.asarray(pseudo, dtype=np.int64)
-        merged = np.where(self.class_label != UNKNOWN, self.class_label, pseudo)
-        return NodeLabels(class_label=self.class_label, sensitive=self.sensitive,
-                          pseudo_label=merged)
+        if pseudo.shape != (self.n,):
+            raise ValueError(f"need one pseudo-label per node ({self.n}), got shape "
+                             f"{pseudo.shape}")
+        merged = np.where(self.labeled_mask(), self.class_label, pseudo)
+        return NodeLabels(class_label=merged, sensitive=self.sensitive)
+
+
+def _complete_class_label(labels: NodeLabels):
+    """Every node's class label; ValueError when some node has none."""
+    missing = int(np.count_nonzero(labels.class_label == UNKNOWN))
+    if missing:
+        raise ValueError(f"{missing} nodes have no class label; complete the "
+                         "labelling with pseudo-labels first")
+    return labels.class_label
 
 
 class EdgeType(Enum):
@@ -267,8 +264,8 @@ class EdgeCensus:
 
 
 def edge_census(g: Graph, labels: NodeLabels) -> EdgeCensus:
-    """Count edges of each type under the effective labels."""
-    y = labels.effective_label()
+    """Count edges of each type under a complete labelling."""
+    y = _complete_class_label(labels)
     s = labels.sensitive
     ea = g.edge_array
     same_y = y[ea[:, 0]] == y[ea[:, 1]]
@@ -294,17 +291,19 @@ def homophily_ratios(g: Graph, labels: NodeLabels):
 class EditReport:
     """What fairness-aware editing did to a graph. `skipped`: the mode does
     no editing; `degenerate`: editing would have removed every edge, so the
-    run trained on the unedited graph and nothing was removed."""
+    run trained on the unedited graph and nothing was removed. The homophily
+    ratios are read off the two censuses."""
 
     removed_edges: tuple
     census_before: EdgeCensus
     census_after: EdgeCensus
-    hr_c_before: float
-    hr_s_before: float
-    hr_c_after: float
-    hr_s_after: float
     skipped: bool = False
     degenerate: bool = False
+
+    hr_c_before = property(lambda self: self.census_before.n_c / self.census_before.m)
+    hr_s_before = property(lambda self: self.census_before.n_s / self.census_before.m)
+    hr_c_after = property(lambda self: self.census_after.n_c / self.census_after.m)
+    hr_s_after = property(lambda self: self.census_after.n_s / self.census_after.m)
 
     def to_dict(self):
         return {
@@ -321,17 +320,6 @@ class EditReport:
         }
 
 
-def skipped_edit_report(g: Graph, labels: NodeLabels) -> EditReport:
-    """An EditReport that removes nothing, for runs where editing is
-    disabled by the mode (`run_single` also uses it, marked degenerate, when
-    an edit would remove every edge)."""
-    census = edge_census(g, labels)
-    hr_c, hr_s = homophily_ratios(g, labels)
-    return EditReport(removed_edges=(), census_before=census, census_after=census,
-                      hr_c_before=hr_c, hr_s_before=hr_s, hr_c_after=hr_c,
-                      hr_s_after=hr_s, skipped=True)
-
-
 def fair_edge_remove(g: Graph, labels: NodeLabels):
     """Remove every Type III edge (labels differ, sensitive equal) in one pass.
 
@@ -340,22 +328,16 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
     """
     if g.m == 0:
         raise UndefinedRatioError("cannot edit an empty graph")
-    y = labels.effective_label()
+    y = _complete_class_label(labels)
     s = labels.sensitive
     ea = g.edge_array
     is_iii = (y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])
     if is_iii.all():
         raise DegenerateEditError("editing removed every edge")
-    removed = tuple(map(tuple, ea[is_iii].tolist()))
-    census_before = edge_census(g, labels)
-    hr_c_b = census_before.n_c / census_before.m
-    hr_s_b = census_before.n_s / census_before.m
     edited = Graph(n=g.n, edge_array=ea[~is_iii])
-    census_after = edge_census(edited, labels)
-    report = EditReport(removed_edges=removed, census_before=census_before,
-                        census_after=census_after, hr_c_before=hr_c_b, hr_s_before=hr_s_b,
-                        hr_c_after=census_after.n_c / census_after.m,
-                        hr_s_after=census_after.n_s / census_after.m)
+    report = EditReport(removed_edges=tuple(map(tuple, ea[is_iii].tolist())),
+                        census_before=edge_census(g, labels),
+                        census_after=edge_census(edited, labels))
     return edited, report
 
 

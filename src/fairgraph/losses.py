@@ -17,6 +17,7 @@ dL/dlogit, which `autodiff.grad` takes through the model.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -46,11 +47,19 @@ class LossWeights:
     kappa: float = 1.0
 
     def __post_init__(self):
+        """Each weight is a finite nonnegative number and each count a
+        positive integer; `from_dict` turns the ValueError into a
+        ConfigError."""
         for name in ("alpha", "beta", "gamma", "omega", "eta", "kappa"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.k < 1 or self.k_prime < 1:
-            raise ValueError("K and K_prime must be positive counts")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, "
+                                 f"got {value!r}")
+        for value in (self.k, self.k_prime):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < 1:
+                raise ValueError("K and K_prime must be positive counts")
 
     def to_dict(self):
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,

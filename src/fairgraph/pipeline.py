@@ -31,8 +31,9 @@ from .errors import (
     DegenerateEditError,
     DivergenceError,
     UndefinedMetricError,
+    UndefinedRatioError,
 )
-from .graph import EditReport, Graph, NodeLabels, fair_edge_remove, skipped_edit_report
+from .graph import EditReport, Graph, NodeLabels, edge_census, fair_edge_remove
 from .losses import (
     LossParts,
     LossWeights,
@@ -283,16 +284,30 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
             graph, x, enc, pred, cfg, cfg.T_pre, "pretrain",
             lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
         losses.append(loss)
-    pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
+    pseudo = labels.with_pseudo(hard_labels(probs)).class_label
     return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
                           losses=losses)
 
 
 def run_phase1(graph: Graph, labels: NodeLabels, mode):
-    """Fairness-aware edge removal, or a skipped report for modes without it."""
-    if MODE_FLAGS[mode]["edit"]:
-        return fair_edge_remove(graph, labels)
-    return graph, skipped_edit_report(graph, labels)
+    """Phase 1 on a complete labelling: (the graph phase 2 trains on, its
+    EditReport). Editing modes remove every Type III edge; the others keep
+    the graph, `skipped`. An edit that would remove every edge is not
+    applied, as an edgeless graph would leave the neighbour means all zero:
+    the report is `degenerate`. An edgeless graph raises UndefinedRatioError
+    in every mode."""
+    if graph.m == 0:
+        raise UndefinedRatioError("homophily ratios are undefined on an empty edge set")
+    edit = MODE_FLAGS[mode]["edit"]
+    if edit:
+        try:
+            return fair_edge_remove(graph, labels)
+        except DegenerateEditError:
+            log.warning("editing would remove every edge; training on the "
+                        "unedited graph")
+    census = edge_census(graph, labels)
+    return graph, EditReport(removed_edges=(), census_before=census,
+                             census_after=census, skipped=not edit, degenerate=edit)
 
 
 @dataclass
@@ -380,7 +395,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     def objective(epoch, latent, probs):
         nonlocal pseudo, cf, warned_empty
         if epoch == 1 or epoch % cfg.refresh_period == 0:
-            pseudo = labels.with_pseudo(hard_labels(probs)).pseudo_label
+            pseudo = labels.with_pseudo(hard_labels(probs)).class_label
             if use_inv:
                 cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
                 if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
@@ -445,24 +460,13 @@ def prepare(table: NodeTable, cfg: TrainConfig, seed):
 
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
-    """One complete run: split, standardize, pre-train, edit, train.
-
-    An edit that would remove every edge is not applied: phase 2 trains on
-    the unedited graph and the edit report is marked `degenerate`."""
+    """One complete run: split, standardize, pre-train, edit, train. Only
+    the edit reads the labelling that pre-training's pseudo-labels complete."""
     splits, x, mean, std = prepare(table, cfg, seed)
-    labels = table.labels
-    pre = pretrain(graph, x, labels, splits.train, cfg, seed)
-    labels_p = labels.with_pseudo(pre.pseudo_labels)
-    try:
-        edited, edit_report = run_phase1(graph, labels_p, cfg.mode)
-    except DegenerateEditError:
-        # an edgeless graph would leave the neighbour means all zero
-        log.warning("editing would remove every edge; training on the "
-                    "unedited graph")
-        edited = graph
-        edit_report = replace(skipped_edit_report(graph, labels_p),
-                              skipped=False, degenerate=True)
-    return train_full(edited, x, labels_p, splits, pre.encoder, pre.predictor,
+    pre = pretrain(graph, x, table.labels, splits.train, cfg, seed)
+    edited, edit_report = run_phase1(graph, table.labels.with_pseudo(pre.pseudo_labels),
+                                     cfg.mode)
+    return train_full(edited, x, table.labels, splits, pre.encoder, pre.predictor,
                       cfg, seed, edit_report, (mean, std), split_id=split_id)
 
 

@@ -15,6 +15,8 @@ serializes the first counterexample when one exists.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from .graph import (
     predict_ratio_shift,
     single_edge_effect,
 )
-from .errors import DegenerateEditError, InfeasibleError
+from .errors import ConfigError, DegenerateEditError, InfeasibleError
 from .seeding import derive_seed
 
 
@@ -75,7 +77,7 @@ class SuiteReport:
 
 def _graph_payload(g, labels):
     return {"n": g.n, "edges": g.edge_array.tolist(),
-            "class_label": labels.effective_label().tolist(),
+            "class_label": labels.class_label.tolist(),
             "sensitive": labels.sensitive.tolist()}
 
 
@@ -85,7 +87,7 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30):
     report = SuiteReport(name="identity")
     for _ in range(n_graphs):
         g, labels = random_labeled_graph(rng, max_n=max_n)
-        y = labels.effective_label()
+        y = labels.class_label
         s = labels.sensitive
         census = edge_census(g, labels)
         hr_c, hr_s = homophily_ratios(g, labels)
@@ -144,7 +146,7 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
     report = SuiteReport(name="signs")
     for _ in range(n_graphs):
         g, labels = random_labeled_graph(rng, max_n=10, max_m=max_m, min_m=2)
-        y = labels.effective_label()
+        y = labels.class_label
         s = labels.sensitive
         census = edge_census(g, labels)
         hr_c, hr_s = homophily_ratios(g, labels)
@@ -218,7 +220,15 @@ def budget_suite(n_instances=100, seed=0, max_m=12):
 
 
 def run_suites(n_graphs=100, seed=0, tol=1e-12):
-    """Run all three suites; returns (passed, [SuiteReport])."""
+    """Run all three suites on n_graphs >= 1 graphs each, with a finite
+    tol >= 0; returns (passed, [SuiteReport]). Other bounds are a
+    ConfigError, since no such run checks anything."""
+    if isinstance(n_graphs, bool) or not isinstance(n_graphs, numbers.Integral) \
+            or n_graphs < 1:
+        raise ConfigError(f"the suites need at least one graph, got {n_graphs!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not 0 <= tol < math.inf:
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
     reports = [
         identity_suite(n_graphs=n_graphs, seed=seed, tol=tol),
         sign_suite(n_graphs=n_graphs, seed=seed),

@@ -88,7 +88,7 @@ def test_criterion_2_single_edge_signs():
 
 def _exhaustive_min_deletions(g, labels, tau_c, tau_s):
     """Smallest k over ALL k-subsets of edges reaching both targets."""
-    y = labels.effective_label()
+    y = labels.class_label
     s = labels.sensitive
     yc = [int(y[u] == y[v]) for u, v in g.edges]
     ys = [int(s[u] == s[v]) for u, v in g.edges]

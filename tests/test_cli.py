@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 
 import numpy as np
@@ -15,6 +16,8 @@ from fairgraph.graph import Graph, fair_edge_remove
 from fairgraph.losses import select_counterfactuals
 from fairgraph.model import init_params, save_checkpoint
 from fairgraph.pipeline import TrainConfig, grid_search, run_experiment
+from fairgraph.seeding import derive_seed
+from fairgraph.verify import run_suites
 
 
 @pytest.fixture()
@@ -68,6 +71,20 @@ def test_analyze_non_integer_edge_id_exit_2(toy_dir, bad_id, capsys):
     assert "edges.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", [5, None, {"drop_cols": 5}, {"feature_cols": 7}],
+                         ids=["number", "null", "drop_cols-number", "feature_cols-number"])
+def test_meta_of_the_wrong_shape_exit_2(toy_dir, meta, capsys):
+    meta_path = os.path.join(toy_dir, "meta.json")
+    if isinstance(meta, dict):
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = {**json.load(fh), **meta}
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh)
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "meta" in err
+
+
 def test_verify_ok_and_report_fields(tmp_path, capsys):
     out_json = tmp_path / "verify.json"
     assert main(["verify", "--graphs", "40", "--seed", "2",
@@ -92,6 +109,20 @@ def test_verify_fault_injection_exits_1(monkeypatch, capsys):
     assert main(["verify", "--graphs", "40", "--seed", "2"]) == 1
     err = capsys.readouterr().err
     assert "counterexample" in err
+
+
+@pytest.mark.parametrize("flag,value", [("graphs", "0"), ("graphs", "-3"), ("tol", "nan"),
+                                        ("tol", "inf"), ("tol", "-1e-12")])
+def test_verify_that_checks_nothing_exit_2(tmp_path, flag, value, capsys):
+    out_json = tmp_path / "verify.json"
+    assert main(["verify", f"--{flag}={value}", "--json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and " ok " not in captured.out
+    assert not out_json.exists()
+    graphs, tol = (int(value), 1e-12) if flag == "graphs" else (3, float(value))
+    with pytest.raises(ConfigError):
+        run_suites(n_graphs=graphs, tol=tol)
+    assert run_suites(n_graphs=1, tol=0.0)[1][0].graphs_checked == 1
 
 
 def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, capsys):
@@ -279,6 +310,78 @@ def test_invalid_weight_is_config_error(toy_dir, tmp_path, capsys):
         assert next(iter(cell)) in capsys.readouterr().err
         with pytest.raises(ConfigError):
             grid_search(graph, table, TrainConfig(T_pre=1, T_train=1), cell)
+
+
+def _expect_config_error(argv, out, capsys, name):
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                        ("--kappa", "inf"), ("--eta", "-inf")])
+def test_non_finite_weight_flag_exit_2(toy_dir, tmp_path, flag, value, capsys):
+    _expect_config_error(["train", "--dataset", toy_dir, f"{flag}={value}"],
+                         tmp_path / "train", capsys, flag[2:])
+
+
+def test_non_finite_weight_in_config_file_exit_2(toy_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for weights in ({"eta": math.nan}, {"omega": math.inf}, {"alpha": True}):
+        cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, "weights": weights}))
+        for command in ("train", "grid"):
+            _expect_config_error([command, "--dataset", toy_dir, "--config", str(cfg)],
+                                 tmp_path / command, capsys, next(iter(weights)))
+
+
+def test_non_finite_grid_cell_exit_2(toy_dir, tmp_path, capsys):
+    graph, table = load_dataset(resolve_dataset(toy_dir))
+    grid_file = tmp_path / "grid.json"
+    for cell in ({"omega": [math.nan, 0.3]}, {"gamma": [0.1, -math.inf]}):
+        grid_file.write_text(json.dumps(cell))
+        _expect_config_error(["grid", "--dataset", toy_dir, "--grid-json", str(grid_file)],
+                             tmp_path / "grid", capsys, next(iter(cell)))
+        with pytest.raises(ConfigError):
+            grid_search(graph, table, TrainConfig(T_pre=1, T_train=1), cell)
+
+
+def _run_seeds(out):
+    return json.loads((out / "aggregate.json").read_text())["config"]["seeds"]
+
+
+def test_seed_flag_and_config_seeds(toy_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, "seeds": [7]}))
+    train = ["train", "--dataset", toy_dir, "--config", str(cfg)]
+    # without --seed the config's seeds stand; --seed replaces a single one
+    assert main([*train, "--out", str(tmp_path / "a")]) == 0
+    assert _run_seeds(tmp_path / "a") == [7]
+    assert (tmp_path / "a" / "run_seed7_split0.json").exists()
+    assert main([*train, "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+    assert _run_seeds(tmp_path / "b") == [3]
+    assert main(["pretrain", "--dataset", toy_dir, "--config", str(cfg),
+                 "--out", str(tmp_path / "pre")]) == 0
+    pre = json.loads((tmp_path / "pre" / "pretrain_report.json").read_text())
+    assert pre["seed"] == 7
+    # --splits derives its seeds from --seed, or from 0 without it
+    for seed_flags, base in (([], 0), (["--seed", "5"], 5)):
+        out = tmp_path / f"splits{base}"
+        assert main([*train, *seed_flags, "--splits", "2", "--out", str(out)]) == 0
+        assert _run_seeds(out) == [derive_seed(base, f"run:{i}") for i in range(2)]
+    # a multi-seed config runs every seed, and an explicit --seed conflicts
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, "seeds": [7, 8]}))
+    assert main([*train, "--out", str(tmp_path / "c")]) == 0
+    assert _run_seeds(tmp_path / "c") == [7, 8]
+    capsys.readouterr()
+    for command in ("train", "pretrain", "grid"):
+        _expect_config_error([command, "--dataset", toy_dir, "--config", str(cfg),
+                              "--seed", "3"], tmp_path / command, capsys, "--seed 3")
+    # a config without seeds runs the default seed 0
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1}))
+    assert main([*train, "--out", str(tmp_path / "d")]) == 0
+    assert _run_seeds(tmp_path / "d") == [0]
+    capsys.readouterr()
 
 
 def test_divergence_exit_1(toy_dir, tmp_path, capsys):

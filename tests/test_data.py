@@ -92,6 +92,33 @@ def test_loader_typed_errors(tmp_path):
         resolve_dataset("no-such-dataset-name")
 
 
+BASE_META = {"label_col": "approved", "sensitive_col": "group",
+             "positive_value": 1, "sensitive_positive_value": 1}
+BAD_META = {"number": 5, "null": None, "list": [BASE_META],
+            "drop_cols-number": {**BASE_META, "drop_cols": 5},
+            "drop_cols-string": {**BASE_META, "drop_cols": "age"},
+            "feature_cols-number": {**BASE_META, "feature_cols": 7},
+            "feature_cols-non-string": {**BASE_META, "feature_cols": ["age", 3]},
+            "feature_cols-null": {**BASE_META, "feature_cols": None}}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_META))
+def test_meta_of_the_wrong_shape_is_a_parse_error(tmp_path, name):
+    spec = write_toy_dataset(tmp_path)
+    (tmp_path / "meta.json").write_text(json.dumps(BAD_META[name]))
+    with pytest.raises(DatasetParseError, match="meta"):
+        load_dataset(spec)
+
+
+def test_meta_column_lists_select_features(tmp_path):
+    _, table = load_dataset(write_toy_dataset(
+        tmp_path, meta={**BASE_META, "drop_cols": ["income"]}))
+    assert table.feature_names == ("age", "group")
+    _, table = load_dataset(write_toy_dataset(
+        tmp_path, meta={**BASE_META, "feature_cols": ["income"]}))
+    assert table.feature_names == ("income",)
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity", "+nan"])
 def test_non_finite_feature_is_a_parse_error(tmp_path, cell):
     spec = write_toy_dataset(

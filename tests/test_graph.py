@@ -37,7 +37,7 @@ from fairgraph.verify import random_labeled_graph
 
 def naive_ratios(g, labels):
     """Independent oracle: double loop over the raw edge list."""
-    y = labels.effective_label()
+    y = labels.class_label
     s = labels.sensitive
     same_c = same_s = 0
     for u, v in g.edges:
@@ -140,13 +140,32 @@ def test_labels_validation():
     for bad in ([2, 0], [-2, 0]):
         with pytest.raises(ValueError, match="class_label"):
             NodeLabels.create(sensitive=[0, 1], class_label=bad)
-        with pytest.raises(ValueError, match="pseudo_label"):
-            NodeLabels.create(sensitive=[0, 1], pseudo_label=bad)
-    labels = NodeLabels.create(sensitive=[0, 1], class_label=[1, -1],
-                               pseudo_label=[-1, 0])
-    assert labels.effective_label().tolist() == [1, 0]
-    with pytest.raises(ValueError):
-        NodeLabels.create(sensitive=[0, 1], class_label=[1, -1]).effective_label()
+        with pytest.raises(ValueError, match="class_label"):
+            NodeLabels.create(sensitive=[0, 1], class_label=[-1, -1]).with_pseudo(bad)
+    with pytest.raises(ValueError, match="one length"):
+        NodeLabels.create(sensitive=[0, 1], class_label=[1, 0, 1])
+    for short in ([0], 0, [0, 1, 1]):  # never broadcast over the unknown nodes
+        with pytest.raises(ValueError, match="one pseudo-label per node"):
+            NodeLabels.create(sensitive=[0, 1], class_label=[1, -1]).with_pseudo(short)
+    assert NodeLabels.create(sensitive=[0, 1]).class_label.tolist() == [-1, -1]
+
+
+def test_with_pseudo_keeps_ground_truth_and_fills_the_rest():
+    labels = NodeLabels.create(sensitive=[0, 1, 1, 0], class_label=[1, -1, 0, -1])
+    full = labels.with_pseudo([0, 1, 1, 0])
+    assert full.class_label.tolist() == [1, 1, 0, 0]
+    assert full.sensitive.tolist() == [0, 1, 1, 0]
+    assert labels.class_label.tolist() == [1, -1, 0, -1]
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert edge_census(g, full) == EdgeCensus(count_i=0, count_ii=2, count_iii=1,
+                                              count_iv=0)
+    # an incomplete labelling has no taxonomy, whether or not pseudo-labels
+    # filled part of it
+    for partial, missing in ((labels, 2), (labels.with_pseudo([0, 1, 1, -1]), 1)):
+        for count in (lambda: edge_census(g, partial),
+                      lambda: fair_edge_remove(g, partial)):
+            with pytest.raises(ValueError, match=f"^{missing} nodes have no class label"):
+                count()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +228,7 @@ def test_permutation_invariance():
     inv = np.empty(g.n, dtype=np.int64)
     inv[perm] = np.arange(g.n)
     labels2 = NodeLabels.create(sensitive=labels.sensitive[inv],
-                                class_label=labels.effective_label()[inv])
+                                class_label=labels.class_label[inv])
     assert homophily_ratios(g, labels) == homophily_ratios(g2, labels2)
     assert edge_census(g, labels) == edge_census(g2, labels2)
 
@@ -290,7 +309,7 @@ def test_shift_identity_exact_on_random_subsets():
     checked = 0
     while checked < 60:
         g, labels = random_labeled_graph(rng, max_n=14)
-        y = labels.effective_label()
+        y = labels.class_label
         s = labels.sensitive
         census = edge_census(g, labels)
         type_iii = [e for e in g.edges if y[e[0]] != y[e[1]] and s[e[0]] == s[e[1]]]
@@ -334,7 +353,7 @@ def test_single_edge_effect_type_ii_matches_deletion_oracle():
         c = edge_census(g, labels)
         if c.count_ii == 0:
             continue
-        y = labels.effective_label()
+        y = labels.class_label
         s = labels.sensitive
         edge = next(e for e in g.edges
                     if y[e[0]] == y[e[1]] and s[e[0]] != s[e[1]])
@@ -354,7 +373,7 @@ def test_single_edge_effect_sign_table_exhaustive():
     for _ in range(100):
         g, labels = random_labeled_graph(rng, max_n=10, max_m=16, min_m=2)
         census = edge_census(g, labels)
-        y = labels.effective_label()
+        y = labels.class_label
         s = labels.sensitive
         for e in g.edges:
             t = classify_edge(int(y[e[0]]), int(y[e[1]]), int(s[e[0]]), int(s[e[1]]))
@@ -412,7 +431,7 @@ def oracle_best_deletion_sets(g: Graph, labels: NodeLabels, k: int) -> DeletionS
         raise ValueError(f"exhaustive deletion scan limited to m <= 16, got {m}")
     if not 0 <= k < m:
         raise ValueError("need 0 <= k < m so ratios stay defined")
-    y = labels.effective_label()
+    y = labels.class_label
     s = labels.sensitive
     ea = g.edge_array
     yc = (y[ea[:, 0]] == y[ea[:, 1]]).astype(int)

@@ -829,6 +829,19 @@ def test_weights_validation():
     assert LossWeights.from_dict(w.to_dict()) == w
 
 
+def test_weights_must_be_finite_numbers():
+    for name in ("alpha", "beta", "gamma", "omega", "eta", "kappa"):
+        for bad in (math.nan, math.inf, -math.inf, True, "1", None):
+            with pytest.raises(ValueError, match=name):
+                LossWeights(**{name: bad})
+            with pytest.raises(ConfigError, match=name):
+                LossWeights.from_dict({name: bad})
+    for bad in (math.nan, 2.0, True, 0):
+        with pytest.raises(ValueError, match="K and K_prime"):
+            LossWeights(k=bad)
+    assert LossWeights(alpha=np.float64(0.5), k=np.int64(3)).to_dict()["K"] == 3
+
+
 # ---------------------------------------------------------------------------
 # gradient suite
 

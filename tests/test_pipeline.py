@@ -12,8 +12,9 @@ from fairgraph.errors import (
     DatasetParseError,
     DivergenceError,
     UndefinedMetricError,
+    UndefinedRatioError,
 )
-from fairgraph.graph import Graph
+from fairgraph.graph import Graph, NodeLabels, homophily_ratios
 from fairgraph.losses import LossWeights
 from fairgraph.metrics import selection_score
 from fairgraph.pipeline import (
@@ -199,6 +200,47 @@ def test_phase1_modes():
         assert not report.skipped
         assert report.census_after.count_iii == 0
         assert out.m == g.m - len(report.removed_edges)
+
+
+def test_phase1_outcomes(caplog):
+    # a path 0-1-2-3 whose first two edges are Type III
+    labels = NodeLabels.create(sensitive=[0, 0, 0, 1], class_label=[0, 1, 0, 0])
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    out, report = run_phase1(g, labels, "HSCCAF")
+    assert out.edges == ((2, 3),) and report.removed_edges == ((0, 1), (1, 2))
+    assert not report.skipped and not report.degenerate
+    out, report = run_phase1(g, labels, "CAF")
+    assert out is g and report.skipped and not report.degenerate
+    assert report.removed_edges == () and report.census_after == report.census_before
+    assert not caplog.records
+
+    all_iii = Graph.from_edges(4, [(0, 1), (1, 2)])
+    for mode in ("HSCCAF", "CAF+GE"):
+        out, report = run_phase1(all_iii, labels, mode)
+        assert out is all_iii and report.degenerate and not report.skipped
+        assert report.removed_edges == ()
+        assert report.census_before.count_iii == report.census_after.m == 2
+    assert [r.getMessage() for r in caplog.records] == \
+        ["editing would remove every edge; training on the unedited graph"] * 2
+    out, report = run_phase1(all_iii, labels, "HSCCAF-GE")
+    assert report.skipped and not report.degenerate
+
+    for mode in pipeline.MODES:
+        with pytest.raises(UndefinedRatioError):
+            run_phase1(Graph.from_edges(4, []), labels, mode)
+
+
+def test_edit_report_ratios_are_the_graphs_ratios():
+    g, table = toy_dataset(n=120, seed=5)
+    labels = table.labels.with_pseudo(np.arange(g.n) % 2)
+    for mode in ("HSCCAF", "CAF"):
+        out, report = run_phase1(g, labels, mode)
+        assert (report.hr_c_before, report.hr_s_before) == homophily_ratios(g, labels)
+        assert (report.hr_c_after, report.hr_s_after) == homophily_ratios(out, labels)
+        doc = report.to_dict()
+        assert [doc[k] for k in ("hr_c_before", "hr_s_before", "hr_c_after",
+                                 "hr_s_after")] == \
+            [*homophily_ratios(g, labels), *homophily_ratios(out, labels)]
 
 
 # ---------------------------------------------------------------------------
