@@ -35,6 +35,7 @@ from .metrics import evaluate_predictions
 from .model import encode, hard_labels, load_checkpoint, predict, save_checkpoint
 from .pipeline import (
     DEFAULT_GRID,
+    MODES,
     Splits,
     TrainConfig,
     grid_search,
@@ -141,6 +142,8 @@ def _stored_splits(stored, n):
 def _graph_after_stored_edit(graph, stored):
     """Rebuild the phase-1 edited graph a stored run trained on."""
     edit = stored.get("edit", {})
+    if not isinstance(edit, dict):
+        raise ConfigError(f"stored report's edit block is not a mapping: {edit!r}")
     if edit.get("skipped") or not edit.get("removed_edges"):
         return graph
     try:
@@ -169,7 +172,7 @@ def cmd_analyze(args):
     graph, table = _load_dataset_arg(args.dataset)
     labels = _effective_labels(args, graph, table)
     census = edge_census(graph, labels)
-    hr_c, hr_s = homophily_ratios(graph, labels)
+    hr_c, hr_s = census.hr_c, census.hr_s
     payload = {"dataset": args.dataset, "labels_source": args.labels,
                "n": graph.n, "census": census.to_dict(),
                "hr_c": hr_c, "hr_s": hr_s}
@@ -352,6 +355,17 @@ def cmd_export(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _at_least_one(text):
+    """argparse type of a count flag: a whole number >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return value
+
+
 def _add_weight_flags(p):
     for flag in WEIGHT_FLAGS:
         if flag in ("K", "K_prime"):
@@ -394,9 +408,9 @@ def build_parser():
     p = sub.add_parser("train", help="three-phase training over splits")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
-    p.add_argument("--mode", choices=("HSCCAF", "CAF", "CAF+GE", "HSCCAF-GE"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--seed", type=int)
-    p.add_argument("--splits", type=int, help="number of random splits")
+    p.add_argument("--splits", type=_at_least_one, help="number of random splits")
     p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
     _add_weight_flags(p)
@@ -414,9 +428,9 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--splits", type=int)
+    p.add_argument("--splits", type=_at_least_one)
     p.add_argument("--grid-json", help="JSON file {param: [values]}")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_at_least_one, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grid)
 

@@ -232,6 +232,8 @@ class SynthConfig:
             raise InfeasibleError("homophily targets must lie strictly inside (0, 1)")
         if self.n < 8:
             raise InfeasibleError("need at least 8 nodes")
+        if not self.mean_degree >= 0:
+            raise InfeasibleError(f"mean_degree must be >= 0, got {self.mean_degree}")
         edge_plan(self)  # raises if the targets are unreachable
 
 
@@ -251,7 +253,7 @@ def _block_pairs(sizes):
         for b2 in BLOCK_ORDER[i:]:
             n_pairs = (sizes[b1] * (sizes[b1] - 1) // 2 if b1 == b2
                        else sizes[b1] * sizes[b2])
-            yield b1, b2, classify_edge(b1[0], b2[0], b1[1], b2[1]).value, n_pairs
+            yield b1, b2, classify_edge(b1[0], b2[0], b1[1], b2[1]).name, n_pairs
 
 
 def edge_plan(cfg: SynthConfig):

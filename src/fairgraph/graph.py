@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -205,31 +205,33 @@ class NodeLabels:
         return NodeLabels(class_label=merged, sensitive=self.sensitive)
 
 
-def _complete_class_label(labels: NodeLabels):
-    """Every node's class label; ValueError when some node has none."""
-    missing = int(np.count_nonzero(labels.class_label == UNKNOWN))
-    if missing:
-        raise ValueError(f"{missing} nodes have no class label; complete the "
-                         "labelling with pseudo-labels first")
-    return labels.class_label
-
-
-class EdgeType(Enum):
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
+class EdgeType(IntEnum):
+    """The four edge types, valued by the code `edge_types` gives them."""
+    I = 0
+    II = 1
+    III = 2
+    IV = 3
 
 
 def classify_edge(y_u, y_v, s_u, s_v):
     """Edge taxonomy from endpoint labels: I same/same, II same class only,
     III same sensitive only, IV neither."""
-    for val in (y_u, y_v, s_u, s_v):
-        if val not in (0, 1):
-            raise ValueError("labels must be binary")
-    if y_u == y_v:
-        return EdgeType.I if s_u == s_v else EdgeType.II
-    return EdgeType.III if s_u == s_v else EdgeType.IV
+    if not {y_u, y_v, s_u, s_v} <= {0, 1}:
+        raise ValueError("labels must be binary")
+    return EdgeType(2 * (y_u != y_v) + (s_u != s_v))
+
+
+def edge_types(g: Graph, labels: NodeLabels):
+    """Each edge's EdgeType code 2·[y_u != y_v] + [s_u != s_v], as an (m,)
+    int64 array in `edge_array` order: the only array form of the taxonomy.
+    ValueError when some node has no class label."""
+    y, s = labels.class_label, labels.sensitive
+    missing = int(np.count_nonzero(y == UNKNOWN))
+    if missing:
+        raise ValueError(f"{missing} nodes have no class label; complete the "
+                         "labelling with pseudo-labels first")
+    u, v = g.edge_array.T
+    return 2 * (y[u] != y[v]) + (s[u] != s[v])
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,11 @@ class EdgeCensus:
     count_ii: int
     count_iii: int
     count_iv: int
+
+    @classmethod
+    def from_types(cls, types):
+        """The census of an `edge_types` array."""
+        return cls(*np.bincount(types, minlength=len(EdgeType)).tolist())
 
     @property
     def m(self):
@@ -253,9 +260,17 @@ class EdgeCensus:
     def n_s(self):
         return self.count_i + self.count_iii
 
+    # homophily ratios: the shares of edges with equal labels / equal attributes
+    hr_c = property(lambda self: self._ratio(self.n_c))
+    hr_s = property(lambda self: self._ratio(self.n_s))
+
+    def _ratio(self, count):
+        if self.m == 0:
+            raise UndefinedRatioError("homophily ratios are undefined on an empty edge set")
+        return count / self.m
+
     def count(self, t: EdgeType):
-        return {EdgeType.I: self.count_i, EdgeType.II: self.count_ii,
-                EdgeType.III: self.count_iii, EdgeType.IV: self.count_iv}[t]
+        return (self.count_i, self.count_ii, self.count_iii, self.count_iv)[t]
 
     def to_dict(self):
         return {"m": self.m, "n_c": self.n_c, "n_s": self.n_s,
@@ -265,26 +280,15 @@ class EdgeCensus:
 
 def edge_census(g: Graph, labels: NodeLabels) -> EdgeCensus:
     """Count edges of each type under a complete labelling."""
-    y = _complete_class_label(labels)
-    s = labels.sensitive
-    ea = g.edge_array
-    same_y = y[ea[:, 0]] == y[ea[:, 1]]
-    same_s = s[ea[:, 0]] == s[ea[:, 1]]
-    return EdgeCensus(
-        count_i=int(np.sum(same_y & same_s)),
-        count_ii=int(np.sum(same_y & ~same_s)),
-        count_iii=int(np.sum(~same_y & same_s)),
-        count_iv=int(np.sum(~same_y & ~same_s)),
-    )
+    return EdgeCensus.from_types(edge_types(g, labels))
 
 
 def homophily_ratios(g: Graph, labels: NodeLabels):
-    """(hr_c, hr_s): fractions of edges joining equal class labels / equal
-    sensitive attributes."""
+    """(hr_c, hr_s); an edgeless graph fails before the labelling is checked."""
     if g.m == 0:
         raise UndefinedRatioError("homophily ratios are undefined on an empty edge set")
     c = edge_census(g, labels)
-    return c.n_c / c.m, c.n_s / c.m
+    return c.hr_c, c.hr_s
 
 
 @dataclass(frozen=True)
@@ -300,10 +304,10 @@ class EditReport:
     skipped: bool = False
     degenerate: bool = False
 
-    hr_c_before = property(lambda self: self.census_before.n_c / self.census_before.m)
-    hr_s_before = property(lambda self: self.census_before.n_s / self.census_before.m)
-    hr_c_after = property(lambda self: self.census_after.n_c / self.census_after.m)
-    hr_s_after = property(lambda self: self.census_after.n_s / self.census_after.m)
+    hr_c_before = property(lambda self: self.census_before.hr_c)
+    hr_s_before = property(lambda self: self.census_before.hr_s)
+    hr_c_after = property(lambda self: self.census_after.hr_c)
+    hr_s_after = property(lambda self: self.census_after.hr_s)
 
     def to_dict(self):
         return {
@@ -328,15 +332,14 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
     """
     if g.m == 0:
         raise UndefinedRatioError("cannot edit an empty graph")
-    y = _complete_class_label(labels)
-    s = labels.sensitive
-    ea = g.edge_array
-    is_iii = (y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])
+    types = edge_types(g, labels)
+    is_iii = types == EdgeType.III
     if is_iii.all():
         raise DegenerateEditError("editing removed every edge")
+    ea = g.edge_array
     edited = Graph(n=g.n, edge_array=ea[~is_iii])
     report = EditReport(removed_edges=tuple(map(tuple, ea[is_iii].tolist())),
-                        census_before=edge_census(g, labels),
+                        census_before=EdgeCensus.from_types(types),
                         census_after=edge_census(edited, labels))
     return edited, report
 
@@ -373,7 +376,7 @@ def single_edge_effect(census: EdgeCensus, t: EdgeType):
     if m < 2:
         raise ValueError("single-edge effect needs m >= 2")
     if census.count(t) < 1:
-        raise ValueError(f"census has no edge of type {t.value}")
+        raise ValueError(f"census has no edge of type {t.name}")
     dc_num = census.n_c - m if t in (EdgeType.I, EdgeType.II) else census.n_c
     ds_num = census.n_s - m if t in (EdgeType.I, EdgeType.III) else census.n_s
     return _sign(dc_num), _sign(ds_num)

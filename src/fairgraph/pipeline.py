@@ -164,11 +164,13 @@ class Splits:
     def from_dict(cls, doc, n):
         masks = []
         for key in ("train", "val", "test"):
-            ids = np.asarray(doc[key], dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise ValueError(f"{key} ids outside 0..{n - 1}")
+            for i in doc[key]:
+                if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                    raise ValueError(f"{key} ids must be whole numbers, got {i!r}")
+                if not 0 <= i < n:
+                    raise ValueError(f"{key} ids outside 0..{n - 1}")
             m = np.zeros(n, dtype=bool)
-            m[ids] = True
+            m[np.asarray(doc[key], dtype=np.int64)] = True
             masks.append(m)
         return cls(*masks)
 

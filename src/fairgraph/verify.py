@@ -23,12 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import (
+    EdgeCensus,
     EdgeType,
     Graph,
     NodeLabels,
-    classify_edge,
     decode_pairs,
     edge_census,
+    edge_types,
     fair_edge_remove,
     homophily_ratios,
     minimal_deletions,
@@ -87,14 +88,12 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30):
     report = SuiteReport(name="identity")
     for _ in range(n_graphs):
         g, labels = random_labeled_graph(rng, max_n=max_n)
-        y = labels.class_label
-        s = labels.sensitive
-        census = edge_census(g, labels)
-        hr_c, hr_s = homophily_ratios(g, labels)
+        types = edge_types(g, labels)
+        census = EdgeCensus.from_types(types)
+        hr_c, hr_s = census.hr_c, census.hr_s
         report.graphs_checked += 1
 
-        ea = g.edge_array
-        type_iii = ea[(y[ea[:, 0]] != y[ea[:, 1]]) & (s[ea[:, 0]] == s[ea[:, 1]])]
+        type_iii = g.edge_array[types == EdgeType.III]
         k_max = len(type_iii)
         if k_max == g.m:
             k_max -= 1  # keep at least one edge so ratios stay defined
@@ -125,7 +124,7 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30):
                                          **_graph_payload(g, labels)}
                 return report
             k_full = g.m - edited_full.m
-            hr_c3, hr_s3 = homophily_ratios(edited_full, labels)
+            hr_c3, hr_s3 = census_after.hr_c, census_after.hr_s
             pred_dc, pred_ds = predict_ratio_shift(census, census.count_iii)
             res = max(abs((hr_c3 - hr_c) - pred_dc), abs((hr_s3 - hr_s) - pred_ds))
             report.max_residual = max(report.max_residual, res)
@@ -146,16 +145,13 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
     report = SuiteReport(name="signs")
     for _ in range(n_graphs):
         g, labels = random_labeled_graph(rng, max_n=10, max_m=max_m, min_m=2)
-        y = labels.class_label
-        s = labels.sensitive
-        census = edge_census(g, labels)
-        hr_c, hr_s = homophily_ratios(g, labels)
+        types = edge_types(g, labels)
+        census = EdgeCensus.from_types(types)
+        hr_c, hr_s = census.hr_c, census.hr_s
         report.graphs_checked += 1
-        for i, e in enumerate(g.edge_array.tolist()):
-            t = classify_edge(int(y[e[0]]), int(y[e[1]]), int(s[e[0]]), int(s[e[1]]))
-            keep = np.ones(g.m, dtype=bool)
-            keep[i] = False
-            edited = Graph(n=g.n, edge_array=g.edge_array[keep])
+        for i, (e, t) in enumerate(zip(g.edge_array.tolist(),
+                                       map(EdgeType, types.tolist()))):
+            edited = Graph(n=g.n, edge_array=np.delete(g.edge_array, i, axis=0))
             hr_c2, hr_s2 = homophily_ratios(edited, labels)
             dc, ds = hr_c2 - hr_c, hr_s2 - hr_s
             want_dc, want_ds = single_edge_effect(census, t)
@@ -164,14 +160,14 @@ def sign_suite(n_graphs=200, seed=0, max_m=16):
             report.cases_checked += 1
             if (got_dc, got_ds) != (want_dc, want_ds):
                 report.counterexample = {"kind": "sign-table", "edge": e,
-                                         "type": t.value,
+                                         "type": t.name,
                                          "predicted": [want_dc, want_ds],
                                          "observed": [got_dc, got_ds],
                                          **_graph_payload(g, labels)}
                 return report
             if t is not EdgeType.III and dc > 1e-15 and ds < -1e-15:
                 report.counterexample = {"kind": "non-iii-improvement",
-                                         "edge": e, "type": t.value,
+                                         "edge": e, "type": t.name,
                                          **_graph_payload(g, labels)}
                 return report
             if t is EdgeType.III and census.n_c > 0 and census.n_s < census.m \

@@ -245,6 +245,12 @@ REPORT_FAULTS = {
     "split-id-out-of-range": lambda doc: doc["splits"].update(test=[10 ** 6]),
     "split-id-negative": lambda doc: doc["splits"].update(val=[-1]),
     "split-missing-mask": lambda doc: doc["splits"].pop("val"),
+    "split-id-fraction": lambda doc: doc["splits"].update(test=[4.5]),
+    "split-id-bool": lambda doc: doc["splits"].update(train=[True]),
+    "split-id-string": lambda doc: doc["splits"].update(val=["3"]),
+    "split-id-list": lambda doc: doc["splits"].update(test=[[3]]),
+    "edit-number": lambda doc: doc.update(edit=5),
+    "edit-list": lambda doc: doc.update(edit=[]),
 }
 
 
@@ -256,9 +262,13 @@ def test_bad_stored_report_is_config_error(toy_dir, tmp_path, fault, capsys):
     else:
         REPORT_FAULTS[fault](report)
         report_path.write_text(json.dumps(report))
-    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", str(ckpt),
-                 "--report", str(report_path)]) == 2
-    assert "report" in capsys.readouterr().err
+    # export reads the splits and the edit of a report, not its test scores
+    commands = [["evaluate"], ["export", "--out", str(tmp_path / "emb.csv")]]
+    for command in commands[:1] if fault == "no-test" else commands:
+        assert main([*command, "--dataset", toy_dir, "--checkpoint", str(ckpt),
+                     "--report", str(report_path)]) == 2
+        assert "report" in capsys.readouterr().err
+    assert not (tmp_path / "emb.csv").exists()
 
 
 def test_train_caf_mode_reduction(toy_dir, tmp_path, capsys):
@@ -451,6 +461,29 @@ def test_malformed_grid_exit_2(toy_dir, tmp_path, grid, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert "grid" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("grid", "--top", "0"), ("grid", "--top", "-1"), ("train", "--splits", "0"),
+    ("grid", "--splits", "-2"), ("train", "--splits", "two")])
+def test_count_flag_below_one_is_usage_error(toy_dir, tmp_path, command, flag, value,
+                                             capsys):
+    # a one-epoch, one-cell run keeps a regression that trains anyway short
+    cfg, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1}))
+    grid.write_text(json.dumps({"alpha": [0.5]}))
+    small = ["--config", str(cfg)] + (["--grid-json", str(grid)] if command == "grid" else [])
+    out = tmp_path / "out"
+    assert main([command, "--dataset", toy_dir, *small, flag, value, "--out", str(out)]) == 2
+    assert f"argument {flag}: must be a whole number >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_negative_mean_degree_exit_1(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--mean-degree", "-3"]) == 1
+    assert "error: mean_degree must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_roundtrip_drives_training(toy_dir, tmp_path, capsys):

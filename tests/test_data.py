@@ -195,6 +195,9 @@ def test_synth_infeasible_targets():
         # all mass on category I but almost no same/same pairs available
         SynthConfig(n=100, target_hr_c=0.99, target_hr_s=0.99,
                     mean_degree=99.0)
+    for degree in (-3.0, float("nan")):
+        with pytest.raises(InfeasibleError, match="mean_degree"):
+            SynthConfig(n=100, target_hr_c=0.6, target_hr_s=0.8, mean_degree=degree)
 
 
 def expected_census(cfg: SynthConfig):

@@ -25,6 +25,7 @@ from fairgraph.graph import (
     classify_edge,
     decode_pairs,
     edge_census,
+    edge_types,
     fair_edge_remove,
     homophily_ratios,
     load_edge_list,
@@ -162,7 +163,8 @@ def test_with_pseudo_keeps_ground_truth_and_fills_the_rest():
     # an incomplete labelling has no taxonomy, whether or not pseudo-labels
     # filled part of it
     for partial, missing in ((labels, 2), (labels.with_pseudo([0, 1, 1, -1]), 1)):
-        for count in (lambda: edge_census(g, partial),
+        for count in (lambda: edge_types(g, partial),
+                      lambda: edge_census(g, partial),
                       lambda: fair_edge_remove(g, partial)):
             with pytest.raises(ValueError, match=f"^{missing} nodes have no class label"):
                 count()
@@ -185,6 +187,19 @@ def test_taxonomy_is_a_partition():
     for combo in itertools.product((0, 1), repeat=4):
         t = classify_edge(*combo)
         assert t in EdgeType
+
+
+def test_edge_types_agree_with_classify_edge():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        g, labels = random_labeled_graph(rng, max_n=12)
+        y, s = labels.class_label.tolist(), labels.sensitive.tolist()
+        types = edge_types(g, labels)
+        assert types.shape == (g.m,)
+        assert [EdgeType(t) for t in types.tolist()] == \
+            [classify_edge(y[u], y[v], s[u], s[v]) for u, v in g.edges]
+        assert edge_census(g, labels) == EdgeCensus(
+            *(int(np.count_nonzero(types == t)) for t in EdgeType))
 
 
 def test_census_counts_sum_and_recover_nc_ns():
@@ -218,6 +233,15 @@ def test_empty_graph_ratio_error():
     labels = NodeLabels.create(sensitive=[0, 1, 0], class_label=[0, 1, 1])
     with pytest.raises(UndefinedRatioError):
         homophily_ratios(g, labels)
+
+
+def test_empty_census_ratios_are_undefined():
+    empty = EdgeCensus(count_i=0, count_ii=0, count_iii=0, count_iv=0)
+    for ratio in ("hr_c", "hr_s"):
+        with pytest.raises(UndefinedRatioError):
+            getattr(empty, ratio)
+    census = EdgeCensus(count_i=3, count_ii=1, count_iii=2, count_iv=2)
+    assert (census.hr_c, census.hr_s) == (4 / 8, 5 / 8)
 
 
 def test_permutation_invariance():
