@@ -31,7 +31,7 @@ from .data import (
 from .errors import ConfigError, DatasetError, FairGraphError
 from .graph import edge_census, fair_edge_remove, homophily_ratios
 from .losses import LossWeights
-from .metrics import evaluate_predictions
+from .metrics import SUMMARY_METRICS, evaluate_predictions
 from .model import encode, hard_labels, load_checkpoint, predict, save_checkpoint
 from .pipeline import (
     DEFAULT_GRID,
@@ -95,24 +95,12 @@ def load_config_or_default(args):
 
 
 def _pseudo_labels_from_checkpoint(graph, table, checkpoint_path):
-    enc, pred, meta = load_checkpoint(checkpoint_path)
-    x = table.features
-    width = x.shape[1]
+    enc, pred, _ = load_checkpoint(checkpoint_path)
+    width = table.features.shape[1]
     if enc.w1.shape[0] != 2 * width:
         raise ConfigError(f"checkpoint {checkpoint_path} is for {enc.w1.shape[0] // 2} "
                           f"features; the dataset has {width}")
-    if meta.get("feature_mean") is not None:
-        try:
-            mean = np.asarray(meta["feature_mean"], dtype=np.float64)
-            std = np.asarray(meta.get("feature_std"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"checkpoint {checkpoint_path}: bad feature statistics: "
-                              f"{exc}") from exc
-        if mean.shape != (width,) or std.shape != (width,):
-            raise ConfigError(f"checkpoint {checkpoint_path}: feature statistics do not "
-                              f"fit the dataset's {width} features")
-        x = (x - mean) / std
-    latent = encode(enc, NeighborAggregator(graph), x)
+    latent = encode(enc, NeighborAggregator(graph), table.features)
     pseudo = hard_labels(predict(pred, latent.c))
     return table.labels.with_pseudo(pseudo), enc, pred, latent
 
@@ -204,14 +192,12 @@ def cmd_pretrain(args):
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     seed = cfg.seeds[0]
-    splits, x, mean, std = prepare(table, cfg, seed)
-    result = pretrain(graph, x, table.labels, splits.train, cfg, seed)
+    splits = prepare(table, cfg, seed)
+    result = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "pretrained.json")
     save_checkpoint(ckpt, result.encoder, result.predictor,
-                    meta={"feature_mean": mean.tolist(),
-                          "feature_std": std.tolist(),
-                          "config_hash": cfg.config_hash(), "seed": seed,
+                    meta={"config_hash": cfg.config_hash(), "seed": seed,
                           "library_version": __version__, "phase": "pretrain"})
     _write_json(os.path.join(args.out, "pretrain_report.json"),
                 {"final_loss": result.losses[-1], "epochs": len(result.losses),
@@ -232,9 +218,7 @@ def cmd_train(args):
         stem = os.path.join(args.out, f"run_seed{res.seed}_split{res.split_id}")
         _write_json(stem + ".json", res.to_dict())
         save_checkpoint(stem + ".ckpt.json", res.encoder, res.predictor,
-                        meta={"feature_mean": res.feature_mean.tolist(),
-                              "feature_std": res.feature_std.tolist(),
-                              "config_hash": res.config_hash, "seed": res.seed,
+                        meta={"config_hash": res.config_hash, "seed": res.seed,
                               "mode": res.mode,
                               "library_version": __version__})
     payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
@@ -242,7 +226,7 @@ def cmd_train(args):
                "library_version": __version__, "aggregate": agg}
     _write_json(os.path.join(args.out, "aggregate.json"), payload)
     print(f"mode {cfg.mode}  runs {agg['n_runs']}  (mean(std) over splits)")
-    for name in ("bacc", "auc", "f1", "delta_sp", "delta_eo", "score"):
+    for name in SUMMARY_METRICS:
         cell = agg[name]
         print(f"  {name:9s} {cell['mean']:7.2f} ({cell['std']:.2f})")
     return 0
@@ -265,8 +249,7 @@ def cmd_evaluate(args):
     if args.json:
         _write_json(args.json, payload)
     mismatches = {k: (payload[k], stored["test"].get(k))
-                  for k in ("bacc", "auc", "f1", "delta_sp", "delta_eo", "score")
-                  if payload[k] != stored["test"].get(k)}
+                  for k in SUMMARY_METRICS if payload[k] != stored["test"].get(k)}
     if mismatches:
         print(f"stored report differs: {mismatches}", file=sys.stderr)
         return 1
@@ -323,8 +306,9 @@ def cmd_synth(args):
                       class_signal=args.class_signal,
                       sensitive_signal=args.sensitive_signal)
     graph, table = synth_generate(cfg)
-    write_dataset(args.out, graph, table)
+    # an edgeless draw has no ratios; it fails here, before any file exists
     hr_c, hr_s = homophily_ratios(graph, table.labels)
+    write_dataset(args.out, graph, table)
     print(f"wrote {args.out}: n={graph.n} m={graph.m} "
           f"hr_c={hr_c:.3f} hr_s={hr_s:.3f}")
     return 0

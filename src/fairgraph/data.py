@@ -99,8 +99,8 @@ def _map_binary(raw, positive_value):
 
 
 def load_dataset(spec: DatasetSpec):
-    """Returns (Graph, NodeTable). Features stay raw; standardize per split
-    with `standardize_features` once the training mask is known."""
+    """Returns (Graph, NodeTable). Features stay raw; the encoder
+    standardizes them with its training rows' statistics."""
     try:
         with open(spec.meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -192,22 +192,6 @@ def load_dataset(spec: DatasetSpec):
                                                class_label=labels_raw),
                       feature_names=tuple(feature_cols))
     return graph, table
-
-
-def standardize_features(features, train_mask):
-    """Per-column z-score with statistics from the training rows only.
-
-    Returns (standardized, mean, std); constant columns keep std 1 so they
-    become zeros rather than NaNs.
-    """
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if not train_mask.any():
-        raise ValueError("empty training mask")
-    x = np.asarray(features, dtype=np.float64)
-    mean = x[train_mask].mean(axis=0)
-    std = x[train_mask].std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (x - mean) / std, mean, std
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,15 @@ UNKNOWN = -1
 
 def _canonical_pairs(n, pairs, drop_self_loops=False):
     """Node pairs as a new (k, 2) int64 array, u < v in every row, in input
-    order. Self-loops (unless dropped) and ids outside 0..n-1 raise
-    ValueError, before any caller encodes a pair as u*n + v."""
-    try:
-        arr = np.array(pairs, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"node id outside the int64 range: {exc}") from None
+    order. Ids that are not integers (bools, floats, strings, None),
+    self-loops (unless dropped) and ids outside 0..n-1 raise ValueError,
+    before any caller encodes a pair as u*n + v."""
+    arr = np.array(pairs)
     if arr.size == 0:
-        arr = arr.reshape(0, 2)
+        return arr.astype(np.int64).reshape(0, 2)
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValueError(f"node ids must be int64 integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"edges must be (u, v) pairs, got shape {arr.shape}")
     arr.sort(axis=1)

@@ -83,6 +83,11 @@ def selection_score(bacc, delta_sp, delta_eo) -> float:
     return float(bacc + 0.5 * ((100.0 - delta_eo) + (100.0 - delta_sp)))
 
 
+# the metrics a report summarizes, `aggregate_results` averages and
+# `fairgraph evaluate` compares with a stored report, in output order
+SUMMARY_METRICS = ("bacc", "auc", "f1", "delta_sp", "delta_eo", "score")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     bacc: float
@@ -96,9 +101,8 @@ class MetricsReport:
     cells: dict | None = None
 
     def to_dict(self):
-        doc = {"bacc": self.bacc, "auc": self.auc, "f1": self.f1,
-               "delta_sp": self.delta_sp, "delta_eo": self.delta_eo,
-               "score": self.score, "seed": self.seed, "split_id": self.split_id}
+        doc = {name: getattr(self, name) for name in SUMMARY_METRICS}
+        doc.update(seed=self.seed, split_id=self.split_id)
         if self.cells is not None:
             doc["cells"] = self.cells
         return doc

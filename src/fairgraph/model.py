@@ -1,10 +1,11 @@
 """Two-layer mean-aggregation encoder and one-layer sigmoid predictor.
 
-Each layer concatenates a node's own row with the mean of its neighbors'
-rows; layer one applies ReLU, the final layer is linear so the latent
-geometry is unconstrained before the losses act. The latent matrix is
-split column-wise into a content block C (used for prediction) and an
-environment block E.
+The encoder takes raw features and z-scores them with the training rows'
+statistics it carries. Each layer concatenates a node's own row with the
+mean of its neighbors' rows; layer one applies ReLU, the final layer is
+linear so the latent geometry is unconstrained before the losses act. The
+latent matrix is split column-wise into a content block C (used for
+prediction) and an environment block E.
 """
 
 from __future__ import annotations
@@ -24,12 +25,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class EncoderParams:
+    """The weights, and the per-column feature mean and std that `encode`
+    standardizes its input with. The statistics are not trained, so
+    `arrays()` leaves them out."""
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     d_c: int
     d_e: int
+    feature_mean: np.ndarray
+    feature_std: np.ndarray
 
     def arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -66,28 +73,42 @@ def _glorot(rng, fan_in, fan_out):
 
 
 def init_params(d_in, hidden, d_c, seed):
-    """Glorot-uniform weights, zero biases; deterministic in the seed. The
-    environment block E is as wide as the content block C."""
+    """Glorot-uniform weights, zero biases, identity feature statistics
+    (mean 0, std 1); deterministic in the seed. The environment block E is
+    as wide as the content block C."""
     if min(d_in, hidden, d_c) <= 0:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     d_out = 2 * d_c
     enc = EncoderParams(w1=_glorot(rng, 2 * d_in, hidden), b1=np.zeros(hidden),
                         w2=_glorot(rng, 2 * hidden, d_out), b2=np.zeros(d_out),
-                        d_c=d_c, d_e=d_c)
+                        d_c=d_c, d_e=d_c, feature_mean=np.zeros(d_in),
+                        feature_std=np.ones(d_in))
     pred = PredictorParams(w=_glorot(rng, d_c, 1), b=np.zeros(1))
     return enc, pred
 
 
+def feature_stats(features, train_mask):
+    """Per-column (mean, std) of the training rows; a constant column keeps
+    std 1, so it standardizes to zeros rather than NaNs."""
+    train_mask = np.asarray(train_mask, dtype=bool)
+    if not train_mask.any():
+        raise ValueError("empty training mask")
+    rows = np.asarray(features, dtype=np.float64)[train_mask]
+    std = rows.std(axis=0)
+    return rows.mean(axis=0), np.where(std > 0, std, 1.0)
+
+
 def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
     """Forward pass producing the latent state for every node of the graph
-    that `agg` aggregates over."""
+    that `agg` aggregates over, from the raw features x."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != agg.n:
         raise ShapeError(f"features must be ({agg.n}, d), got {x.shape}")
     if 2 * x.shape[1] != params.w1.shape[0]:
         raise ShapeError(
             f"feature width {x.shape[1]} incompatible with W1 {params.w1.shape}")
+    x = (x - params.feature_mean) / params.feature_std
     z1 = np.concatenate([x, ad.row_mean_neighbors(x, agg)], axis=1)
     a1 = z1 @ params.w1 + params.b1
     active = a1 > 0
@@ -120,7 +141,8 @@ def _array_restore(payload):
 
 
 def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
-    """JSON checkpoint; float values round-trip bit-exactly through repr."""
+    """JSON checkpoint; float values round-trip bit-exactly through repr.
+    The feature statistics head the `meta` block."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "d_c": enc.d_c,
@@ -129,7 +151,8 @@ def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
                     for name in ("w1", "b1", "w2", "b2")},
         "predictor": {name: _array_payload(getattr(pred, name))
                       for name in ("w", "b")},
-        "meta": meta or {},
+        "meta": {"feature_mean": enc.feature_mean.tolist(),
+                 "feature_std": enc.feature_std.tolist(), **(meta or {})},
     }
     with atomic_open(path) as fh:
         json.dump(doc, fh)
@@ -137,9 +160,11 @@ def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
 
 def load_checkpoint(path):
     """Returns (EncoderParams, PredictorParams, meta). A file that cannot be
-    read, another format version, a missing field, an environment block not
-    as wide as the content block (d_e != d_c), or arrays whose shapes
-    disagree with each other or with d_c are a ConfigError."""
+    read, another format version, a missing field, a `meta` that is not a
+    mapping, an environment block not as wide as the content block
+    (d_e != d_c), arrays whose shapes disagree with each other or with d_c,
+    or feature statistics that are not finite or hold a std <= 0 are a
+    ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -148,11 +173,16 @@ def load_checkpoint(path):
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint {path}: unsupported format version {version!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"checkpoint {path}: meta must be a mapping")
     try:
         arrays = {name: _array_restore(doc[block][name])
                   for block, names in (("encoder", ("w1", "b1", "w2", "b2")),
                                        ("predictor", ("w", "b")))
                   for name in names}
+        for name in ("feature_mean", "feature_std"):
+            arrays[name] = np.asarray(meta[name], dtype=np.float64)
         d_c, d_e = doc["d_c"], doc["d_e"]
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path}: missing field {exc}") from exc
@@ -162,20 +192,22 @@ def load_checkpoint(path):
             and d_e == d_c):
         raise ConfigError(f"checkpoint {path}: d_c and d_e must be one positive "
                           f"integer, got {d_c!r} and {d_e!r}")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ConfigError(f"checkpoint {path}: meta must be a mapping")
     w1 = arrays["w1"]
     if w1.ndim != 2 or w1.shape[0] % 2 or 0 in w1.shape:
         raise ConfigError(f"checkpoint {path}: w1 has shape {w1.shape}")
     hidden = w1.shape[1]
     expected = {"b1": (hidden,), "w2": (2 * hidden, 2 * d_c), "b2": (2 * d_c,),
-                "w": (d_c, 1), "b": (1,)}
+                "w": (d_c, 1), "b": (1,), "feature_mean": (w1.shape[0] // 2,),
+                "feature_std": (w1.shape[0] // 2,)}
     wrong = [f"{name} {arrays[name].shape} != {shape}"
              for name, shape in expected.items() if arrays[name].shape != shape]
     if wrong:
         raise ConfigError(f"checkpoint {path}: array shapes disagree: {', '.join(wrong)}")
+    mean, std = arrays["feature_mean"], arrays["feature_std"]
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+        raise ConfigError(f"checkpoint {path}: feature statistics must be finite, "
+                          "with every std > 0")
     enc = EncoderParams(w1=w1, b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
-                        d_c=d_c, d_e=d_e)
+                        d_c=d_c, d_e=d_e, feature_mean=mean, feature_std=std)
     pred = PredictorParams(w=arrays["w"], b=arrays["b"])
     return enc, pred, meta

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import __version__
 from .autodiff import NeighborAggregator
-from .data import NodeTable, standardize_features
+from .data import NodeTable
 from .errors import (
     ConfigError,
     DegenerateEditError,
@@ -47,11 +47,12 @@ from .losses import (
     env_loss,
     total_loss,
 )
-from .metrics import MetricsReport, evaluate_predictions
+from .metrics import SUMMARY_METRICS, MetricsReport, evaluate_predictions
 from .model import (
     EncoderParams,
     PredictorParams,
     encode,
+    feature_stats,
     hard_labels,
     init_params,
     predict,
@@ -60,7 +61,6 @@ from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
 
-MODES = ("HSCCAF", "CAF", "CAF+GE", "HSCCAF-GE")
 EPOCH_CAP = 100
 
 # which additions each mode enables on top of the base objective: the
@@ -71,6 +71,7 @@ MODE_FLAGS = {
     "CAF+GE": {"edit": True, "contrast": False},
     "HSCCAF-GE": {"edit": False, "contrast": True},
 }
+MODES = tuple(MODE_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -274,12 +275,14 @@ class PretrainResult:
 
 def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
              seed) -> PretrainResult:
-    """Minimize the prediction loss alone, then read pseudo-labels off the
-    trained predictor (ground truth retained where known)."""
+    """Minimize the prediction loss alone on the raw features x, then read
+    pseudo-labels off the trained predictor (ground truth retained where
+    known). The encoder standardizes x with its training rows' statistics."""
     if not np.asarray(train_mask, dtype=bool).any():
         raise UndefinedMetricError("pre-training needs a nonempty training mask")
     enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
                             derive_seed(seed, "init"))
+    enc.feature_mean, enc.feature_std = feature_stats(x, train_mask)
     y = np.where(labels.class_label >= 0, labels.class_label, 0)
     losses = []
     for _, loss, _, probs in _descend(
@@ -336,12 +339,9 @@ class RunResult:
     edit_report: EditReport
     encoder: EncoderParams
     predictor: PredictorParams
-    pseudo_labels: np.ndarray
     splits: Splits
     config_hash: str
     optimizer: str
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
 
     def to_dict(self):
         return {
@@ -362,17 +362,15 @@ class RunResult:
 
 def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                enc: EncoderParams, pred: PredictorParams, cfg: TrainConfig,
-               seed, edit_report: EditReport, feature_stats,
-               split_id=0) -> RunResult:
-    """Phase 2: full objective on the edited graph.
+               seed, edit_report: EditReport, split_id=0) -> RunResult:
+    """Phase 2: full objective on the edited graph, from the raw features x.
 
-    Pseudo-labels and counterfactuals refresh at epoch 1 and every
-    refresh_period epochs, from the forward pass that epoch's loss uses;
-    the edit itself stays frozen. The best epoch maximizes the validation
+    With the invariance term on, pseudo-labels and counterfactuals refresh
+    at epoch 1 and every refresh_period epochs, from the forward pass that
+    epoch's loss uses; the edit itself stays frozen. The best epoch maximizes the validation
     selection score, earliest on ties; epochs with undefined validation
     metrics are disqualified. The test report reads the best epoch's
     forward pass, and enc and pred end holding that epoch's parameters.
-    feature_stats is the (mean, std) that standardized x.
     """
     contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
@@ -390,20 +388,18 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                                       derive_seed(seed, "negative-edges")) \
         if use_suf else ()
 
-    pseudo = None
     cf = None
     warned_empty = False
 
     def objective(epoch, latent, probs):
-        nonlocal pseudo, cf, warned_empty
-        if epoch == 1 or epoch % cfg.refresh_period == 0:
+        nonlocal cf, warned_empty
+        if use_inv and (epoch == 1 or epoch % cfg.refresh_period == 0):
             pseudo = labels.with_pseudo(hard_labels(probs)).class_label
-            if use_inv:
-                cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
-                if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
-                    log.warning("no counterfactual candidates exist; invariance "
-                                "loss reduces to its orthogonality term")
-                    warned_empty = True
+            cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
+            if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
+                log.warning("no counterfactual candidates exist; invariance "
+                            "loss reduces to its orthogonality term")
+                warned_empty = True
         parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
         if use_inv:
             parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
@@ -440,36 +436,29 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         p[...] = v
     test_report = evaluate_predictions(best[4], y_true, sens, mask=splits.test,
                                        seed=seed, split_id=split_id)
-    mean, std = feature_stats
     return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],
                      test_report=test_report, edit_report=edit_report,
-                     encoder=enc, predictor=pred, pseudo_labels=pseudo,
-                     splits=splits, config_hash=cfg.config_hash(),
-                     optimizer=cfg.optimizer, feature_mean=mean,
-                     feature_std=std)
+                     encoder=enc, predictor=pred, splits=splits,
+                     config_hash=cfg.config_hash(), optimizer=cfg.optimizer)
 
 
-def prepare(table: NodeTable, cfg: TrainConfig, seed):
-    """The split of the labelled nodes for this seed and the features
-    standardized on its training rows: (splits, x, mean, std)."""
+def prepare(table: NodeTable, cfg: TrainConfig, seed) -> Splits:
+    """The split of the labelled nodes for this seed."""
     labeled_ids = np.where(table.labels.labeled_mask())[0]
-    splits = split_dataset(table.n, labeled_ids, cfg.splits,
-                           derive_seed(seed, "split"))
-    x, mean, std = standardize_features(table.features, splits.train)
-    return splits, x, mean, std
+    return split_dataset(table.n, labeled_ids, cfg.splits, derive_seed(seed, "split"))
 
 
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
-    """One complete run: split, standardize, pre-train, edit, train. Only
-    the edit reads the labelling that pre-training's pseudo-labels complete."""
-    splits, x, mean, std = prepare(table, cfg, seed)
-    pre = pretrain(graph, x, table.labels, splits.train, cfg, seed)
+    """One complete run: split, pre-train, edit, train. Only the edit reads
+    the labelling that pre-training's pseudo-labels complete."""
+    splits = prepare(table, cfg, seed)
+    pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
     edited, edit_report = run_phase1(graph, table.labels.with_pseudo(pre.pseudo_labels),
                                      cfg.mode)
-    return train_full(edited, x, table.labels, splits, pre.encoder, pre.predictor,
-                      cfg, seed, edit_report, (mean, std), split_id=split_id)
+    return train_full(edited, table.features, table.labels, splits, pre.encoder,
+                      pre.predictor, cfg, seed, edit_report, split_id=split_id)
 
 
 def _thread_count():
@@ -504,7 +493,7 @@ def run_experiment(graph: Graph, table: NodeTable, cfg: TrainConfig):
 def aggregate_results(results):
     """Mean and standard deviation of each test metric over runs."""
     agg = {"n_runs": len(results)}
-    for name in ("bacc", "auc", "f1", "delta_sp", "delta_eo", "score"):
+    for name in SUMMARY_METRICS:
         values = np.array([getattr(r.test_report, name) for r in results])
         agg[name] = {"mean": float(values.mean()),
                      "std": float(values.std(ddof=0))}

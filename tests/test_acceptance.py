@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairgraph.data import load_dataset, resolve_dataset, standardize_features
+from fairgraph.data import load_dataset, resolve_dataset
 from fairgraph.errors import DatasetError, InfeasibleError
 from fairgraph.graph import edge_census, fair_edge_remove, homophily_ratios, \
     minimal_deletions
@@ -241,8 +241,7 @@ def test_criterion_9_german_edited_homophily():
         labeled = np.where(table.labels.labeled_mask())[0]
         splits = split_dataset(table.n, labeled, cfg.splits,
                                derive_seed(seed, "split"))
-        x, _, _ = standardize_features(table.features, splits.train)
-        pre = pretrain(graph, x, table.labels, splits.train, cfg, seed)
+        pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
         labels_p = table.labels.with_pseudo(pre.pseudo_labels)
         _, report = fair_edge_remove(graph, labels_p)
         elapsed = time.monotonic() - start

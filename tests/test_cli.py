@@ -186,12 +186,13 @@ def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
 
 def _checkpoint_and_report(toy_dir, tmp_path):
     """An untrained checkpoint for the toy dataset and a minimal run report
-    whose splits fit it."""
-    _, table = load_dataset(resolve_dataset(toy_dir))
+    whose splits and one removed edge fit it."""
+    graph, table = load_dataset(resolve_dataset(toy_dir))
     enc, pred = init_params(table.features.shape[1], 16, 16, seed=0)
     ckpt = tmp_path / "model.ckpt.json"
     save_checkpoint(ckpt, enc, pred)
     report = {"splits": {"train": [0, 1], "val": [2, 3], "test": [4, 5]},
+              "edit": {"removed_edges": [graph.edge_array[0].tolist()]},
               "test": {}, "seed": 0, "split_id": 0}
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -216,6 +217,9 @@ CHECKPOINT_FAULTS = {
         w1={"shape": [2, 16], "data": [0.0] * 32}),
     "feature-stats-width": lambda doc: doc.update(
         meta={"feature_mean": [0.0], "feature_std": [1.0]}),
+    "no-feature-stats": lambda doc: doc.update(meta={}),
+    "feature-std-zero": lambda doc: doc["meta"]["feature_std"].__setitem__(0, 0.0),
+    "meta-not-mapping": lambda doc: doc.update(meta=[]),
     "missing-file": None,
     "not-json": "{",
 }
@@ -239,6 +243,14 @@ def test_bad_checkpoint_is_config_error(toy_dir, tmp_path, fault, capsys):
         assert "checkpoint" in capsys.readouterr().err
 
 
+def _retype_edge(convert):
+    """A fault that rewrites the ids of the stored edit's one removed edge."""
+    def tamper(doc):
+        u, v = doc["edit"]["removed_edges"][0]
+        doc["edit"]["removed_edges"] = [convert(u, v)]
+    return tamper
+
+
 REPORT_FAULTS = {
     "no-splits": lambda doc: doc.pop("splits"),
     "no-test": lambda doc: doc.pop("test"),
@@ -251,6 +263,10 @@ REPORT_FAULTS = {
     "split-id-list": lambda doc: doc["splits"].update(test=[[3]]),
     "edit-number": lambda doc: doc.update(edit=5),
     "edit-list": lambda doc: doc.update(edit=[]),
+    "edge-id-fraction": _retype_edge(lambda u, v: [u + 0.5, v + 0.25]),
+    "edge-id-null": _retype_edge(lambda u, v: [u, None]),
+    "edge-id-string": _retype_edge(lambda u, v: [str(u), str(v)]),
+    "edge-id-bool": _retype_edge(lambda u, v: [False, True]),
 }
 
 
@@ -483,6 +499,13 @@ def test_synth_negative_mean_degree_exit_1(tmp_path, capsys):
     out = tmp_path / "ds"
     assert main(["synth", "--out", str(out), "--mean-degree", "-3"]) == 1
     assert "error: mean_degree must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_without_edges_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--mean-degree", "0"]) == 1
+    assert "homophily ratios are undefined" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from fairgraph.data import (
     export_embeddings,
     load_dataset,
     resolve_dataset,
-    standardize_features,
     synth_generate,
     write_dataset,
 )
@@ -28,6 +27,7 @@ from fairgraph.errors import (
     NonBinarySensitiveError,
 )
 from fairgraph.graph import UNKNOWN, NodeLabels, edge_census, homophily_ratios
+from fairgraph.model import feature_stats
 
 
 def write_toy_dataset(tmp_path, rows=None, meta=None, edges="0 1\n1 2\n"):
@@ -157,9 +157,10 @@ def test_duplicate_edges_deduplicated(tmp_path):
 def test_standardize_uses_training_rows_only():
     x = np.array([[0.0, 10.0], [2.0, 10.0], [100.0, 10.0]])
     mask = np.array([True, True, False])
-    xs, mean, std = standardize_features(x, mask)
+    mean, std = feature_stats(x, mask)
     assert mean.tolist() == [1.0, 10.0]
     assert std.tolist() == [1.0, 1.0]  # constant column keeps std 1
+    xs = (x - mean) / std  # as `encode` applies them
     assert xs[0].tolist() == [-1.0, 0.0]
     assert xs[2, 0] == 99.0  # applied to non-training rows too
 

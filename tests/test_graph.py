@@ -112,6 +112,22 @@ def test_edge_array_is_canonical_sorted_and_read_only():
         Graph.from_edges(3, [(0, 1, 2)])
 
 
+def test_node_ids_must_be_integers():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    # each would otherwise truncate or parse to an edge of g
+    for bad in ([(0.7, 2.2)], [(0.5, 1.9)], [(0.0, 1.0)], [("1", "2")], [(0, None)],
+                [(False, True)]):
+        for call in (lambda: Graph.from_edges(4, bad),
+                     lambda: Graph.from_edges_dedup(4, bad),
+                     lambda: g.remove_edges(bad)):
+            with pytest.raises(ValueError, match="node ids must be int64 integers"):
+                call()
+    assert Graph.from_edges(4, np.array([[1, 0]], dtype=np.uint8)).edges == ((0, 1),)
+    with pytest.raises(ValueError, match="got uint64 values"):
+        Graph.from_edges(4, np.array([[0, 2 ** 63]], dtype=np.uint64))
+    assert Graph.from_edges(4, []).m == Graph.from_edges_dedup(4, [])[0].m == 0
+
+
 def test_decode_pairs_matches_combinations_order():
     for n in range(2, 31):
         want = list(itertools.combinations(range(n), 2))

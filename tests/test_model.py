@@ -1,15 +1,17 @@
 """Encoder/predictor forward semantics, initialization, and checkpoints."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from fairgraph.autodiff import NeighborAggregator
-from fairgraph.errors import ShapeError
+from fairgraph.errors import ConfigError, ShapeError
 from fairgraph.graph import Graph
 from fairgraph.model import (
     encode,
+    feature_stats,
     hard_labels,
     init_params,
     load_checkpoint,
@@ -106,20 +108,56 @@ def test_encode_shape_mismatch():
         encode(enc, NeighborAggregator(ring(5)), np.zeros((5, 7)))
 
 
+def test_encode_standardizes_every_row_with_its_statistics():
+    g = ring(7)
+    x = np.random.default_rng(5).standard_normal((7, 3)) * 4.0 + 2.0
+    train = np.array([True, True, True, False, True, False, False])
+    enc, _ = init_params(3, 4, 2, seed=1)
+    raw = encode(enc, NeighborAggregator(g), x)  # identity statistics
+    assert np.array_equal(raw.z1[:, :3], x)
+    enc.feature_mean, enc.feature_std = feature_stats(x, train)
+    got = encode(enc, NeighborAggregator(g), x)
+    enc.feature_mean, enc.feature_std = np.zeros(3), np.ones(3)
+    want = encode(enc, NeighborAggregator(g),
+                  (x - x[train].mean(axis=0)) / x[train].std(axis=0))
+    for name in ("h", "z1", "z2", "active"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # the non-training rows are standardized too, with the training rows' mean
+    assert not np.allclose(got.z1[~train, :3], x[~train])
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     enc, pred = init_params(5, 8, 4, seed=9)
+    rng = np.random.default_rng(4)
+    enc.feature_mean = rng.standard_normal(5)
+    enc.feature_std = rng.uniform(0.5, 2.0, 5)
     g = ring(7)
-    x = np.random.default_rng(4).standard_normal((7, 5))
+    x = rng.standard_normal((7, 5))
     probs_before = predict(pred, encode(enc, NeighborAggregator(g), x).c)
     path = tmp_path / "params.json"
     save_checkpoint(path, enc, pred, meta={"note": "test"})
+    assert list(json.loads(path.read_text())["meta"]) == \
+        ["feature_mean", "feature_std", "note"]
     enc2, pred2, meta = load_checkpoint(path)
     assert meta["note"] == "test"
-    for a, b in zip(enc.arrays() + pred.arrays(),
-                    enc2.arrays() + pred2.arrays()):
+    for a, b in zip(enc.arrays() + pred.arrays() + [enc.feature_mean, enc.feature_std],
+                    enc2.arrays() + pred2.arrays() + [enc2.feature_mean, enc2.feature_std]):
         assert np.array_equal(a, b)
     probs_after = predict(pred2, encode(enc2, NeighborAggregator(g), x).c)
     assert np.array_equal(probs_before, probs_after)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("feature_mean", [0.0, float("nan"), 0.0]), ("feature_mean", [float("inf"), 0.0, 0.0]),
+    ("feature_std", [1.0, 0.0, 1.0]), ("feature_std", [1.0, -2.0, 1.0]),
+    ("feature_std", [1.0, 1.0, float("inf")]), ("feature_std", [float("nan"), 1.0, 1.0])])
+def test_checkpoint_rejects_unusable_feature_statistics(tmp_path, name, value):
+    enc, pred = init_params(3, 4, 2, seed=0)
+    setattr(enc, name, np.array(value))
+    path = tmp_path / "params.json"
+    save_checkpoint(path, enc, pred)
+    with pytest.raises(ConfigError, match="feature statistics"):
+        load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_old_file(tmp_path):
