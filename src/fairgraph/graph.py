@@ -42,6 +42,11 @@ def _canonical_pairs(n, pairs, drop_self_loops=False):
     arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"edges must be (u, v) pairs, got shape {arr.shape}")
+    # np.array promotes a bool among integers to 0 or 1; only a Python
+    # sequence can mix them
+    if not isinstance(pairs, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for pair in pairs for v in pair):
+        raise ValueError("node ids must be int64 integers, got bool values")
     arr.sort(axis=1)
     loops = arr[:, 0] == arr[:, 1]
     if drop_self_loops:
@@ -139,8 +144,9 @@ class Graph:
 def load_edge_list(path):
     """Parse a two-column edge file (whitespace- or comma-separated).
 
-    Returns a list of (u, v) int pairs; deduplication happens in
-    Graph.from_edges_dedup so the caller sees the warning count.
+    Returns the (u, v) pairs as a (k, 2) int64 array in file order;
+    deduplication happens in Graph.from_edges_dedup so the caller sees the
+    warning count.
     """
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -158,7 +164,10 @@ def load_edge_list(path):
             if not (u.is_integer() and v.is_integer()):
                 raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
             pairs.append((int(u), int(v)))
-    return pairs
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: node ids must fit in int64") from exc
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,7 @@ class CounterfactualIndex:
 
 
 _BLOCK = 128          # anchor rows per block of the top-k and contrast kernels
+_GROUPS = 128         # column groups whose minima give `_nearest` its cut
 _PAIR_BLOCK = 1024    # node pairs per block of the pairwise kernels
 
 
@@ -140,42 +141,59 @@ def _nearest(x, cells, k):
     than k hits only when it has fewer candidates.
 
     One block of a cell's anchors is screened against the cell's candidate
-    columns at a time: the expansion (-2 x_i.x_j + sq_j) + sq_i keeps every
-    candidate within the k-th smallest plus twice a bound on the
-    expansion's rounding error, and only those are ranked, by their squared
-    difference |x_i - x_j|^2, in which rows equal to each other tie exactly.
-    The rounding bound is (dim + 2) eps (sq_i + sq_j) to first order, for
-    this order of the three terms as for any other: with u = eps / 2, the
-    product is off by at most dim u (sq_i + sq_j), as 2 |x_i.x_j| <= sq_i +
-    sq_j, and the two additions by u (sq_i + 2 sq_j) and 2u (sq_i + sq_j).
-    Memory stays two (block, candidates) buffers per cell, allocated once
-    and reused by every block: the expansion, and the copy that is
-    partitioned for the cut.
+    columns at a time. The anchor rows carry a trailing 1 and the
+    candidates are the columns [-2 x_j; sq_j], so one product gives d_ij =
+    sq_j - 2 x_i.x_j, which is |x_i - x_j|^2 - sq_i and orders a row as the
+    distance does. The cut is the k-th smallest of the minima of G =
+    min(max(_GROUPS, k), candidates) disjoint groups of columns (column g,
+    g + G, g + 2G, ...; the last candidates mod G are screened but join no
+    group), plus a rounding slack. Those minima are the values of G
+    distinct candidates, so at least k candidates lie at or below the cut.
+    Every candidate at or below it is ranked by its squared difference
+    |x_i - x_j|^2, in which rows equal to each other tie exactly, then by
+    id.
+
+    The slack keeps every true top-k candidate. With u = eps / 2, D the
+    exact distance and e the ranked squared difference, to first order:
+    the (dim + 1)-term product is off by at most (dim + 1) u (sq_i + 2
+    sq_j), as 2 |x_i.x_j| <= sq_i + sq_j, and sq_j itself by dim u sq_j, so
+    |d - (D - sq_i)| <= (dim + 1) u sq_i + (3 dim + 2) u sq_j; and |e - D|
+    <= (dim + 2) u D <= 2 (dim + 2) u (sq_i + sq_j). The k candidates under
+    the cut bound the row's k-th smallest e by the cut plus sq_i plus both
+    errors, so a top-k candidate has d at most the cut plus both errors
+    twice: (3 dim + 5) eps sq_i + (5 dim + 6) eps sq_j, and rounding the
+    cut itself adds u (sq_i + 2 sq_j). For dim >= 1 all of it is below
+    6 (dim + 1) eps (sq_i + max sq_j); with no columns every value is an
+    exact 0. Memory stays one (block, candidates) buffer per cell,
+    allocated once and reused by every block, plus the (block, G) minima.
     """
+    dim = x.shape[1]
     sq = (x * x).sum(axis=1)
-    # the cut and each candidate carry one rounding bound, times 2 margin
-    slack = 4.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps
+    slack = 6.0 * (dim + 1) * np.finfo(np.float64).eps
     counts = np.zeros(x.shape[0], dtype=np.int64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     dists = [np.zeros(0)]
     for anchors, cand in cells:
         if len(cand) == 0:
             continue
-        # scaling by -2 is exact, so the product is -2 x_i.x_j bit for bit
-        yt = (-2.0 * x[cand]).T
-        sqc = sq[cand]
-        margin = sqc.max()
+        # the columns [-2 x_j; sq_j] as rows; scaling by -2 is exact
+        cand_rows = np.empty((len(cand), dim + 1))
+        np.multiply(x[cand], -2.0, out=cand_rows[:, :dim])
+        cand_rows[:, dim] = sq[cand]
+        margin = cand_rows[:, dim].max()
         kth = min(k, len(cand)) - 1
-        expansion = np.empty((min(_BLOCK, len(anchors)), len(cand)))
-        ranked = np.empty_like(expansion)
+        groups = min(max(_GROUPS, k), len(cand))
+        grouped = len(cand) // groups * groups
+        anchor_rows = np.ones((min(_BLOCK, len(anchors)), dim + 1))
+        expansion = np.empty((len(anchor_rows), len(cand)))
+        minima = np.empty((len(anchor_rows), groups))
         for start in range(0, len(anchors), _BLOCK):
             block = anchors[start:start + _BLOCK]
+            anchor_rows[:len(block), :dim] = x[block]
             d = expansion[:len(block)]
-            np.matmul(x[block], yt, out=d)
-            d += sqc
-            d += sq[block, None]
-            part = ranked[:len(block)]
-            np.copyto(part, d)
+            np.matmul(anchor_rows[:len(block)], cand_rows.T, out=d)
+            part = minima[:len(block)]
+            d[:, :grouped].reshape(len(block), -1, groups).min(axis=1, out=part)
             part.partition(kth, axis=1)
             cut = part[:, kth] + slack * (sq[block] + margin)
             r, c = np.divmod(np.flatnonzero(d <= cut[:, None]), len(cand))

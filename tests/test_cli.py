@@ -267,6 +267,9 @@ REPORT_FAULTS = {
     "edge-id-null": _retype_edge(lambda u, v: [u, None]),
     "edge-id-string": _retype_edge(lambda u, v: [str(u), str(v)]),
     "edge-id-bool": _retype_edge(lambda u, v: [False, True]),
+    # the toy graph's first edge starts at node 0, so [False, v] read as
+    # integers names that edge
+    "edge-id-mixed-bool": _retype_edge(lambda u, v: [bool(u), v]),
 }
 
 

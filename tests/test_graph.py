@@ -85,7 +85,11 @@ def test_adjacency_is_symmetric_closure():
 def test_load_edge_list_formats(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n2,3\n# comment\n\n1 2\n3.0 1e0\n")
-    assert load_edge_list(path) == [(0, 1), (2, 3), (1, 2), (3, 1)]
+    pairs = load_edge_list(path)
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[0, 1], [2, 3], [1, 2], [3, 1]]
+    path.write_text("# no edges\n")
+    assert load_edge_list(path).shape == (0, 2)
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2\n")
     with pytest.raises(ValueError):
@@ -95,6 +99,9 @@ def test_load_edge_list_formats(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{bad}:2")):
             load_edge_list(bad)
+    bad.write_text("0 1\n0 1e30\n")
+    with pytest.raises(ValueError, match="fit in int64"):
+        load_edge_list(bad)
 
 
 def test_edge_array_is_canonical_sorted_and_read_only():
@@ -116,7 +123,7 @@ def test_node_ids_must_be_integers():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     # each would otherwise truncate or parse to an edge of g
     for bad in ([(0.7, 2.2)], [(0.5, 1.9)], [(0.0, 1.0)], [("1", "2")], [(0, None)],
-                [(False, True)]):
+                [(False, True)], [(True, 2)], [(2, 3), [0, np.True_]]):
         for call in (lambda: Graph.from_edges(4, bad),
                      lambda: Graph.from_edges_dedup(4, bad),
                      lambda: g.remove_edges(bad)):

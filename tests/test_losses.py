@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator
@@ -15,6 +17,7 @@ from fairgraph.errors import CapacityError, ConfigError, UndefinedMetricError
 from fairgraph.graph import Graph, decode_pairs
 from fairgraph.losses import (
     _BLOCK,
+    _GROUPS,
     _PAIR_BLOCK,
     PROB_FLOOR,
     CounterfactualIndex,
@@ -199,19 +202,84 @@ def assert_nearest_is_exhaustive(x, cells, k):
     assert np.array_equal(sq_dists, ((x[rows] - x[ids]) ** 2).sum(axis=1))
 
 
-@pytest.mark.parametrize("n_anchors,n_cand,k", [
-    (1, 30, 5), (_BLOCK, 40, 5), (_BLOCK + 1, 40, 5), (2 * _BLOCK + 3, 40, 5),
-    (_BLOCK + 1, 3, 5), (_BLOCK + 1, 1, 5), (_BLOCK + 1, 1, 1), (5, 0, 5)],
-    ids=["one-anchor", "block", "block+1", "2block+3", "fewer-cands-than-k",
-         "one-cand", "one-cand-k1", "no-cands"])
-def test_nearest_block_buffer_edges(n_anchors, n_cand, k):
-    """One cell whose anchors fill no block, exactly one, or spill one row
-    into a partial last block (a slice of the reused buffers), with pools
-    below k, of one candidate, or empty; repeated rows make exact ties."""
-    rng = np.random.default_rng(n_anchors * 100 + n_cand)
+def placed_cell(rng, n_anchors, n_cand, k, place):
+    """x and one random cell of it (7 rows stay outside the cell), for the
+    edges of `_nearest`'s column groups. Every place starts from tied rows;
+    all but "tied" scale each row by 10**U(-3, 3) and zero three rows.
+    "leftover" copies the anchors into the columns past the last whole
+    group, "one-group" copies anchor 0 into every column of one group; each
+    copy is exact or off by 1e-6 relative."""
     n = n_anchors + n_cand + 7
     x = tied_rows(rng, n, 4)
-    assert_nearest_is_exhaustive(x, [random_cell(rng, n, n_anchors, n_cand)], k)
+    anchors, cand = random_cell(rng, n, n_anchors, n_cand)
+    if place == "tied":
+        return x, [(anchors, cand)]
+    x *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    x[rng.choice(n, 3, replace=False)] = 0.0
+    groups = min(max(_GROUPS, k), n_cand)
+    grouped = n_cand // groups * groups
+    if place == "leftover":
+        cols = np.arange(grouped, n_cand)
+        src = anchors[np.arange(len(cols)) % n_anchors]
+    elif place == "one-group":
+        cols = np.arange(rng.integers(groups), grouped, groups)
+        src = np.full(len(cols), anchors[0])
+    else:
+        cols = src = np.zeros(0, dtype=np.int64)
+    jitter = 1e-6 * rng.standard_normal((len(cols), 1)) * rng.integers(0, 2, (len(cols), 1))
+    x[cand[cols]] = x[src] * (1.0 + jitter)
+    return x, [(anchors, cand)]
+
+
+@pytest.mark.parametrize("n_anchors,n_cand,k,place", [
+    (1, 30, 5, "tied"), (_BLOCK, 40, 5, "tied"), (_BLOCK + 1, 40, 5, "tied"),
+    (2 * _BLOCK + 3, 40, 5, "tied"), (_BLOCK + 1, 3, 5, "tied"), (_BLOCK + 1, 1, 5, "tied"),
+    (_BLOCK + 1, 1, 1, "tied"), (5, 0, 5, "tied"),
+    (9, _GROUPS - 1, 5, "scaled"), (9, _GROUPS, 5, "scaled"), (9, _GROUPS + 1, 5, "leftover"),
+    (_BLOCK + 1, 2 * _GROUPS + 5, 5, "leftover"), (9, 6 * _GROUPS + 5, 5, "one-group"),
+    (9, 2 * _GROUPS + 5, _GROUPS + 3, "leftover"), (9, _GROUPS + 1, _GROUPS + 3, "scaled")],
+    ids=["one-anchor", "block", "block+1", "2block+3", "fewer-cands-than-k",
+         "one-cand", "one-cand-k1", "no-cands", "groups-1", "groups", "groups+1-leftover",
+         "2groups+5-leftover", "one-group", "k-above-groups-leftover",
+         "k-above-groups-and-cands"])
+def test_nearest_block_buffer_edges(n_anchors, n_cand, k, place):
+    """One cell whose anchors fill no block, exactly one, or spill one row
+    into a partial last block (a slice of the reused buffers), with pools
+    below k, of one candidate, or empty; repeated rows make exact ties. The
+    rest sit at the edges of the column groups that set the cut: one
+    candidate fewer than `_GROUPS`, as many, one more, 2 `_GROUPS` + 5 and
+    6 `_GROUPS` + 5, k above `_GROUPS`, and every nearest row in the
+    leftover columns or in one group, over row scales from 1e-3 to 1e3
+    with zero rows."""
+    rng = np.random.default_rng(n_anchors * 100 + n_cand)
+    assert_nearest_is_exhaustive(*placed_cell(rng, n_anchors, n_cand, k, place), k)
+
+
+@given(n_anchors=st.integers(1, 6),
+       n_cand=st.sampled_from([_GROUPS - 1, _GROUPS, _GROUPS + 1, 2 * _GROUPS + 5,
+                               6 * _GROUPS + 5]),
+       k=st.sampled_from([1, 2, 5, _GROUPS + 3]),
+       place=st.sampled_from(["tied", "scaled", "leftover", "one-group"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nearest_matches_exhaustive_scan(n_anchors, n_cand, k, place, seed):
+    """`_nearest` equals the exhaustive scan in ids, order and exact
+    squared distances wherever the candidates sit among the column groups."""
+    rng = np.random.default_rng(seed)
+    assert_nearest_is_exhaustive(*placed_cell(rng, n_anchors, n_cand, k, place), k)
+
+
+def test_nearest_slack_keeps_rounded_out_candidates():
+    """Candidates on a thin shell around an anchor far from the origin: the
+    product's rounding, about eps |x|^2, exceeds the gaps between their
+    distances, so only the cut's rounding slack keeps the true nearest."""
+    rng = np.random.default_rng(20)
+    for dim in (1, 3, 8, 32):
+        anchors = 1e3 * rng.standard_normal(dim) + 1e-3 * rng.standard_normal((20, dim))
+        u = rng.standard_normal((300, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        shell = anchors[0] + u * (1.0 + 1e-12 * rng.standard_normal((300, 1)))
+        x = np.vstack([anchors, shell])
+        assert_nearest_is_exhaustive(x, [(np.arange(20), np.arange(20, 320))], 3)
 
 
 def test_top_k_and_contrast_repeat_bit_for_bit():
@@ -727,9 +795,10 @@ def test_env_loss_matches_brute_force():
 
 def test_topk_memory_is_cellwise():
     """One selection and one env_loss forward and reverse pass at n=4000,
-    d=32 and the default K = K' = 5 stay below the bytes of one 512 x n
-    float64 array; the mask-based kernel held several, and a tape over the
-    n*K' pairs three (n*K', d) arrays."""
+    d=32 and the default K = K' = 5 stay below the bytes of one 256 x n
+    float64 array; the mask-based kernel held several, a tape over the
+    n*K' pairs three (n*K', d) arrays, and a top-k with a partitioned copy
+    of each block two (block, candidates) buffers."""
     n, d = 4000, 32
     rng = np.random.default_rng(14)
     x = rng.standard_normal((n, d))
@@ -741,7 +810,7 @@ def test_topk_memory_is_cellwise():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 512 * n * 8, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 256 * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_env_loss_matches_tape():
