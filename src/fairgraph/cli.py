@@ -24,6 +24,7 @@ from .data import (
     atomic_open,
     export_embeddings,
     load_dataset,
+    read_json,
     resolve_dataset,
     synth_generate,
     write_dataset,
@@ -39,7 +40,6 @@ from .pipeline import (
     Splits,
     TrainConfig,
     grid_search,
-    load_config,
     prepare,
     pretrain,
     run_experiment,
@@ -61,7 +61,8 @@ def _load_dataset_arg(name_or_path):
 
 
 def _build_config(args):
-    cfg = load_config_or_default(args)
+    cfg = (TrainConfig.from_dict(read_json(args.config, "config")) if args.config
+           else TrainConfig())
     overrides = {}
     for flag in WEIGHT_FLAGS:
         value = getattr(args, flag, None)
@@ -88,31 +89,22 @@ def _build_config(args):
     return cfg
 
 
-def load_config_or_default(args):
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return TrainConfig()
-
-
-def _pseudo_labels_from_checkpoint(graph, table, checkpoint_path):
-    enc, pred, _ = load_checkpoint(checkpoint_path)
+def _checkpoint_on(graph, table, path):
+    """(latent state, predicted probabilities) of the checkpoint at `path`
+    on the dataset; a checkpoint for another feature width is a ConfigError."""
+    enc, pred, _ = load_checkpoint(path)
     width = table.features.shape[1]
     if enc.w1.shape[0] != 2 * width:
-        raise ConfigError(f"checkpoint {checkpoint_path} is for {enc.w1.shape[0] // 2} "
+        raise ConfigError(f"checkpoint {path} is for {enc.w1.shape[0] // 2} "
                           f"features; the dataset has {width}")
     latent = encode(enc, NeighborAggregator(graph), table.features)
-    pseudo = hard_labels(predict(pred, latent.c))
-    return table.labels.with_pseudo(pseudo), enc, pred, latent
+    return latent, predict(pred, latent.c)
 
 
 def _load_report(path, fields=("splits",)):
     """A stored run report holding each of `fields` as a mapping; a file
     that cannot be read or lacks one of them is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    stored = read_json(path, "report")
     missing = [f for f in fields
                if not isinstance(stored, dict) or not isinstance(stored.get(f), dict)]
     if missing:
@@ -149,8 +141,8 @@ def _effective_labels(args, graph, table):
         return table.labels
     if not args.checkpoint:
         raise ConfigError("--labels pseudo requires --checkpoint")
-    labels, *_ = _pseudo_labels_from_checkpoint(graph, table, args.checkpoint)
-    return labels
+    _, probs = _checkpoint_on(graph, table, args.checkpoint)
+    return table.labels.with_pseudo(hard_labels(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +228,8 @@ def cmd_evaluate(args):
     graph, table = _load_dataset_arg(args.dataset)
     stored = _load_report(args.report, fields=("splits", "test"))
     graph = _graph_after_stored_edit(graph, stored)
-    labels, enc, pred, latent = _pseudo_labels_from_checkpoint(
-        graph, table, args.checkpoint)
+    _, probs = _checkpoint_on(graph, table, args.checkpoint)
     splits = _stored_splits(stored, table.n)
-    probs = predict(pred, latent.c)
     report = evaluate_predictions(probs, table.labels.class_label,
                                   table.labels.sensitive, mask=splits.test,
                                   seed=stored.get("seed", 0),
@@ -260,14 +250,7 @@ def cmd_evaluate(args):
 def cmd_grid(args):
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
-    if args.grid_json:
-        try:
-            with open(args.grid_json, "r", encoding="utf-8") as fh:
-                grid = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read grid {args.grid_json}: {exc}") from exc
-    else:
-        grid = DEFAULT_GRID
+    grid = read_json(args.grid_json, "grid") if args.grid_json else DEFAULT_GRID
     cells = grid_search(graph, table, cfg, grid)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "grid.json"),
@@ -321,8 +304,7 @@ def cmd_export(args):
     if args.report:
         stored = _load_report(args.report)
         graph = _graph_after_stored_edit(graph, stored)
-    labels, enc, pred, latent = _pseudo_labels_from_checkpoint(
-        graph, table, args.checkpoint)
+    latent, _ = _checkpoint_on(graph, table, args.checkpoint)
     if stored is not None:
         splits = _stored_splits(stored, table.n)
         for name, mask in (("train", splits.train), ("val", splits.val),

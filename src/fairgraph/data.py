@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DatasetParseError,
     InfeasibleError,
     MissingColumnError,
@@ -60,28 +61,15 @@ class NodeTable:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    features_path: str
-    edges_path: str
-    meta_path: str
-
-    @classmethod
-    def from_dir(cls, path):
-        return cls(features_path=os.path.join(path, "features.csv"),
-                   edges_path=os.path.join(path, "edges.txt"),
-                   meta_path=os.path.join(path, "meta.json"))
-
-
 def resolve_dataset(name_or_path):
-    """A dataset argument is either a directory or a name under the data
-    root ($FAIRGRAPH_DATA, falling back to ./datasets)."""
+    """The directory of a dataset argument, which is either a directory or a
+    name under the data root ($FAIRGRAPH_DATA, falling back to ./datasets)."""
     if os.path.isdir(name_or_path):
-        return DatasetSpec.from_dir(name_or_path)
+        return name_or_path
     root = os.environ.get("FAIRGRAPH_DATA", "datasets")
     candidate = os.path.join(root, name_or_path)
     if os.path.isdir(candidate):
-        return DatasetSpec.from_dir(candidate)
+        return candidate
     raise DatasetParseError(
         f"dataset {name_or_path!r} not found (looked in {candidate!r}; "
         f"set FAIRGRAPH_DATA or pass a directory)")
@@ -98,16 +86,16 @@ def _map_binary(raw, positive_value):
     return 1 if str(raw).strip() == str(positive_value) else 0
 
 
-def load_dataset(spec: DatasetSpec):
-    """Returns (Graph, NodeTable). Features stay raw; the encoder
-    standardizes them with its training rows' statistics."""
-    try:
-        with open(spec.meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetParseError(f"cannot read meta file {spec.meta_path}: {exc}") from exc
+def load_dataset(path):
+    """Returns (Graph, NodeTable) from the dataset directory `path`.
+    Features stay raw; the encoder standardizes them with its training
+    rows' statistics."""
+    meta_path = os.path.join(path, "meta.json")
+    features_path = os.path.join(path, "features.csv")
+    edges_path = os.path.join(path, "edges.txt")
+    meta = read_json(meta_path, "meta file", DatasetParseError)
     if not isinstance(meta, dict):
-        raise DatasetParseError(f"meta file {spec.meta_path} must hold a JSON object, "
+        raise DatasetParseError(f"meta file {meta_path} must hold a JSON object, "
                                 f"got {type(meta).__name__}")
     for key in ("label_col", "sensitive_col", "positive_value",
                 "sensitive_positive_value"):
@@ -120,12 +108,12 @@ def load_dataset(spec: DatasetSpec):
                                     f"got {cols!r}")
 
     try:
-        with open(spec.features_path, "r", encoding="utf-8", newline="") as fh:
+        with open(features_path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             rows = [row for row in reader if row]
-    except (OSError, StopIteration, csv.Error) as exc:
-        raise DatasetParseError(f"cannot read {spec.features_path}: {exc}") from exc
+    except (OSError, StopIteration, csv.Error, ValueError) as exc:
+        raise DatasetParseError(f"cannot read {features_path}: {exc}") from exc
     header = [h.strip() for h in header]
     for col in (meta["label_col"], meta["sensitive_col"]):
         if col not in header:
@@ -140,6 +128,11 @@ def load_dataset(spec: DatasetSpec):
             raise MissingColumnError(f"feature columns {missing} not in header")
     else:
         feature_cols = [c for c in header if c != meta["label_col"] and c not in drop]
+    if not feature_cols:
+        raise DatasetParseError("meta selects no feature columns")
+    if meta["label_col"] in feature_cols:
+        raise DatasetParseError(
+            f"meta feature_cols names the label column {meta['label_col']!r}")
 
     n = len(rows)
     labels_raw = np.full(n, UNKNOWN, dtype=np.int64)
@@ -149,7 +142,7 @@ def load_dataset(spec: DatasetSpec):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DatasetParseError(
-                f"{spec.features_path}: row {i + 2} has {len(row)} fields, "
+                f"{features_path}: row {i + 2} has {len(row)} fields, "
                 f"expected {len(header)}")
         raw_label = row[col_index[meta["label_col"]]]
         if not _is_missing(raw_label):
@@ -179,9 +172,9 @@ def load_dataset(spec: DatasetSpec):
             "would silently merge the rest")
 
     try:
-        pairs = load_edge_list(spec.edges_path)
+        pairs = load_edge_list(edges_path)
     except (OSError, ValueError) as exc:
-        raise DatasetParseError(f"cannot read {spec.edges_path}: {exc}") from exc
+        raise DatasetParseError(f"cannot read {edges_path}: {exc}") from exc
     try:
         graph, _ = Graph.from_edges_dedup(n, pairs)
     except ValueError as exc:
@@ -203,8 +196,6 @@ class SynthConfig:
     target_hr_c: float
     target_hr_s: float
     mean_degree: float = 6.0
-    class_balance: float = 0.5
-    sensitive_balance: float = 0.5
     feature_dim: int = 8
     class_signal: float = 1.0
     sensitive_signal: float = 0.5
@@ -222,11 +213,12 @@ class SynthConfig:
 
 
 def block_sizes(cfg: SynthConfig):
-    """Node counts per (y, s) block, in BLOCK_ORDER."""
-    n1 = int(round(cfg.n * cfg.class_balance))
+    """Node counts per (y, s) block, in BLOCK_ORDER: each class holds half
+    the nodes and each group half of its class, rounded."""
+    n1 = int(round(cfg.n * 0.5))
     n0 = cfg.n - n1
-    n01 = int(round(n0 * cfg.sensitive_balance))
-    n11 = int(round(n1 * cfg.sensitive_balance))
+    n01 = int(round(n0 * 0.5))
+    n11 = int(round(n1 * 0.5))
     return {(0, 0): n0 - n01, (0, 1): n01, (1, 0): n1 - n11, (1, 1): n11}
 
 
@@ -260,7 +252,7 @@ def edge_plan(cfg: SynthConfig):
         if pair_counts[cat] == 0:
             raise InfeasibleError(
                 f"no node pairs of category {cat} exist but {wanted:.1f} edges "
-                "are required; adjust balances or targets")
+                "are required; adjust n or the targets")
         p = wanted / pair_counts[cat]
         if p > 1.0:
             raise InfeasibleError(
@@ -315,7 +307,18 @@ def synth_generate(cfg: SynthConfig):
 
 
 # ---------------------------------------------------------------------------
-# writers
+# readers and writers
+
+def read_json(path, what, error=ConfigError):
+    """The JSON document in the UTF-8 file `path`. A file that cannot be
+    opened, decoded or parsed, nesting too deep for the parser included,
+    raises `error`, naming `what` and `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
 
 @contextmanager
 def atomic_open(path):
@@ -334,11 +337,10 @@ def atomic_open(path):
 
 
 def write_dataset(dirpath, graph: Graph, table: NodeTable):
-    """Write the three-file dataset layout; round-trips through load_dataset.
-    Each file is replaced atomically."""
+    """Write the three-file dataset layout and return its directory, which
+    load_dataset reads back. Each file is replaced atomically."""
     os.makedirs(dirpath, exist_ok=True)
-    spec = DatasetSpec.from_dir(dirpath)
-    with atomic_open(spec.features_path) as fh:
+    with atomic_open(os.path.join(dirpath, "features.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(table.feature_names) + ["label", "sensitive"])
         for i in range(table.n):
@@ -346,13 +348,13 @@ def write_dataset(dirpath, graph: Graph, table: NodeTable):
             writer.writerow([repr(float(v)) for v in table.features[i]]
                             + ["" if label == UNKNOWN else int(label),
                                int(table.labels.sensitive[i])])
-    with atomic_open(spec.edges_path) as fh:
+    with atomic_open(os.path.join(dirpath, "edges.txt")) as fh:
         fh.writelines(f"{u} {v}\n" for u, v in graph.edge_array.tolist())
-    with atomic_open(spec.meta_path) as fh:
+    with atomic_open(os.path.join(dirpath, "meta.json")) as fh:
         json.dump({"label_col": "label", "sensitive_col": "sensitive",
                    "positive_value": 1, "sensitive_positive_value": 1,
                    "drop_cols": ["sensitive"]}, fh, indent=2)
-    return spec
+    return dirpath
 
 
 def export_embeddings(path, c_values, e_values, labels: NodeLabels, split_names):

@@ -149,9 +149,10 @@ def _nearest(x, cells, k):
     g + G, g + 2G, ...; the last candidates mod G are screened but join no
     group), plus a rounding slack. Those minima are the values of G
     distinct candidates, so at least k candidates lie at or below the cut.
-    Every candidate at or below it is ranked by its squared difference
-    |x_i - x_j|^2, in which rows equal to each other tie exactly, then by
-    id.
+    The survivors of every block and cell, candidates at or below the cut,
+    are ranked once, after the last cell: by row, then by their squared
+    difference |x_i - x_j|^2, in which rows equal to each other tie
+    exactly, then by id.
 
     The slack keeps every true top-k candidate. With u = eps / 2, D the
     exact distance and e the ranked squared difference, to first order:
@@ -164,15 +165,14 @@ def _nearest(x, cells, k):
     twice: (3 dim + 5) eps sq_i + (5 dim + 6) eps sq_j, and rounding the
     cut itself adds u (sq_i + 2 sq_j). For dim >= 1 all of it is below
     6 (dim + 1) eps (sq_i + max sq_j); with no columns every value is an
-    exact 0. Memory stays one (block, candidates) buffer per cell,
-    allocated once and reused by every block, plus the (block, G) minima.
+    exact 0. Memory is one (block, candidates) buffer per cell, allocated
+    once and reused by every block, the (block, G) minima, and the
+    survivors' rows and ids.
     """
     dim = x.shape[1]
     sq = (x * x).sum(axis=1)
     slack = 6.0 * (dim + 1) * np.finfo(np.float64).eps
-    counts = np.zeros(x.shape[0], dtype=np.int64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    dists = [np.zeros(0)]
     for anchors, cand in cells:
         if len(cand) == 0:
             continue
@@ -197,20 +197,15 @@ def _nearest(x, cells, k):
             part.partition(kth, axis=1)
             cut = part[:, kth] + slack * (sq[block] + margin)
             r, c = np.divmod(np.flatnonzero(d <= cut[:, None]), len(cand))
-            exact = _pair_dots(x, block[r], cand[c], differences=True)
-            # the columns are in id order, so the column breaks a tie as the
-            # id would
-            order = np.lexsort((c, exact, r))
-            r, c, exact = r[order], c[order], exact[order]
-            row_hits = np.bincount(r, minlength=len(block))
-            keep = np.arange(len(r)) - (np.cumsum(row_hits) - row_hits)[r] < k
-            counts[block] = np.minimum(row_hits, k)
-            rows.append(block[r[keep]])
-            ids.append(cand[c[keep]])
-            dists.append(exact[keep])
-    # back to row order; the stable sort keeps each row's hits in order
-    order = np.argsort(np.concatenate(rows), kind="stable")
-    return counts, np.concatenate(ids)[order], np.concatenate(dists)[order]
+            rows.append(block[r])
+            ids.append(cand[c])
+    rows, ids = np.concatenate(rows), np.concatenate(ids)
+    exact = _pair_dots(x, rows, ids, differences=True)
+    order = np.lexsort((ids, exact, rows))
+    rows, ids, exact = rows[order], ids[order], exact[order]
+    hits = np.bincount(rows, minlength=x.shape[0])
+    keep = np.arange(len(rows)) - (np.cumsum(hits) - hits)[rows] < k
+    return np.minimum(hits, k), ids[keep], exact[keep]
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NeighborAggregator
-from .data import atomic_open
+from .data import atomic_open, read_json
 from .errors import ConfigError, ShapeError
 
 CHECKPOINT_VERSION = 1
@@ -165,11 +165,7 @@ def load_checkpoint(path):
     (d_e != d_c), arrays whose shapes disagree with each other or with d_c,
     or feature statistics that are not finite or hold a std <= 0 are a
     ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint {path}: unsupported format version {version!r}")

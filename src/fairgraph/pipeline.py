@@ -142,14 +142,6 @@ class TrainConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return TrainConfig.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Splits:
     train: np.ndarray

@@ -71,8 +71,12 @@ def test_analyze_non_integer_edge_id_exit_2(toy_dir, bad_id, capsys):
     assert "edges.txt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("meta", [5, None, {"drop_cols": 5}, {"feature_cols": 7}],
-                         ids=["number", "null", "drop_cols-number", "feature_cols-number"])
+@pytest.mark.parametrize("meta", [
+    5, None, {"drop_cols": 5}, {"feature_cols": 7}, {"feature_cols": []},
+    {"drop_cols": [f"feat_{j}" for j in range(8)] + ["sensitive"]},
+    {"feature_cols": ["feat_0", "label"]}],
+    ids=["number", "null", "drop_cols-number", "feature_cols-number",
+         "feature_cols-empty", "drop_cols-every-column", "feature_cols-label"])
 def test_meta_of_the_wrong_shape_exit_2(toy_dir, meta, capsys):
     meta_path = os.path.join(toy_dir, "meta.json")
     if isinstance(meta, dict):
@@ -83,6 +87,32 @@ def test_meta_of_the_wrong_shape_exit_2(toy_dir, meta, capsys):
     assert main(["analyze", "--dataset", toy_dir]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "meta" in err
+
+
+@pytest.mark.parametrize("target", ["meta.json", "features.csv", "edges.txt", "config",
+                                    "grid", "report", "checkpoint"])
+def test_undecodable_input_file_exit_2(toy_dir, tmp_path, target, capsys):
+    """Bytes that are not UTF-8 in any input file are a usage error that
+    names the file, and the command writes nothing."""
+    ckpt, _, report_path = _checkpoint_and_report(toy_dir, tmp_path)
+    cfg, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1}))
+    grid.write_text(json.dumps({"alpha": [0.5]}))
+    out, out_json = tmp_path / "out", tmp_path / "out.json"
+    train = ["train", "--config", str(cfg), "--out", str(out)]
+    evaluate = ["evaluate", "--checkpoint", str(ckpt), "--report", str(report_path),
+                "--json", str(out_json)]
+    command = {"grid": ["grid", "--config", str(cfg), "--grid-json", str(grid),
+                        "--out", str(out)],
+               "report": evaluate, "checkpoint": evaluate}.get(target, train)
+    bad = {"config": cfg, "grid": grid, "report": report_path,
+           "checkpoint": ckpt}.get(target, os.path.join(toy_dir, target))
+    with open(bad, "wb") as fh:
+        fh.write(b"\xff\xfe{")
+    assert main([*command, "--dataset", toy_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert not out.exists() and not out_json.exists()
 
 
 def test_verify_ok_and_report_fields(tmp_path, capsys):

@@ -4,23 +4,25 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from fairgraph.data import (
-    DatasetSpec,
     NodeTable,
     SynthConfig,
     atomic_open,
     edge_plan,
     export_embeddings,
     load_dataset,
+    read_json,
     resolve_dataset,
     synth_generate,
     write_dataset,
 )
 from fairgraph.errors import (
+    ConfigError,
     DatasetParseError,
     InfeasibleError,
     MissingColumnError,
@@ -38,7 +40,7 @@ def write_toy_dataset(tmp_path, rows=None, meta=None, edges="0 1\n1 2\n"):
     (tmp_path / "meta.json").write_text(json.dumps(meta or {
         "label_col": "approved", "sensitive_col": "group",
         "positive_value": 1, "sensitive_positive_value": 1}))
-    return DatasetSpec.from_dir(str(tmp_path))
+    return str(tmp_path)
 
 
 def test_load_basic_dataset(tmp_path):
@@ -90,6 +92,17 @@ def test_loader_typed_errors(tmp_path):
         load_dataset(write_toy_dataset(tmp_path, edges="0 1 7\n"))
     with pytest.raises(DatasetParseError):
         resolve_dataset("no-such-dataset-name")
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"{", b"[" * 100_000],
+                         ids=["not-utf-8", "not-json", "nested-too-deep"])
+def test_read_json_raises_the_given_error(tmp_path, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetParseError, match=re.escape(f"cannot read thing {path}")):
+        read_json(path, "thing", DatasetParseError)
+    with pytest.raises(ConfigError, match="cannot read thing"):
+        read_json(tmp_path / "missing.json", "thing")
 
 
 BASE_META = {"label_col": "approved", "sensitive_col": "group",

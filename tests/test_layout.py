@@ -95,3 +95,30 @@ def test_no_module_level_arrays():
               if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
               for call in _array_constructions(node)]
     assert not shared, f"module-level NumPy arrays in src/fairgraph: {shared}"
+
+
+def _json_parsers(node):
+    """Every json.load / json.loads named under node, and every import from
+    the json module."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr in ("load", "loads") \
+                and isinstance(n.value, ast.Name) and n.value.id == "json":
+            yield n
+        elif isinstance(n, ast.ImportFrom) and n.module == "json":
+            yield n
+
+
+def test_only_read_json_parses_json():
+    """Every JSON input goes through data.read_json, so each one fails with
+    the same typed error whatever is wrong with the file."""
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = [node for node in tree.body if path.name == "data.py"
+                  and isinstance(node, ast.FunctionDef) and node.name == "read_json"]
+        allowed = {id(n) for node in reader for n in _json_parsers(node)}
+        inside += allowed
+        outside += [f"{path.name}:{n.lineno}" for n in _json_parsers(tree)
+                    if id(n) not in allowed]
+    assert inside, "data.read_json no longer parses JSON"
+    assert not outside, f"JSON parsed outside data.read_json: {outside}"
