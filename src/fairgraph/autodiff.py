@@ -47,28 +47,20 @@ class NeighborAggregator:
     """Per-node neighbour means over a fixed graph, as one sparse operator.
 
     `adj` is the unit-weight symmetric closure of the graph's edge array in
-    CSR form, each row's neighbours in ascending order; `inv_deg` is
-    1/degree (0 for isolated nodes). The weights stay 1 and the scaling by 1/degree comes after the
-    product, so every mean is the exact sum of its neighbours, added in
-    ascending id order from zero, times 1/degree.
+    scipy's canonical CSR form, each row's neighbours in ascending order;
+    `inv_deg` is 1/degree (0 for isolated nodes). The weights stay 1 and the
+    scaling by 1/degree comes after the product, so every mean is the exact
+    sum of its neighbours, added in ascending id order from zero, times
+    1/degree.
     """
 
     def __init__(self, graph):
-        ea = graph.edge_array
-        row = np.concatenate([ea[:, 0], ea[:, 1]])
-        col = np.concatenate([ea[:, 1], ea[:, 0]])
-        order = np.argsort(row * graph.n + col)  # by row, then column
-        deg = np.bincount(row, minlength=graph.n)
-        indptr = np.zeros(graph.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = col[order]
-        self.n = graph.n
-        self.adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                                 shape=(graph.n, graph.n))
-        inv = np.zeros(graph.n, dtype=np.float64)
-        nz = deg > 0
-        inv[nz] = 1.0 / deg[nz]
-        self.inv_deg = inv
+        n, ea = graph.n, graph.edge_array
+        closure = (np.concatenate([ea[:, 0], ea[:, 1]]), np.concatenate([ea[:, 1], ea[:, 0]]))
+        self.n = n
+        self.adj = sp.csr_matrix((np.ones(2 * graph.m), closure), shape=(n, n))
+        deg = np.diff(self.adj.indptr)
+        self.inv_deg = np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)
 
 
 def row_mean_neighbors(x, agg):

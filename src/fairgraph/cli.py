@@ -101,33 +101,27 @@ def _checkpoint_on(graph, table, path):
     return latent, predict(pred, latent.c)
 
 
-def _load_report(path, fields=("splits",)):
-    """A stored run report holding each of `fields` as a mapping; a file
-    that cannot be read or lacks one of them is a ConfigError."""
+def _stored_run(path, graph, n, fields=("splits",)):
+    """(report, graph, splits) of the stored run report at `path`: the
+    report holding each of `fields` as a mapping, the phase-1 edited graph
+    the run trained on, and its splits over n nodes. A report that cannot be
+    read or does not fit the dataset is a ConfigError."""
     stored = read_json(path, "report")
     missing = [f for f in fields
                if not isinstance(stored, dict) or not isinstance(stored.get(f), dict)]
     if missing:
         raise ConfigError(f"report {path} is not a run report: no {missing} block")
-    return stored
-
-
-def _stored_splits(stored, n):
     try:
-        return Splits.from_dict(stored["splits"], n)
+        splits = Splits.from_dict(stored["splits"], n)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"stored report's splits do not fit the dataset: {exc!r}") from exc
-
-
-def _graph_after_stored_edit(graph, stored):
-    """Rebuild the phase-1 edited graph a stored run trained on."""
     edit = stored.get("edit", {})
     if not isinstance(edit, dict):
         raise ConfigError(f"stored report's edit block is not a mapping: {edit!r}")
     if edit.get("skipped") or not edit.get("removed_edges"):
-        return graph
+        return stored, graph, splits
     try:
-        return graph.remove_edges(edit["removed_edges"])
+        return stored, graph.remove_edges(edit["removed_edges"]), splits
     except ValueError as exc:
         raise ConfigError(f"stored report's removed edges do not fit the dataset: {exc}") from exc
 
@@ -226,10 +220,9 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     graph, table = _load_dataset_arg(args.dataset)
-    stored = _load_report(args.report, fields=("splits", "test"))
-    graph = _graph_after_stored_edit(graph, stored)
+    stored, graph, splits = _stored_run(args.report, graph, table.n,
+                                        fields=("splits", "test"))
     _, probs = _checkpoint_on(graph, table, args.checkpoint)
-    splits = _stored_splits(stored, table.n)
     report = evaluate_predictions(probs, table.labels.class_label,
                                   table.labels.sensitive, mask=splits.test,
                                   seed=stored.get("seed", 0),
@@ -300,17 +293,13 @@ def cmd_synth(args):
 def cmd_export(args):
     graph, table = _load_dataset_arg(args.dataset)
     split_names = ["unlabeled"] * table.n
-    stored = None
     if args.report:
-        stored = _load_report(args.report)
-        graph = _graph_after_stored_edit(graph, stored)
-    latent, _ = _checkpoint_on(graph, table, args.checkpoint)
-    if stored is not None:
-        splits = _stored_splits(stored, table.n)
+        _, graph, splits = _stored_run(args.report, graph, table.n)
         for name, mask in (("train", splits.train), ("val", splits.val),
                            ("test", splits.test)):
             for i in np.where(mask)[0]:
                 split_names[i] = name
+    latent, _ = _checkpoint_on(graph, table, args.checkpoint)
     export_embeddings(args.out, latent.c, latent.e, table.labels,
                       split_names)
     print(f"wrote {args.out} ({table.n} rows, "

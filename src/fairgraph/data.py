@@ -106,6 +106,9 @@ def load_dataset(path):
         if not (isinstance(cols, list) and all(isinstance(c, str) for c in cols)):
             raise DatasetParseError(f"meta key {key!r} must be a list of column names, "
                                     f"got {cols!r}")
+    if meta["label_col"] == meta["sensitive_col"]:
+        raise DatasetParseError(f"meta label_col and sensitive_col both name "
+                                f"{meta['label_col']!r}")
 
     try:
         with open(features_path, "r", encoding="utf-8", newline="") as fh:
@@ -115,6 +118,9 @@ def load_dataset(path):
     except (OSError, StopIteration, csv.Error, ValueError) as exc:
         raise DatasetParseError(f"cannot read {features_path}: {exc}") from exc
     header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DatasetParseError(f"{features_path}: column names {repeated} repeat")
     for col in (meta["label_col"], meta["sensitive_col"]):
         if col not in header:
             raise MissingColumnError(f"column {col!r} not in {header}")

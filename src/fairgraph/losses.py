@@ -242,7 +242,9 @@ def pred_loss(probs, labels, mask):
     """Mean binary cross-entropy over masked nodes, probabilities clamped to
     [PROB_FLOOR, 1 - PROB_FLOOR]; returns (value, dL/dlogit), probs being
     the (n, 1) sigmoid of the logit. dL/dlogit is (p - y) mask / count
-    where p lies inside the clamp, and 0 where the clamp holds it."""
+    where p lies inside the clamp, and 0 where the clamp holds it. Rows
+    outside the mask are multiplied by 0, so their labels may be anything,
+    such as the -1 of an unknown label."""
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:

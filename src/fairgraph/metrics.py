@@ -38,7 +38,8 @@ def equal_opportunity(pred_hard, labels, sensitive) -> float:
     for group in (0, 1):
         members = pred[(s == group) & (y == 1)]
         if len(members) == 0:
-            raise UndefinedMetricError(f"group {group} has no positive-class nodes")
+            raise UndefinedMetricError(
+                f"equal opportunity is undefined: group {group} has no positive-class nodes")
         tprs.append(members.mean())
     return float(abs(tprs[0] - tprs[1]) * 100.0)
 
@@ -120,7 +121,8 @@ def _confusion_cells(pred, y, s):
 
 def evaluate_predictions(probs, labels, sensitive, mask=None, seed=0,
                          split_id=0) -> MetricsReport:
-    """Full report over the masked nodes (all nodes when mask is None)."""
+    """Full report over the masked nodes (all nodes when mask is None),
+    every one of which must carry a class label (not -1)."""
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     y = _as_int(labels)
     s = _as_int(sensitive)
@@ -129,6 +131,9 @@ def evaluate_predictions(probs, labels, sensitive, mask=None, seed=0,
         probs, y, s = probs[keep], y[keep], s[keep]
     if len(y) == 0:
         raise UndefinedMetricError("empty evaluation mask")
+    if (y < 0).any():
+        raise UndefinedMetricError(
+            f"{int((y < 0).sum())} evaluated nodes have no class label")
     pred = (probs >= 0.5).astype(np.int64)
     bacc = balanced_accuracy(pred, y)
     d_sp = stat_parity(pred, s)

@@ -275,7 +275,7 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
     enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
                             derive_seed(seed, "init"))
     enc.feature_mean, enc.feature_std = feature_stats(x, train_mask)
-    y = np.where(labels.class_label >= 0, labels.class_label, 0)
+    y = labels.class_label
     losses = []
     for _, loss, _, probs in _descend(
             graph, x, enc, pred, cfg, cfg.T_pre, "pretrain",
@@ -371,8 +371,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     use_sc = contrast and w.omega > 0
     use_env = contrast and w.eta > 0
 
-    y_true = labels.class_label
-    y_train = np.where(y_true >= 0, y_true, 0)
+    y = labels.class_label
     sens = labels.sensitive
 
     pos_edges = graph.edge_array
@@ -381,24 +380,19 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         if use_suf else ()
 
     cf = None
-    warned_empty = False
 
     def objective(epoch, latent, probs):
-        nonlocal cf, warned_empty
+        nonlocal cf
         if use_inv and (epoch == 1 or epoch % cfg.refresh_period == 0):
             pseudo = labels.with_pseudo(hard_labels(probs)).class_label
             cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
-            if cf.empty_e == graph.n and cf.empty_c == graph.n and not warned_empty:
-                log.warning("no counterfactual candidates exist; invariance "
-                            "loss reduces to its orthogonality term")
-                warned_empty = True
-        parts = LossParts(pred=pred_loss(probs, y_train, splits.train))
+        parts = LossParts(pred=pred_loss(probs, y, splits.train))
         if use_inv:
             parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
         if use_suf:
             parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
         if use_sc:
-            parts.sc = sc_loss(latent.c, y_train, labels.labeled_mask(), w.kappa)
+            parts.sc = sc_loss(latent.c, y, labels.labeled_mask(), w.kappa)
         if use_env:
             parts.env = env_loss(latent.e, sens, w.k_prime)
         return parts
@@ -406,15 +400,16 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     params = enc.arrays() + pred.arrays()
     records = []
     best = None  # (score, epoch, param values, val_report, probs)
+    undefined = None  # why the last disqualified epoch's metrics were undefined
     for epoch, loss, parts, probs in _descend(graph, x, enc, pred, cfg, cfg.T_train,
                                               "train", objective):
         try:
-            val_report = evaluate_predictions(probs, y_true, sens,
+            val_report = evaluate_predictions(probs, y, sens,
                                               mask=splits.val, seed=seed,
                                               split_id=split_id)
             val_score = val_report.score
-        except UndefinedMetricError:
-            val_report, val_score = None, None
+        except UndefinedMetricError as exc:
+            val_report, val_score, undefined = None, None, exc
         records.append(EpochRecord(epoch=epoch, loss=loss,
                                    parts=parts.values(), val_score=val_score))
         if val_score is not None and (best is None or val_score > best[0]):
@@ -422,11 +417,11 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
 
     if best is None:
         raise UndefinedMetricError(
-            "no epoch produced defined validation metrics; split too small")
+            f"no epoch produced defined validation metrics: {undefined}")
 
     for p, v in zip(params, best[2]):
         p[...] = v
-    test_report = evaluate_predictions(best[4], y_true, sens, mask=splits.test,
+    test_report = evaluate_predictions(best[4], y, sens, mask=splits.test,
                                        seed=seed, split_id=split_id)
     return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],

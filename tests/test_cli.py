@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON/stdout agreement, reproducibility."""
 
+import csv
 import json
 import logging
 import math
@@ -74,9 +75,10 @@ def test_analyze_non_integer_edge_id_exit_2(toy_dir, bad_id, capsys):
 @pytest.mark.parametrize("meta", [
     5, None, {"drop_cols": 5}, {"feature_cols": 7}, {"feature_cols": []},
     {"drop_cols": [f"feat_{j}" for j in range(8)] + ["sensitive"]},
-    {"feature_cols": ["feat_0", "label"]}],
+    {"feature_cols": ["feat_0", "label"]}, {"label_col": "sensitive"}],
     ids=["number", "null", "drop_cols-number", "feature_cols-number",
-         "feature_cols-empty", "drop_cols-every-column", "feature_cols-label"])
+         "feature_cols-empty", "drop_cols-every-column", "feature_cols-label",
+         "label_col-is-sensitive_col"])
 def test_meta_of_the_wrong_shape_exit_2(toy_dir, meta, capsys):
     meta_path = os.path.join(toy_dir, "meta.json")
     if isinstance(meta, dict):
@@ -87,6 +89,38 @@ def test_meta_of_the_wrong_shape_exit_2(toy_dir, meta, capsys):
     assert main(["analyze", "--dataset", toy_dir]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "meta" in err
+
+
+def test_repeated_column_name_exit_2(toy_dir, capsys):
+    path = os.path.join(toy_dir, "features.csv")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("feat_1,", "feat_0,", 1))
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "['feat_0']" in err
+
+
+def test_edge_id_outside_the_node_range_exit_2(toy_dir, capsys):
+    with open(os.path.join(toy_dir, "edges.txt"), "a", encoding="utf-8") as fh:
+        fh.write("0 150\n")  # the toy dataset has nodes 0..149
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad edge list") and err.count("\n") == 1
+
+
+def test_dataset_by_name_under_the_data_root(toy_dir, tmp_path, monkeypatch, capsys):
+    by_path, by_name = tmp_path / "path.json", tmp_path / "name.json"
+    assert main(["analyze", "--dataset", toy_dir, "--json", str(by_path)]) == 0
+    monkeypatch.setenv("FAIRGRAPH_DATA", os.path.dirname(toy_dir))
+    monkeypatch.chdir(tmp_path)  # no ./toy here: only the data root holds it
+    assert main(["analyze", "--dataset", "toy", "--json", str(by_name)]) == 0
+    capsys.readouterr()
+    doc = json.loads(by_name.read_text())
+    assert doc.pop("dataset") == "toy"
+    assert doc == {k: v for k, v in json.loads(by_path.read_text()).items()
+                   if k != "dataset"}
 
 
 @pytest.mark.parametrize("target", ["meta.json", "features.csv", "edges.txt", "config",
@@ -212,6 +246,48 @@ def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
     assert header[:4] == ["node_id", "split", "y", "s"]
     assert len(header) == 4 + 16 + 16  # d_c = d_e = 16 defaults
     capsys.readouterr()
+
+
+def _trained_run(toy_dir, tmp_path):
+    """(report path, checkpoint path) of a short HSCCAF run on the toy
+    dataset."""
+    cfg, run_dir = tmp_path / "short.json", tmp_path / "short-run"
+    cfg.write_text(json.dumps({"T_pre": 10, "T_train": 5, "lr": 0.05}))
+    assert main(["train", "--dataset", toy_dir, "--config", str(cfg), "--seed", "0",
+                 "--out", str(run_dir)]) == 0
+    report = next(run_dir.glob("run_*_split0.json"))
+    return report, str(report).replace(".json", ".ckpt.json")
+
+
+def test_evaluate_against_a_differing_report_exits_1(toy_dir, tmp_path, capsys):
+    report_path, ckpt = _trained_run(toy_dir, tmp_path)
+    doc = json.loads(report_path.read_text())
+    recomputed = dict(doc["test"])
+    doc["test"]["bacc"] += 1.0
+    report_path.write_text(json.dumps(doc))
+    out_json = tmp_path / "eval.json"
+    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", ckpt,
+                 "--report", str(report_path), "--json", str(out_json)]) == 1
+    assert "stored report differs" in capsys.readouterr().err
+    assert json.loads(out_json.read_text()) == recomputed
+
+
+def test_evaluate_on_an_unlabelled_test_node_exits_1(toy_dir, tmp_path, capsys):
+    report_path, ckpt = _trained_run(toy_dir, tmp_path)
+    node = json.loads(report_path.read_text())["splits"]["test"][0]
+    path = os.path.join(toy_dir, "features.csv")
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1 + node][rows[0].index("label")] = ""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    out_json = tmp_path / "eval.json"
+    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", ckpt,
+                 "--report", str(report_path), "--json", str(out_json)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 1 evaluated nodes have no class label\n"
+    assert not out_json.exists()
 
 
 def _checkpoint_and_report(toy_dir, tmp_path):

@@ -90,6 +90,9 @@ def test_loader_typed_errors(tmp_path):
             tmp_path, rows="age,approved,group\n30,1,0\nforty,0,1\n50,0,1\n"))
     with pytest.raises(DatasetParseError):
         load_dataset(write_toy_dataset(tmp_path, edges="0 1 7\n"))
+    with pytest.raises(DatasetParseError, match=re.escape("column names ['age'] repeat")):
+        load_dataset(write_toy_dataset(
+            tmp_path, rows="age,age,approved,group\n30,1,1,0\n40,2,0,1\n50,3,1,1\n"))
     with pytest.raises(DatasetParseError):
         resolve_dataset("no-such-dataset-name")
 
@@ -112,7 +115,8 @@ BAD_META = {"number": 5, "null": None, "list": [BASE_META],
             "drop_cols-string": {**BASE_META, "drop_cols": "age"},
             "feature_cols-number": {**BASE_META, "feature_cols": 7},
             "feature_cols-non-string": {**BASE_META, "feature_cols": ["age", 3]},
-            "feature_cols-null": {**BASE_META, "feature_cols": None}}
+            "feature_cols-null": {**BASE_META, "feature_cols": None},
+            "label_col-is-sensitive_col": {**BASE_META, "label_col": "group"}}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_META))

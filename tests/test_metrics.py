@@ -162,3 +162,19 @@ def test_report_fields_and_cells():
     assert report.cells["s0_y1_p1"] == 1
     assert report.score == pytest.approx(
         selection_score(report.bacc, report.delta_sp, report.delta_eo))
+
+
+def test_mask_with_unlabelled_nodes_is_undefined():
+    # the -1 of an unknown label would enter the AUC ranking and the dSP
+    # groups: these 8 nodes would read AUC 100.0 and dSP 26.7, where their 6
+    # labelled ones read 66.7 and 33.3
+    probs = np.array([0.9, 0.2, 0.7, 0.4, 0.6, 0.1, 0.8, 0.3])
+    y = np.array([1, 0, 1, 0, 0, 1, -1, -1])
+    s = np.array([0, 0, 1, 1, 0, 1, 1, 1])
+    labelled = y >= 0
+    report = evaluate_predictions(probs, y, s, mask=labelled)
+    assert (report.auc, report.delta_sp) == pytest.approx((200 / 3, 100 / 3))
+    with pytest.raises(UndefinedMetricError, match="2 evaluated nodes have no class label"):
+        evaluate_predictions(probs, y, s)
+    with pytest.raises(UndefinedMetricError, match="1 evaluated nodes have no class label"):
+        evaluate_predictions(probs, y, s, mask=labelled | (np.arange(8) == 6))

@@ -371,6 +371,21 @@ def test_undefined_validation_metrics_disqualify_selection():
         run_single(g, crippled, quick_config(T_pre=5, T_train=5), seed=0)
 
 
+@pytest.mark.parametrize("mode", ["CAF", "HSCCAF"])
+def test_labels_equal_to_the_group_name_the_undefined_metric(mode, caplog):
+    # with y == s no node has a counterfactual candidate, and group 0 of the
+    # validation split has no positive-class node, so dEO is undefined at
+    # every epoch; the error names that, and nothing is logged about it
+    g, table = toy_dataset(n=200, seed=5)
+    s = table.labels.sensitive
+    grouped = replace(table, labels=replace(table.labels, class_label=s.copy()))
+    with caplog.at_level("WARNING", logger="fairgraph"), pytest.raises(
+            UndefinedMetricError, match="no epoch produced defined validation metrics: "
+                                        "equal opportunity is undefined: group 0 has no"):
+        run_single(g, grouped, quick_config(T_pre=5, T_train=5, mode=mode), seed=0)
+    assert not caplog.records
+
+
 def test_run_result_serializes(tmp_path):
     import json
 
