@@ -8,8 +8,9 @@ The on-disk dataset layout is three files in one directory:
                  "sensitive_positive_value"} plus optional "feature_cols"
                  and "drop_cols"
 Rows with a missing label become unlabeled nodes; the sensitive column must
-be binary after mapping and defined everywhere. A missing feature value
-reads as 0.0; any other must be a finite number.
+be binary after mapping and defined everywhere. A label or sensitive column
+with values must hold its positive value in some cell. A missing feature
+value reads as 0.0; any other must be a finite number.
 """
 
 from __future__ import annotations
@@ -75,15 +76,40 @@ def resolve_dataset(name_or_path):
         f"set FAIRGRAPH_DATA or pass a directory)")
 
 
-def _is_missing(raw):
-    if raw is None:
-        return True
-    text = str(raw).strip()
-    return text == "" or text.lower() in ("nan", "none", "na")
+MISSING_TEXT = frozenset({"", "nan", "none", "na"})  # stripped, lower-cased
 
 
-def _map_binary(raw, positive_value):
-    return 1 if str(raw).strip() == str(positive_value) else 0
+def _missing(cells):
+    """Which cells of a column hold no value: empty, or 'nan', 'none' or
+    'na' in any case, around any whitespace."""
+    return np.fromiter(map(MISSING_TEXT.__contains__, map(str.lower, map(str.strip, cells))),
+                       bool, len(cells))
+
+
+def _equals(cells, value):
+    """Which cells of a column, stripped, read as str(value); a label or
+    sensitive cell maps to 1 exactly there."""
+    return np.fromiter(map(str(value).__eq__, map(str.strip, cells)), bool, len(cells))
+
+
+def _feature_column(cells):
+    """A feature column as float64, a missing cell read as 0.0 and any
+    other as float() reads it, and the index of the first cell float()
+    rejects (None if there is none). The column converts in one pass; only
+    one with a missing cell or a NaN is read again cell by cell."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        if not np.isnan(values).any():
+            return values, None
+    except ValueError:
+        pass
+    values = np.zeros(len(cells))
+    for i in np.flatnonzero(~_missing(cells)):
+        try:
+            values[i] = float(cells[i])
+        except ValueError:
+            return values, int(i)
+    return values, None
 
 
 def load_dataset(path):
@@ -114,7 +140,7 @@ def load_dataset(path):
         with open(features_path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [row for row in reader if row]
+            rows = list(filter(None, reader))
     except (OSError, StopIteration, csv.Error, ValueError) as exc:
         raise DatasetParseError(f"cannot read {features_path}: {exc}") from exc
     header = [h.strip() for h in header]
@@ -124,12 +150,11 @@ def load_dataset(path):
     for col in (meta["label_col"], meta["sensitive_col"]):
         if col not in header:
             raise MissingColumnError(f"column {col!r} not in {header}")
-    col_index = {name: i for i, name in enumerate(header)}
 
     drop = set(meta.get("drop_cols", []))
     if "feature_cols" in meta:
         feature_cols = meta["feature_cols"]
-        missing = [c for c in feature_cols if c not in col_index]
+        missing = [c for c in feature_cols if c not in header]
         if missing:
             raise MissingColumnError(f"feature columns {missing} not in header")
     else:
@@ -140,42 +165,53 @@ def load_dataset(path):
         raise DatasetParseError(
             f"meta feature_cols names the label column {meta['label_col']!r}")
 
-    n = len(rows)
-    labels_raw = np.full(n, UNKNOWN, dtype=np.int64)
-    sensitive = np.zeros(n, dtype=np.int64)
+    # every check below reads whole columns; the first fault in row-major
+    # order is the one raised, as if the rows were read one by one
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    uneven = np.flatnonzero(width != len(header))
+    n = int(uneven[0]) if len(uneven) else len(rows)
+    columns = dict(zip(header, zip(*rows[:n]))) if n else dict.fromkeys(header, ())
+    faults = []  # (row, rank in the row, error) of each column's first fault
+    sens_cells = columns[meta["sensitive_col"]]
+    undefined = np.flatnonzero(_missing(sens_cells))
+    if len(undefined):
+        faults.append((undefined[0], -1, NonBinarySensitiveError(
+            f"row {undefined[0] + 2}: sensitive attribute must be defined for every node")))
+    sensitive = _equals(sens_cells, meta["sensitive_positive_value"]).astype(np.int64)
     features = np.empty((n, len(feature_cols)), dtype=np.float64)
-    sens_values = set()
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetParseError(
-                f"{features_path}: row {i + 2} has {len(row)} fields, "
-                f"expected {len(header)}")
-        raw_label = row[col_index[meta["label_col"]]]
-        if not _is_missing(raw_label):
-            labels_raw[i] = _map_binary(raw_label, meta["positive_value"])
-        raw_sens = row[col_index[meta["sensitive_col"]]]
-        if _is_missing(raw_sens):
-            raise NonBinarySensitiveError(
-                f"row {i + 2}: sensitive attribute must be defined for every node")
-        sens_values.add(str(raw_sens).strip())
-        sensitive[i] = _map_binary(raw_sens, meta["sensitive_positive_value"])
-        for j, col in enumerate(feature_cols):
-            if col == meta["sensitive_col"]:
-                # keep the sensitive attribute as its mapped 0/1 encoding so
-                # categorical values ('Male'/'Female') load without fuss
-                features[i, j] = float(sensitive[i])
-                continue
-            raw = row[col_index[col]]
-            try:
-                features[i, j] = 0.0 if _is_missing(raw) else float(raw)
-            except ValueError as exc:
-                raise DatasetParseError(
-                    f"row {i + 2}, column {col!r}: not numeric: {raw!r}") from exc
+    for j, col in enumerate(feature_cols):
+        if col == meta["sensitive_col"]:
+            # keep the sensitive attribute as its mapped 0/1 encoding so
+            # categorical values ('Male'/'Female') load without fuss
+            features[:, j] = sensitive
+            continue
+        features[:, j], bad = _feature_column(columns[col])
+        if bad is not None:
+            faults.append((bad, j, DatasetParseError(
+                f"row {bad + 2}, column {col!r}: not numeric: {columns[col][bad]!r}")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    if n < len(rows):
+        raise DatasetParseError(f"{features_path}: row {n + 2} has {width[n]} fields, "
+                                f"expected {len(header)}")
+    label_cells = columns[meta["label_col"]]
+    labelled = ~_missing(label_cells)
+    labels_raw = np.where(labelled, _equals(label_cells, meta["positive_value"]), UNKNOWN)
+    sens_values = set(map(str.strip, sens_cells))
     if len(sens_values) > 2:
         raise NonBinarySensitiveError(
             f"sensitive column {meta['sensitive_col']!r} has "
             f"{len(sens_values)} distinct values; mapping one of them to 1 "
             "would silently merge the rest")
+    label_values = {v for v in set(map(str.strip, label_cells)) if v.lower() not in MISSING_TEXT}
+    for col, key, seen in ((meta["label_col"], "positive_value", label_values),
+                           (meta["sensitive_col"], "sensitive_positive_value", sens_values)):
+        if seen and str(meta[key]) not in seen:
+            shown = sorted(seen)
+            raise DatasetParseError(
+                f"column {col!r}: no cell equals its {key} {meta[key]!r}, so every "
+                f"node would map to 0; it holds {shown[:5]}"
+                + (f" and {len(shown) - 5} more" if len(shown) > 5 else ""))
 
     try:
         pairs = load_edge_list(edges_path)

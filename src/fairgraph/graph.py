@@ -9,11 +9,13 @@ identities hold to machine precision.
 
 from __future__ import annotations
 
+import io
 import logging
-import math
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -67,6 +69,17 @@ def pair_codes(n, pairs):
     return pairs[:, 0] * n + pairs[:, 1]
 
 
+def sorted_unique(values):
+    """The distinct values of a 1-d array in increasing order, as
+    np.unique returns them, from one sort and a neighbour comparison;
+    numpy 2 sends np.unique on integers through a hash table that is
+    many times slower on large arrays."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def decode_pairs(n, k):
     """The k-th pairs (u, v), u < v, of nodes 0..n-1 in lexicographic order,
     for an integer array k; returns a (len(k), 2) int64 array."""
@@ -110,7 +123,7 @@ class Graph:
         Returns (graph, dropped_count).
         """
         arr = _canonical_pairs(n, pairs, drop_self_loops=True)
-        codes = np.unique(pair_codes(n, arr))
+        codes = sorted_unique(pair_codes(n, arr))
         dropped = len(pairs) - len(codes)
         if dropped:
             log.warning("dropped %d duplicate/reversed/self-loop edge lines", dropped)
@@ -142,13 +155,61 @@ class Graph:
 
 
 def load_edge_list(path):
-    """Parse a two-column edge file (whitespace- or comma-separated).
+    """Parse an edge file: one edge per line, two ids separated by
+    whitespace or a comma. Blank lines and comment lines, whose first
+    non-blank character is '#', are skipped. An id is anything float()
+    reads as a whole number that fits in int64 ('3', '3.0', '1e0').
 
     Returns the (u, v) pairs as a (k, 2) int64 array in file order;
     deduplication happens in Graph.from_edges_dedup so the caller sees the
-    warning count.
+    warning count. The whole file is parsed at once; a line that breaks the
+    rules is named, as path:lineno, by a second pass over the lines.
     """
-    pairs = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ids = _edge_ids(fh.read())
+    except UnicodeDecodeError:
+        ids = None
+    if ids is None or not (np.isfinite(ids) & (np.trunc(ids) == ids)).all():
+        _raise_first_bad_line(path)
+    if not ((ids >= -2.0 ** 63) & (ids < 2.0 ** 63)).all():
+        raise ValueError(f"{path}: node ids must fit in int64")
+    return ids.astype(np.int64)
+
+
+def _edge_ids(text):
+    """The ids on the non-comment lines of an edge file's text as a (k, 2)
+    float64 array, each the value float() reads; None if a line holds other
+    than two ids or an id float() rejects."""
+    if "#" in text:
+        text = re.sub(r"^[^\S\n]*#.*$", "", text, flags=re.MULTILINE)
+    text = text.replace(",", " ")
+    if not text or text.isspace():
+        return np.zeros((0, 2))
+    # np.loadtxt reads digits, signs, dots and exponents as float() does,
+    # and splits lines on spaces and tabs only; any other text takes the
+    # exact path below
+    if not text.encode().translate(None, b"0123456789+-.eE \t\n"):
+        try:
+            ids = np.loadtxt(io.StringIO(text), comments=None, ndmin=2)
+        except ValueError:
+            return None
+        return ids if ids.shape[1] == 2 else None
+    lines = list(map(str.split, text.split("\n")))
+    counts = np.fromiter(map(len, lines), np.intp, len(lines))
+    if np.count_nonzero((counts != 0) & (counts != 2)):
+        return None
+    try:
+        return np.fromiter(map(float, chain.from_iterable(lines)), np.float64).reshape(-1, 2)
+    except ValueError:
+        return None
+
+
+def _raise_first_bad_line(path):
+    """Raise the ValueError that names, as path:lineno, the first line of
+    `path` that is not blank, a comment or two whole-number ids. The file
+    is decoded line by line, so a bad line ahead of undecodable bytes is
+    the error, not the bytes."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -158,16 +219,11 @@ def load_edge_list(path):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
             try:
-                u, v = float(parts[0]), float(parts[1])
+                whole = all(float(p).is_integer() for p in parts)
             except ValueError:
-                u = v = math.nan
-            if not (u.is_integer() and v.is_integer()):
+                whole = False
+            if not whole:
                 raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
-            pairs.append((int(u), int(v)))
-    try:
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise ValueError(f"{path}: node ids must fit in int64") from exc
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import CapacityError, ConfigError, UndefinedMetricError
-from .graph import Graph, pair_codes
+from .graph import Graph, pair_codes, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -359,8 +359,8 @@ def sample_negative_edges(g: Graph, count, seed):
         picked = np.zeros(0, dtype=np.int64)
         while len(picked) < count:
             uv = np.sort(rng.integers(0, n, size=(count - len(picked), 2)), axis=1)
-            drawn = uv[:, 0] * n + uv[:, 1]
-            new = np.unique(drawn[(uv[:, 0] != uv[:, 1]) & ~_in_sorted(codes, drawn)])
+            drawn = sorted_unique((uv[:, 0] * n + uv[:, 1])[uv[:, 0] != uv[:, 1]])
+            new = drawn[~_in_sorted(codes, drawn)]
             picked = np.sort(np.concatenate([picked, new[~_in_sorted(picked, new)]]))
     return np.stack([picked // n, picked % n], axis=1)
 

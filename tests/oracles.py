@@ -19,6 +19,8 @@ passes on other threads never enter it.
 """
 
 import contextvars
+import csv
+import math
 import threading
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -27,6 +29,9 @@ import numpy as np
 from scipy.special import expit
 
 from fairgraph import losses
+from fairgraph.data import NodeTable
+from fairgraph.errors import DatasetParseError, MissingColumnError, NonBinarySensitiveError
+from fairgraph.graph import UNKNOWN, NodeLabels
 from fairgraph.losses import PROB_FLOOR
 
 
@@ -304,3 +309,112 @@ def env_loss_tape(e, sensitive, k_prime):
     g_diff = np.where(dist > 0, -w * diff / np.where(dist > 0, dist, 1.0), 0.0)
     grad = _scatter_rows(n, anchors, g_diff) - _scatter_rows(n, partners, g_diff)
     return float(value), grad
+
+
+def edge_list_by_line(path):
+    """Reference for `graph.load_edge_list`: the file read and checked one
+    line at a time, every error raised at the first line that has one."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+            try:
+                u, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                u = v = math.nan
+            if not (u.is_integer() and v.is_integer()):
+                raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
+            pairs.append((int(u), int(v)))
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: node ids must fit in int64") from exc
+
+
+def _is_missing(raw):
+    text = str(raw).strip()
+    return text == "" or text.lower() in ("nan", "none", "na")
+
+
+def _map_binary(raw, positive_value):
+    return 1 if str(raw).strip() == str(positive_value) else 0
+
+
+def table_by_cell(features_path, meta):
+    """Reference for the `features.csv` part of `data.load_dataset`, for a
+    meta that passed its own checks: the node table read one row and one
+    cell at a time, every error raised at the first cell that has one."""
+    try:
+        with open(features_path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = [row for row in reader if row]
+    except (OSError, StopIteration, csv.Error, ValueError) as exc:
+        raise DatasetParseError(f"cannot read {features_path}: {exc}") from exc
+    header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DatasetParseError(f"{features_path}: column names {repeated} repeat")
+    for col in (meta["label_col"], meta["sensitive_col"]):
+        if col not in header:
+            raise MissingColumnError(f"column {col!r} not in {header}")
+    col_index = {name: i for i, name in enumerate(header)}
+    drop = set(meta.get("drop_cols", []))
+    if "feature_cols" in meta:
+        feature_cols = meta["feature_cols"]
+    else:
+        feature_cols = [c for c in header if c != meta["label_col"] and c not in drop]
+
+    n = len(rows)
+    labels_raw = np.full(n, UNKNOWN, dtype=np.int64)
+    sensitive = np.zeros(n, dtype=np.int64)
+    features = np.empty((n, len(feature_cols)), dtype=np.float64)
+    sens_values, label_values = set(), set()
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DatasetParseError(
+                f"{features_path}: row {i + 2} has {len(row)} fields, "
+                f"expected {len(header)}")
+        raw_label = row[col_index[meta["label_col"]]]
+        if not _is_missing(raw_label):
+            label_values.add(raw_label.strip())
+            labels_raw[i] = _map_binary(raw_label, meta["positive_value"])
+        raw_sens = row[col_index[meta["sensitive_col"]]]
+        if _is_missing(raw_sens):
+            raise NonBinarySensitiveError(
+                f"row {i + 2}: sensitive attribute must be defined for every node")
+        sens_values.add(str(raw_sens).strip())
+        sensitive[i] = _map_binary(raw_sens, meta["sensitive_positive_value"])
+        for j, col in enumerate(feature_cols):
+            if col == meta["sensitive_col"]:
+                features[i, j] = float(sensitive[i])
+                continue
+            raw = row[col_index[col]]
+            try:
+                features[i, j] = 0.0 if _is_missing(raw) else float(raw)
+            except ValueError as exc:
+                raise DatasetParseError(
+                    f"row {i + 2}, column {col!r}: not numeric: {raw!r}") from exc
+    if len(sens_values) > 2:
+        raise NonBinarySensitiveError(
+            f"sensitive column {meta['sensitive_col']!r} has "
+            f"{len(sens_values)} distinct values; mapping one of them to 1 "
+            "would silently merge the rest")
+    for col, key, seen, mapped in ((meta["label_col"], "positive_value", label_values,
+                                    labels_raw),
+                                   (meta["sensitive_col"], "sensitive_positive_value",
+                                    sens_values, sensitive)):
+        if seen and not (mapped == 1).any():
+            shown = sorted(seen)
+            raise DatasetParseError(
+                f"column {col!r}: no cell equals its {key} {meta[key]!r}, so every "
+                f"node would map to 0; it holds {shown[:5]}"
+                + (f" and {len(shown) - 5} more" if len(shown) > 5 else ""))
+    return NodeTable(features=features,
+                     labels=NodeLabels.create(sensitive=sensitive, class_label=labels_raw),
+                     feature_names=tuple(feature_cols))

@@ -102,6 +102,22 @@ def test_repeated_column_name_exit_2(toy_dir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "['feat_0']" in err
 
 
+def test_labels_written_as_floats_exit_2(toy_dir, capsys):
+    """`1.0`/`0.0` labels never equal the positive value 1, so they would
+    all load as 0."""
+    path = os.path.join(toy_dir, "features.csv")
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[-2:] = [cell and str(float(cell)) for cell in row[-2:]]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 'label': no cell equals its positive_value 1") \
+        and err.count("\n") == 1 and "'0.0', '1.0'" in err
+
+
 def test_edge_id_outside_the_node_range_exit_2(toy_dir, capsys):
     with open(os.path.join(toy_dir, "edges.txt"), "a", encoding="utf-8") as fh:
         fh.write("0 150\n")  # the toy dataset has nodes 0..149

@@ -165,6 +165,24 @@ def test_node_table_owns_its_features():
     assert np.isfinite(table.features).all() and x.flags.writeable
 
 
+@pytest.mark.parametrize("rows, column, value", [
+    ("age,approved,group\n30,1.0,0\n40,0.0,1\n50,,1\n", "approved", "1"),
+    ("age,approved,group\n30,1,0.0\n40,0,1.0\n50,1,1.0\n", "group", "1"),
+    ("age,approved,group\n30,0,0\n40,0,1\n50,,1\n", "approved", "1")])
+def test_positive_value_that_matches_no_cell_is_a_parse_error(tmp_path, rows, column, value):
+    """A label or sensitive column whose every value cell differs from its
+    positive value would load every node as 0."""
+    with pytest.raises(DatasetParseError,
+                       match=rf"column '{column}': no cell equals its \w+ {value}"):
+        load_dataset(write_toy_dataset(tmp_path, rows=rows))
+
+
+def test_label_column_without_values_loads_unlabelled(tmp_path):
+    _, table = load_dataset(write_toy_dataset(
+        tmp_path, rows="age,approved,group\n30,,0\n40,NA,1\n50, nan ,1\n"))
+    assert table.labels.class_label.tolist() == [UNKNOWN] * 3
+
+
 def test_duplicate_edges_deduplicated(tmp_path):
     spec = write_toy_dataset(tmp_path, edges="0 1\n1 0\n0,1\n1 2\n")
     graph, _ = load_dataset(spec)
