@@ -136,7 +136,8 @@ class Graph:
     @property
     def edges(self):
         """The edges as a tuple of (u, v) tuples, in `edge_array` order."""
-        return tuple(map(tuple, self.edge_array.tolist()))
+        u, v = self.edge_array.T
+        return tuple(zip(u.tolist(), v.tolist()))
 
     def remove_edges(self, subset):
         """Return a new graph without the given edges, each named by its
@@ -404,7 +405,8 @@ def fair_edge_remove(g: Graph, labels: NodeLabels):
         raise DegenerateEditError("editing removed every edge")
     ea = g.edge_array
     edited = Graph(n=g.n, edge_array=ea[~is_iii])
-    report = EditReport(removed_edges=tuple(map(tuple, ea[is_iii].tolist())),
+    u, v = ea[is_iii].T
+    report = EditReport(removed_edges=tuple(zip(u.tolist(), v.tolist())),
                         census_before=EdgeCensus.from_types(types),
                         census_after=edge_census(edited, labels))
     return edited, report

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UndefinedMetricError
 
@@ -54,6 +53,21 @@ def balanced_accuracy(pred_hard, labels) -> float:
     return float((tpr + tnr) / 2.0 * 100.0)
 
 
+def _average_ranks(x):
+    """1-based ranks of x, each run of equal values given the mean position
+    of the run; every rank is NaN when any value is NaN. The same numbers,
+    bit for bit, as scipy.stats.rankdata(x, method="average")."""
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney rank AUC with average ranks on ties, * 100."""
     y = _as_int(labels)
@@ -62,7 +76,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes in the truth")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg) * 100.0)
 

@@ -330,6 +330,21 @@ def test_remove_is_idempotent_and_monotone():
         assert report.hr_s_after <= report.hr_s_before + 1e-15
 
 
+def test_edge_tuples_are_pairs_of_python_ints():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        g, labels = random_labeled_graph(rng, max_n=40)
+        assert g.edges == tuple(map(tuple, g.edge_array.tolist()))
+        try:
+            _, report = fair_edge_remove(g, labels)
+        except DegenerateEditError:
+            continue
+        is_iii = edge_types(g, labels) == EdgeType.III
+        assert report.removed_edges == tuple(map(tuple, g.edge_array[is_iii].tolist()))
+        for edges in (g.edges, report.removed_edges):
+            assert all(len(e) == 2 and all(type(v) is int for v in e) for e in edges)
+
+
 # ---------------------------------------------------------------------------
 # shift identities
 

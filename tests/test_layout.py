@@ -3,7 +3,10 @@ assignment in src/fairgraph is used by package code outside its own
 definition. Test oracles and checkers live under tests/ (see oracles.py)."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairgraph"
@@ -122,3 +125,44 @@ def test_only_read_json_parses_json():
                     if id(n) not in allowed]
     assert inside, "data.read_json no longer parses JSON"
     assert not outside, f"JSON parsed outside data.read_json: {outside}"
+
+
+def _scipy_imports(tree):
+    """(line, module) for every scipy module an import under tree names."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names = [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module == "scipy":
+            names = [f"scipy.{alias.name}" for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names = [n.module]
+        else:
+            continue
+        yield from ((n.lineno, name) for name in names
+                    if name == "scipy" or name.startswith("scipy."))
+
+
+def test_scipy_is_imported_only_for_sparse():
+    """The package loads numpy and scipy.sparse and no other scipy
+    subpackage: scipy.stats alone loads about ten of them and doubles the
+    memory and the time of `import fairgraph.cli`."""
+    imports = [(path.name, line, name)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for line, name in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert imports, "src/fairgraph no longer imports scipy.sparse"
+    outside = [f"{module}:{line} {name}" for module, line, name in imports
+               if name.split(".")[:2] != ["scipy", "sparse"]]
+    assert not outside, f"scipy imports other than scipy.sparse: {outside}"
+
+
+def test_importing_the_cli_loads_no_other_public_scipy_subpackage():
+    """The same in a fresh interpreter, which also sees what the imported
+    modules pull in; private helpers such as scipy._lib are allowed."""
+    listing = ("import sys, fairgraph.cli; print(' '.join(sorted({m.split('.')[1] "
+               "for m in sys.modules if m.startswith('scipy.') "
+               "and hasattr(sys.modules[m], '__path__')})))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", listing], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    public = sorted(name for name in loaded if not name.startswith("_"))
+    assert public == ["sparse"], f"import fairgraph.cli loads scipy subpackages {public}"

@@ -1,7 +1,11 @@
 """Utility/fairness metrics against brute-force and hand-count oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairgraph.errors import UndefinedMetricError
 from fairgraph.metrics import (
@@ -13,6 +17,7 @@ from fairgraph.metrics import (
     selection_score,
     stat_parity,
 )
+from oracles import auc_by_rankdata
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -86,6 +91,26 @@ def test_auc_matches_pairwise_oracle():
             continue
         assert roc_auc(scores, labels) == pytest.approx(
             pairwise_auc_oracle(scores, labels), abs=1e-10)
+
+
+# a small pool, so that most draws tie: rounded values, both zeros, both
+# infinities
+TIED_SCORES = (st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1 / 3,
+                                -math.inf, math.inf])
+               | st.floats(-2, 2).map(lambda x: round(x, 1)))
+
+
+@given(st.lists(st.tuples(TIED_SCORES, st.integers(0, 1)), min_size=2, max_size=60)
+       .filter(lambda rows: len({y for _, y in rows}) == 2))
+def test_roc_auc_matches_rankdata_bit_for_bit(rows):
+    scores, labels = zip(*rows)
+    assert roc_auc(scores, labels) == auc_by_rankdata(scores, labels)
+
+
+def test_roc_auc_is_nan_when_a_score_is():
+    scores, labels = [0.2, math.nan, 0.7, 0.7], [0, 1, 1, 0]
+    assert math.isnan(roc_auc(scores, labels))
+    assert math.isnan(auc_by_rankdata(scores, labels))
 
 
 def test_auc_invariant_to_monotone_transform():
