@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .autodiff import NeighborAggregator
 from .data import (
@@ -24,6 +22,7 @@ from .data import (
     atomic_open,
     export_embeddings,
     load_dataset,
+    make_dir,
     read_json,
     resolve_dataset,
     synth_generate,
@@ -47,13 +46,20 @@ from .pipeline import (
 from .seeding import derive_seed
 from .verify import run_suites
 
-WEIGHT_FLAGS = tuple(LossWeights().to_dict())
+WEIGHT_FLAGS = LossWeights().to_dict()  # flag -> default, whose type it takes
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _write_json(path, payload):
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
+
+
+def _check_out_dir(path):
+    """Fail before any work if `path` exists but is no directory; it is made
+    only when there is a result to write, so a failed run leaves nothing."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: not a directory")
 
 
 def _load_dataset_arg(name_or_path):
@@ -63,19 +69,13 @@ def _load_dataset_arg(name_or_path):
 def _build_config(args):
     cfg = (TrainConfig.from_dict(read_json(args.config, "config")) if args.config
            else TrainConfig())
-    overrides = {}
-    for flag in WEIGHT_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    if overrides:
-        merged = cfg.weights.to_dict()
-        merged.update(overrides)
-        cfg = replace(cfg, weights=LossWeights.from_dict(merged))
-    if getattr(args, "mode", None):
-        cfg = replace(cfg, mode=args.mode)
-    if getattr(args, "lr", None) is not None:
-        cfg = replace(cfg, lr=args.lr)
+    weights = {flag: getattr(args, flag) for flag in WEIGHT_FLAGS
+               if getattr(args, flag, None) is not None}
+    if weights:
+        cfg = replace(cfg, weights=LossWeights.from_dict({**cfg.weights.to_dict(),
+                                                          **weights}))
+    cfg = replace(cfg, **{flag: getattr(args, flag) for flag in ("mode", "lr")
+                          if getattr(args, flag, None) is not None})
     # the config's seeds stand unless --seed or --splits replaces them
     seed = getattr(args, "seed", None)
     if getattr(args, "splits", None) is not None:
@@ -160,10 +160,11 @@ def cmd_analyze(args):
 
 
 def cmd_edit(args):
+    _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
     labels = _effective_labels(args, graph, table)
     edited, report = fair_edge_remove(graph, labels)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
         fh.writelines(f"{u} {v}\n" for u, v in edited.edge_array.tolist())
     _write_json(os.path.join(args.out, "edit_report.json"), report.to_dict())
@@ -175,12 +176,13 @@ def cmd_edit(args):
 
 
 def cmd_pretrain(args):
+    _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     seed = cfg.seeds[0]
     splits = prepare(table, cfg, seed)
     result = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     ckpt = os.path.join(args.out, "pretrained.json")
     save_checkpoint(ckpt, result.encoder, result.predictor,
                     meta={"config_hash": cfg.config_hash(), "seed": seed,
@@ -196,10 +198,11 @@ def cmd_pretrain(args):
 
 
 def cmd_train(args):
+    _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     results, agg = run_experiment(graph, table, cfg)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     for res in results:
         stem = os.path.join(args.out, f"run_seed{res.seed}_split{res.split_id}")
         _write_json(stem + ".json", res.to_dict())
@@ -241,11 +244,12 @@ def cmd_evaluate(args):
 
 
 def cmd_grid(args):
+    _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     grid = read_json(args.grid_json, "grid") if args.grid_json else DEFAULT_GRID
     cells = grid_search(graph, table, cfg, grid)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     _write_json(os.path.join(args.out, "grid.json"),
                 {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
                  "library_version": __version__,
@@ -295,9 +299,8 @@ def cmd_export(args):
     split_names = ["unlabeled"] * table.n
     if args.report:
         _, graph, splits = _stored_run(args.report, graph, table.n)
-        for name, mask in (("train", splits.train), ("val", splits.val),
-                           ("test", splits.test)):
-            for i in np.where(mask)[0]:
+        for name, ids in splits.to_dict().items():
+            for i in ids:
                 split_names[i] = name
     latent, _ = _checkpoint_on(graph, table, args.checkpoint)
     export_embeddings(args.out, latent.c, latent.e, table.labels,
@@ -322,11 +325,8 @@ def _at_least_one(text):
 
 
 def _add_weight_flags(p):
-    for flag in WEIGHT_FLAGS:
-        if flag in ("K", "K_prime"):
-            p.add_argument(f"--{flag}", type=int, default=None)
-        else:
-            p.add_argument(f"--{flag}", type=float, default=None)
+    for flag, default in WEIGHT_FLAGS.items():
+        p.add_argument(f"--{flag}", type=type(default), default=None)
 
 
 def build_parser():

@@ -241,7 +241,6 @@ class SynthConfig:
     feature_dim: int = 8
     class_signal: float = 1.0
     sensitive_signal: float = 0.5
-    noise_std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -339,7 +338,7 @@ def synth_generate(cfg: SynthConfig):
     d = cfg.feature_dim
     u_c = np.ones(d) / np.sqrt(d)
     u_s = np.array([1.0 if j % 2 == 0 else -1.0 for j in range(d)]) / np.sqrt(d)
-    features = (cfg.noise_std * rng.standard_normal((cfg.n, d))
+    features = (rng.standard_normal((cfg.n, d))
                 + np.outer(2.0 * y - 1.0, cfg.class_signal * u_c)
                 + np.outer(2.0 * s - 1.0, cfg.sensitive_signal * u_s))
     table = NodeTable(features=features,
@@ -362,17 +361,28 @@ def read_json(path, what, error=ConfigError):
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+def make_dir(path):
+    """os.makedirs(path, exist_ok=True); an OSError is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 @contextmanager
 def atomic_open(path):
     """Text file handle on a temporary file beside `path`; on a clean exit
     the temporary is moved over `path` with os.replace. A writer that raises
-    leaves the old file, and no temporary, behind. Lines are written as
-    given (no newline translation), which is what csv writers expect."""
+    leaves the old file, and no temporary, behind; an OSError is a
+    ConfigError naming `path`. Lines are written as given (no newline
+    translation), which is what csv writers expect."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -381,7 +391,7 @@ def atomic_open(path):
 def write_dataset(dirpath, graph: Graph, table: NodeTable):
     """Write the three-file dataset layout and return its directory, which
     load_dataset reads back. Each file is replaced atomically."""
-    os.makedirs(dirpath, exist_ok=True)
+    make_dir(dirpath)
     with atomic_open(os.path.join(dirpath, "features.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(table.feature_names) + ["label", "sensitive"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,9 @@ from .graph import Graph, pair_codes, sorted_unique
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
+
+
+COUNT_NAMES = {"k": "K", "k_prime": "K_prime"}  # config names; other fields are weights
 
 
 @dataclass(frozen=True)
@@ -48,41 +51,33 @@ class LossWeights:
 
     def __post_init__(self):
         """Each weight is a finite nonnegative number and each count a
-        positive integer; `from_dict` turns the ValueError into a
-        ConfigError."""
-        for name in ("alpha", "beta", "gamma", "omega", "eta", "kappa"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite nonnegative number, "
-                                 f"got {value!r}")
-        for value in (self.k, self.k_prime):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < 1:
-                raise ValueError("K and K_prime must be positive counts")
+        positive integer, the weights checked first; `from_dict` turns the
+        ValueError into a ConfigError."""
+        for f in sorted(fields(self), key=lambda fld: fld.name in COUNT_NAMES):
+            value, count = getattr(self, f.name), f.name in COUNT_NAMES
+            kind, low = (numbers.Integral, 1) if count else (numbers.Real, 0)
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not low <= value < math.inf:
+                raise ValueError("K and K_prime must be positive counts" if count else
+                                 f"{f.name} must be a finite nonnegative number, got {value!r}")
 
     def to_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "omega": self.omega, "eta": self.eta, "K": self.k,
-                "K_prime": self.k_prime, "kappa": self.kappa}
+        return {COUNT_NAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc):
         """Weights from a config mapping; any invalid field is a ConfigError."""
         if not isinstance(doc, dict):
             raise ConfigError(f"weights must be a mapping, got {type(doc).__name__}")
-        known = {"alpha", "beta", "gamma", "omega", "eta", "K", "K_prime", "kappa"}
-        unknown = set(doc) - known
+        names = {COUNT_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+        unknown = set(doc) - set(names)
         if unknown:
             raise ConfigError(f"unknown weight fields: {sorted(unknown)}")
-        kw = {k: v for k, v in doc.items() if k in ("alpha", "beta", "gamma",
-                                                    "omega", "eta", "kappa")}
-        for field, name in (("K", "k"), ("K_prime", "k_prime")):
-            if field in doc:
-                kw[name] = _whole_number(field, doc[field])
+        kw = {name: _whole_number(key, doc[key]) if name in COUNT_NAMES else doc[key]
+              for key, name in names.items() if key in doc}
         try:
             return cls(**kw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad weights: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -116,20 +116,15 @@ class TrainConfig:
         object.__setattr__(self, "splits", tuple(float(f) for f in splits))
 
     def to_dict(self):
-        return {"weights": self.weights.to_dict(), "lr": self.lr,
-                "T_pre": self.T_pre, "T_train": self.T_train,
-                "refresh_period": self.refresh_period,
-                "seeds": list(self.seeds), "splits": list(self.splits),
-                "mode": self.mode, "optimizer": self.optimizer,
-                "hidden": self.hidden, "d_c": self.d_c}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "weights": self.weights.to_dict(), "seeds": list(self.seeds),
+                "splits": list(self.splits)}
 
     @classmethod
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ConfigError(f"a config must be a mapping, got {type(doc).__name__}")
-        known = {"weights", "lr", "T_pre", "T_train", "refresh_period", "seeds",
-                 "splits", "mode", "optimizer", "hidden", "d_c"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(doc)
@@ -149,14 +144,12 @@ class Splits:
     test: np.ndarray
 
     def to_dict(self):
-        return {"train": np.where(self.train)[0].tolist(),
-                "val": np.where(self.val)[0].tolist(),
-                "test": np.where(self.test)[0].tolist()}
+        return {f.name: np.where(getattr(self, f.name))[0].tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc, n):
-        masks = []
-        for key in ("train", "val", "test"):
+        masks = {}
+        for key in (f.name for f in fields(cls)):
             for i in doc[key]:
                 if isinstance(i, bool) or not isinstance(i, numbers.Integral):
                     raise ValueError(f"{key} ids must be whole numbers, got {i!r}")
@@ -164,8 +157,8 @@ class Splits:
                     raise ValueError(f"{key} ids outside 0..{n - 1}")
             m = np.zeros(n, dtype=bool)
             m[np.asarray(doc[key], dtype=np.int64)] = True
-            masks.append(m)
-        return cls(*masks)
+            masks[key] = m
+        return cls(**masks)
 
 
 def split_dataset(n, labeled_ids, fractions, seed) -> Splits:
@@ -315,8 +308,7 @@ class EpochRecord:
     val_score: float | None
 
     def to_dict(self):
-        return {"epoch": self.epoch, "loss": self.loss, "parts": self.parts,
-                "val_score": self.val_score}
+        return asdict(self)
 
 
 @dataclass
@@ -495,8 +487,7 @@ class GridCell:
     aggregate: dict
 
     def to_dict(self):
-        return {"params": self.params, "mean_val_score": self.mean_val_score,
-                "std_val_score": self.std_val_score, "aggregate": self.aggregate}
+        return asdict(self)
 
 
 DEFAULT_GRID = {

@@ -36,7 +36,7 @@ from .graph import (
     predict_ratio_shift,
     single_edge_effect,
 )
-from .errors import ConfigError, DegenerateEditError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .seeding import derive_seed
 
 
@@ -113,10 +113,7 @@ def identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30):
 
         # full removal must leave zero Type III edges and match the identity
         if census.count_iii < g.m and census.count_iii > 0:
-            try:
-                edited_full, _ = fair_edge_remove(g, labels)
-            except DegenerateEditError:
-                continue
+            edited_full, _ = fair_edge_remove(g, labels)
             census_after = edge_census(edited_full, labels)
             if census_after.count_iii != 0:
                 report.counterexample = {"kind": "type-iii-left-behind",

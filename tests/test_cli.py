@@ -9,12 +9,12 @@ import os
 import numpy as np
 import pytest
 
-from fairgraph.cli import main
+from fairgraph.cli import build_parser, main
 from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_generate, \
     write_dataset
 from fairgraph.errors import ConfigError
 from fairgraph.graph import Graph, fair_edge_remove
-from fairgraph.losses import select_counterfactuals
+from fairgraph.losses import LossWeights, select_counterfactuals
 from fairgraph.model import init_params, save_checkpoint
 from fairgraph.pipeline import TrainConfig, grid_search, run_experiment
 from fairgraph.seeding import derive_seed
@@ -580,9 +580,11 @@ def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("hidden", 0), ("d_c", 0), ("T_pre", 2.5), ("hidden", "8"), ("seeds", ["a"]),
-    ("seeds", []), ("refresh_period", 2.5), ("lr", True)],
+    ("seeds", []), ("refresh_period", 2.5), ("lr", True), ("optimizer", "sgd"),
+    ("splits", [0.5, 0.5]), ("splits", [0.6, 0.3, 0.3])],
     ids=["hidden-0", "d_c-0", "T_pre-2.5", "hidden-string", "seeds-string",
-         "seeds-empty", "refresh_period-2.5", "lr-bool"])
+         "seeds-empty", "refresh_period-2.5", "lr-bool", "optimizer-sgd",
+         "splits-two", "splits-sum-1.2"])
 def test_malformed_config_value_exit_2(toy_dir, tmp_path, field, value, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, field: value}))
@@ -692,3 +694,132 @@ def test_log_level_flag(toy_dir, caplog, capsys):
         logging.getLogger("fairgraph").setLevel(logging.NOTSET)
     assert main(["--log-level", "loud", "analyze", "--dataset", toy_dir]) == 2
     capsys.readouterr()
+
+
+def _one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
+
+
+def test_unwritable_json_path_exit_2(toy_dir, tmp_path, capsys):
+    missing = tmp_path / "missing" / "v.json"
+    assert main(["verify", "--graphs", "1", "--json", str(missing)]) == 2
+    _one_error_line(capsys, f"cannot write {missing}: ")
+    assert not missing.parent.exists()
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    target = afile / "x.json"
+    assert main(["analyze", "--dataset", toy_dir, "--json", str(target)]) == 2
+    _one_error_line(capsys, f"cannot write {target}: ")
+    assert afile.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "data"]
+
+
+def test_export_into_a_missing_directory_exit_2(toy_dir, tmp_path, capsys):
+    ckpt, _, report_path = _checkpoint_and_report(toy_dir, tmp_path)
+    out = tmp_path / "missing" / "e.csv"
+    assert main(["export", "--dataset", toy_dir, "--checkpoint", str(ckpt),
+                 "--report", str(report_path), "--out", str(out)]) == 2
+    _one_error_line(capsys, f"cannot write {out}: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command,work", [
+    ("train", "run_experiment"), ("grid", "grid_search"), ("pretrain", "pretrain"),
+    ("edit", "fair_edge_remove")])
+def test_out_that_is_a_file_fails_before_any_work(toy_dir, tmp_path, command, work,
+                                                  monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"fairgraph.cli.{work}", must_not_run)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    labels = ["--labels", "truth"] if command == "edit" else []
+    assert main([command, "--dataset", toy_dir, *labels, "--out", str(afile)]) == 2
+    _one_error_line(capsys, f"cannot write {afile}: not a directory")
+    assert afile.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "data"]
+
+
+def test_checkpoint_for_another_feature_width_exit_2(toy_dir, tmp_path, capsys):
+    ckpt, _, _ = _checkpoint_and_report(toy_dir, tmp_path)
+    meta_path = os.path.join(toy_dir, "meta.json")
+    with open(meta_path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump({**meta, "feature_cols": [f"feat_{j}" for j in range(7)]}, fh)
+    assert main(["analyze", "--dataset", toy_dir, "--labels", "pseudo",
+                 "--checkpoint", str(ckpt)]) == 2
+    _one_error_line(capsys, "is for 8 features; the dataset has 7")
+
+
+def test_truth_labels_with_an_unlabelled_node_exit_2(toy_dir, capsys):
+    path = os.path.join(toy_dir, "features.csv")
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("label")] = ""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    _one_error_line(capsys, "--labels truth requires every node to carry a class label")
+
+
+def test_evaluate_on_an_empty_test_split_exits_1(toy_dir, tmp_path, capsys):
+    ckpt, report, report_path = _checkpoint_and_report(toy_dir, tmp_path)
+    report["splits"]["test"] = []
+    report_path.write_text(json.dumps(report))
+    out_json = tmp_path / "eval.json"
+    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", str(ckpt),
+                 "--report", str(report_path), "--json", str(out_json)]) == 1
+    _one_error_line(capsys, "empty evaluation mask")
+    assert not out_json.exists()
+
+
+def test_feature_column_missing_from_the_header_exit_2(toy_dir, capsys):
+    meta_path = os.path.join(toy_dir, "meta.json")
+    with open(meta_path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump({**meta, "feature_cols": ["feat_0", "feat_99"]}, fh)
+    assert main(["analyze", "--dataset", toy_dir]) == 2
+    _one_error_line(capsys, "feature columns ['feat_99'] not in header")
+
+
+def test_synth_below_eight_nodes_exit_1(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--n", "7"]) == 1
+    _one_error_line(capsys, "need at least 8 nodes")
+    assert not out.exists()
+
+
+def test_edit_of_an_edgeless_dataset_exit_1(tmp_path, capsys):
+    _, table = synth_generate(SynthConfig(n=20, target_hr_c=0.6, target_hr_s=0.6, seed=1))
+    data_dir = write_dataset(str(tmp_path / "edgeless"), Graph.from_edges(20, []), table)
+    out = tmp_path / "edit"
+    assert main(["edit", "--dataset", data_dir, "--labels", "truth", "--out", str(out)]) == 1
+    _one_error_line(capsys, "cannot edit an empty graph")
+    assert not out.exists()
+
+
+def test_count_weight_flag_takes_whole_numbers_only(toy_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", toy_dir, "--K", "2.5", "--out", str(out)]) == 2
+    assert "argument --K: invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_pre": 2, "T_train": 2}))
+    assert main(["train", "--dataset", toy_dir, "--config", str(cfg), "--K", "3",
+                 "--K_prime", "4", "--gamma", "0.5", "--out", str(out)]) == 0
+    weights = json.loads((out / "aggregate.json").read_text())["config"]["weights"]
+    assert weights["K"] == 3 and type(weights["K"]) is int and weights["K_prime"] == 4
+    assert weights["gamma"] == 0.5
+    capsys.readouterr()
+
+
+def test_every_weight_is_a_train_flag_of_its_type():
+    base = ["train", "--dataset", "d", "--out", "o"]
+    for name, default in LossWeights().to_dict().items():
+        args = build_parser().parse_args([*base, f"--{name}", "2"])
+        value = getattr(args, name)
+        assert value == 2 and type(value) is type(default), name

@@ -124,8 +124,8 @@ def test_config_round_trip_and_validation():
 # pre-training
 
 def test_pretrain_separable_toy_converges():
-    g, table = toy_dataset(n=120, seed=1, class_signal=3.0,
-                           sensitive_signal=0.0, noise_std=0.5)
+    g, table = toy_dataset(n=120, seed=1, class_signal=6.0,
+                           sensitive_signal=0.0)
     mask = np.ones(120, bool)
     cfg = quick_config(lr=0.1, T_pre=100)
     result = pretrain(g, table.features, table.labels, mask, cfg, seed=0)
