@@ -62,6 +62,13 @@ def _check_out_dir(path):
         raise ConfigError(f"cannot write {path}: not a directory")
 
 
+def _check_out_file(path):
+    """Fail before any work if the file `path` has no directory to go in."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: {parent} is not a directory")
+
+
 def _load_dataset_arg(name_or_path):
     return load_dataset(resolve_dataset(name_or_path))
 
@@ -143,6 +150,8 @@ def _effective_labels(args, graph, table):
 # commands
 
 def cmd_analyze(args):
+    if args.json:
+        _check_out_file(args.json)
     graph, table = _load_dataset_arg(args.dataset)
     labels = _effective_labels(args, graph, table)
     census = edge_census(graph, labels)
@@ -222,6 +231,8 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    if args.json:
+        _check_out_file(args.json)
     graph, table = _load_dataset_arg(args.dataset)
     stored, graph, splits = _stored_run(args.report, graph, table.n,
                                         fields=("splits", "test"))
@@ -262,6 +273,8 @@ def cmd_grid(args):
 
 
 def cmd_verify(args):
+    if args.json:
+        _check_out_file(args.json)
     passed, reports = run_suites(n_graphs=args.graphs, seed=args.seed, tol=args.tol)
     payload = {"passed": passed, "graphs": args.graphs, "seed": args.seed,
                "tolerance": args.tol,
@@ -295,6 +308,7 @@ def cmd_synth(args):
 
 
 def cmd_export(args):
+    _check_out_file(args.out)
     graph, table = _load_dataset_arg(args.dataset)
     split_names = ["unlabeled"] * table.n
     if args.report:

@@ -271,6 +271,12 @@ class NodeLabels:
         merged = np.where(self.labeled_mask(), self.class_label, pseudo)
         return NodeLabels(class_label=merged, sensitive=self.sensitive)
 
+    def training_view(self, train_mask):
+        """What training may read: ground truth on the `train_mask` nodes,
+        UNKNOWN everywhere else."""
+        known = np.where(train_mask, self.class_label, UNKNOWN)
+        return NodeLabels(class_label=known, sensitive=self.sensitive)
+
 
 class EdgeType(IntEnum):
     """The four edge types, valued by the code `edge_types` gives them."""

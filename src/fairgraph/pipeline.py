@@ -261,8 +261,9 @@ class PretrainResult:
 def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
              seed) -> PretrainResult:
     """Minimize the prediction loss alone on the raw features x, then read
-    pseudo-labels off the trained predictor (ground truth retained where
-    known). The encoder standardizes x with its training rows' statistics."""
+    pseudo-labels off the trained predictor: the training view of `labels`
+    completed by the predictions, so ground truth only on `train_mask`. The
+    encoder standardizes x with its training rows' statistics."""
     if not np.asarray(train_mask, dtype=bool).any():
         raise UndefinedMetricError("pre-training needs a nonempty training mask")
     enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
@@ -274,7 +275,7 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
             graph, x, enc, pred, cfg, cfg.T_pre, "pretrain",
             lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
         losses.append(loss)
-    pseudo = labels.with_pseudo(hard_labels(probs)).class_label
+    pseudo = labels.training_view(train_mask).with_pseudo(hard_labels(probs)).class_label
     return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
                           losses=losses)
 
@@ -349,12 +350,15 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                seed, edit_report: EditReport, split_id=0) -> RunResult:
     """Phase 2: full objective on the edited graph, from the raw features x.
 
-    With the invariance term on, pseudo-labels and counterfactuals refresh
-    at epoch 1 and every refresh_period epochs, from the forward pass that
-    epoch's loss uses; the edit itself stays frozen. The best epoch maximizes the validation
-    selection score, earliest on ties; epochs with undefined validation
-    metrics are disqualified. The test report reads the best epoch's
-    forward pass, and enc and pred end holding that epoch's parameters.
+    Training reads ground truth on splits.train only: it is the label set of
+    the prediction loss and of the contrast. With the invariance term on,
+    pseudo-labels (that truth, predictions elsewhere) and counterfactuals
+    refresh at epoch 1 and every refresh_period epochs, from the forward
+    pass that epoch's loss uses; the edit itself stays frozen. The best
+    epoch maximizes the validation selection score, earliest on ties; epochs
+    with undefined validation metrics are disqualified. The test report
+    reads the best epoch's forward pass, and enc and pred end holding that
+    epoch's parameters.
     """
     contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
@@ -365,6 +369,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
 
     y = labels.class_label
     sens = labels.sensitive
+    seen = labels.training_view(splits.train)
 
     pos_edges = graph.edge_array
     neg_edges = sample_negative_edges(graph, graph.m,
@@ -376,7 +381,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     def objective(epoch, latent, probs):
         nonlocal cf
         if use_inv and (epoch == 1 or epoch % cfg.refresh_period == 0):
-            pseudo = labels.with_pseudo(hard_labels(probs)).class_label
+            pseudo = seen.with_pseudo(hard_labels(probs)).class_label
             cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
         parts = LossParts(pred=pred_loss(probs, y, splits.train))
         if use_inv:
@@ -384,7 +389,7 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
         if use_suf:
             parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
         if use_sc:
-            parts.sc = sc_loss(latent.c, y, labels.labeled_mask(), w.kappa)
+            parts.sc = sc_loss(latent.c, y, splits.train, w.kappa)
         if use_env:
             parts.env = env_loss(latent.e, sens, w.k_prime)
         return parts
@@ -430,12 +435,14 @@ def prepare(table: NodeTable, cfg: TrainConfig, seed) -> Splits:
 
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
-    """One complete run: split, pre-train, edit, train. Only the edit reads
-    the labelling that pre-training's pseudo-labels complete."""
+    """One complete run: split, pre-train, edit, train. Only the training
+    split's ground truth enters the run; the edit reads it completed by
+    pre-training's pseudo-labels, and only the val/test reports read the
+    other splits' labels."""
     splits = prepare(table, cfg, seed)
     pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
-    edited, edit_report = run_phase1(graph, table.labels.with_pseudo(pre.pseudo_labels),
-                                     cfg.mode)
+    edited, edit_report = run_phase1(
+        graph, replace(table.labels, class_label=pre.pseudo_labels), cfg.mode)
     return train_full(edited, table.features, table.labels, splits, pre.encoder,
                       pre.predictor, cfg, seed, edit_report, split_id=split_id)
 

@@ -16,7 +16,7 @@ from fairgraph.errors import ConfigError
 from fairgraph.graph import Graph, fair_edge_remove
 from fairgraph.losses import LossWeights, select_counterfactuals
 from fairgraph.model import init_params, save_checkpoint
-from fairgraph.pipeline import TrainConfig, grid_search, run_experiment
+from fairgraph.pipeline import TrainConfig, grid_search, prepare, run_experiment
 from fairgraph.seeding import derive_seed
 from fairgraph.verify import run_suites
 
@@ -653,12 +653,14 @@ def test_config_file_roundtrip_drives_training(toy_dir, tmp_path, capsys):
 
 
 def test_degenerate_edit_run_evaluates_exactly(tmp_path, capsys):
-    # only Type III edges: editing would remove every one of them
+    # only Type III edges between training nodes, whose ground truth the
+    # run reads: editing would remove every one of them
     g, table = synth_generate(SynthConfig(n=150, target_hr_c=0.55, target_hr_s=0.85,
                                           mean_degree=8, seed=4))
     y, s = table.labels.class_label, table.labels.sensitive
+    train = prepare(table, TrainConfig(), 2).train
     g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
-                               if y[u] != y[v] and s[u] == s[v]])
+                               if y[u] != y[v] and s[u] == s[v] and train[u] and train[v]])
     data_dir = str(tmp_path / "all_iii")
     write_dataset(data_dir, g, table)
     cfg_path = tmp_path / "cfg.json"
@@ -738,6 +740,28 @@ def test_out_that_is_a_file_fails_before_any_work(toy_dir, tmp_path, command, wo
     labels = ["--labels", "truth"] if command == "edit" else []
     assert main([command, "--dataset", toy_dir, *labels, "--out", str(afile)]) == 2
     _one_error_line(capsys, f"cannot write {afile}: not a directory")
+    assert afile.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "data"]
+
+
+@pytest.mark.parametrize("command,flag,work", [
+    ("verify", "--json", "run_suites"), ("analyze", "--json", "load_dataset"),
+    ("evaluate", "--json", "load_dataset"), ("export", "--out", "load_dataset")])
+def test_output_file_without_a_directory_fails_before_any_work(
+        toy_dir, tmp_path, command, flag, work, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"fairgraph.cli.{work}", must_not_run)
+    inputs = {"verify": [], "analyze": ["--dataset", toy_dir],
+              "evaluate": ["--dataset", toy_dir, "--checkpoint", "c.json",
+                           "--report", "r.json"],
+              "export": ["--dataset", toy_dir, "--checkpoint", "c.json"]}[command]
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    for target in (tmp_path / "missing" / "v.json", afile / "v.json"):
+        assert main([command, *inputs, flag, str(target)]) == 2
+        _one_error_line(capsys, f"cannot write {target}: {target.parent} is not a directory")
     assert afile.read_text() == "keep\n"
     assert sorted(os.listdir(tmp_path)) == ["afile", "data"]
 

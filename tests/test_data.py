@@ -16,6 +16,7 @@ from fairgraph.data import (
     edge_plan,
     export_embeddings,
     load_dataset,
+    make_dir,
     read_json,
     resolve_dataset,
     synth_generate,
@@ -304,6 +305,19 @@ def test_writer_that_raises_keeps_old_file_and_leaves_no_temporary(tmp_path):
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_unwritable_paths_are_config_errors_naming_the_path(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    for path in (tmp_path / "missing" / "out.txt", afile / "out.txt"):
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(path))}: "):
+            with atomic_open(path) as fh:
+                fh.write("new\n")
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(afile))}/sub: "):
+        make_dir(afile / "sub")
+    assert afile.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["afile"]
 
 
 def test_failed_export_keeps_old_file(tmp_path):

@@ -21,6 +21,7 @@ from fairgraph.pipeline import (
     TrainConfig,
     aggregate_results,
     grid_search,
+    prepare,
     pretrain,
     run_experiment,
     run_phase1,
@@ -327,14 +328,15 @@ def test_edited_graph_feeds_phase2():
 
 
 def test_degenerate_edit_trains_on_unedited_graph():
-    # keep only Type III edges: with every label known, editing would
-    # remove them all
+    # keep only Type III edges between training nodes: training reads their
+    # ground truth, so editing would remove them all
     g, table = toy_dataset(n=140, seed=9)
-    y, s = table.labels.class_label, table.labels.sensitive
-    g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
-                               if y[u] != y[v] and s[u] == s[v]])
-    assert g.m > 0
     cfg = quick_config(T_pre=10, T_train=5)
+    y, s = table.labels.class_label, table.labels.sensitive
+    train = prepare(table, cfg, 3).train
+    g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
+                               if y[u] != y[v] and s[u] == s[v] and train[u] and train[v]])
+    assert g.m > 0
     result = run_single(g, table, cfg, seed=3)
     report = result.edit_report
     assert report.degenerate and not report.skipped
@@ -347,6 +349,38 @@ def test_degenerate_edit_trains_on_unedited_graph():
     assert [e.to_dict() for e in result.epochs] == [e.to_dict() for e in unedited.epochs]
     assert result.test_report.to_dict() == unedited.test_report.to_dict()
     assert unedited.to_dict()["edit"]["degenerate"] is False
+
+
+def _relabelled(table, mask, seed):
+    """`table` with a random class label on every `mask` node."""
+    y = table.labels.class_label.copy()
+    y[mask] = np.random.default_rng(seed).integers(0, 2, int(mask.sum()))
+    return replace(table, labels=replace(table.labels, class_label=y))
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_training_reads_no_validation_or_test_label(mode):
+    g, table = toy_dataset(n=140, seed=9)
+    cfg = quick_config(mode=mode, T_pre=15, T_train=10)
+    splits = prepare(table, cfg, 3)
+    base = run_single(g, table, cfg, seed=3).to_dict()
+    base_pseudo = pretrain(g, table.features, table.labels, splits.train, cfg, 3).pseudo_labels
+
+    # new test labels move the test report and nothing else
+    moved = _relabelled(table, splits.test, seed=0)
+    result = run_single(g, moved, cfg, seed=3).to_dict()
+    assert result.pop("test") != base["test"]
+    assert result == {k: v for k, v in base.items() if k != "test"}
+
+    # new validation labels may move the selection, never the training
+    moved = _relabelled(table, splits.val, seed=1)
+    result = run_single(g, moved, cfg, seed=3)
+    assert [(e.loss, e.parts) for e in result.epochs] == \
+        [(e["loss"], e["parts"]) for e in base["epochs"]]
+    assert result.to_dict()["edit"] == base["edit"]
+    pseudo = pretrain(g, moved.features, moved.labels, splits.train, cfg, 3).pseudo_labels
+    assert np.array_equal(pseudo, base_pseudo)
+    assert np.array_equal(pseudo[splits.train], table.labels.class_label[splits.train])
 
 
 def test_mode_gating_affects_parts():
