@@ -31,6 +31,7 @@ from .errors import (
     NonBinarySensitiveError,
 )
 from .graph import UNKNOWN, Graph, NodeLabels, classify_edge, decode_pairs, load_edge_list
+from .losses import _whole_number
 
 BLOCK_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))  # (y, s) node layout
 
@@ -244,6 +245,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        seed = _whole_number("seed", self.seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if not (0.0 < self.target_hr_c < 1.0 and 0.0 < self.target_hr_s < 1.0):
             raise InfeasibleError("homophily targets must lie strictly inside (0, 1)")
         if self.n < 8:

@@ -523,10 +523,9 @@ class LossParts:
     env: tuple | None = None
 
     def values(self):
-        return {name: (None if part is None else float(part[0]))
-                for name, part in (("pred", self.pred), ("inv", self.inv),
-                                   ("suf", self.suf), ("sc", self.sc),
-                                   ("env", self.env))}
+        parts = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: None if part is None else float(part[0])
+                for name, part in parts.items()}
 
 
 def total_loss(parts: LossParts, weights: LossWeights, w_pred):

@@ -11,6 +11,7 @@ prediction) and an environment block E.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,17 @@ def _array_payload(a):
     return {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
 
 
-def _array_restore(payload):
-    return np.asarray(payload["data"], dtype=np.float64).reshape(payload["shape"])
+def _finite_array(path, name, values):
+    """The JSON list `values` as a float64 array. A value that is not a
+    finite int or float (a bool, string, null, NaN, an infinity or an int
+    beyond float64's range) is a ConfigError naming the array `name`."""
+    for v in values:
+        # NaN fails the comparison, and a Python int compares exactly
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"checkpoint {path}: {name} holds {v!r}, "
+                              "not a finite number")
+    return np.asarray(values, dtype=np.float64)
 
 
 def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
@@ -162,8 +172,8 @@ def load_checkpoint(path):
     """Returns (EncoderParams, PredictorParams, meta). A file that cannot be
     read, another format version, a missing field, a `meta` that is not a
     mapping, an environment block not as wide as the content block
-    (d_e != d_c), arrays whose shapes disagree with each other or with d_c,
-    or feature statistics that are not finite or hold a std <= 0 are a
+    (d_e != d_c), an array value that is not a finite number, arrays whose
+    shapes disagree with each other or with d_c, or a feature std <= 0 are a
     ConfigError."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -173,12 +183,13 @@ def load_checkpoint(path):
     if not isinstance(meta, dict):
         raise ConfigError(f"checkpoint {path}: meta must be a mapping")
     try:
-        arrays = {name: _array_restore(doc[block][name])
+        arrays = {name: _finite_array(path, name, doc[block][name]["data"])
+                  .reshape(doc[block][name]["shape"])
                   for block, names in (("encoder", ("w1", "b1", "w2", "b2")),
                                        ("predictor", ("w", "b")))
                   for name in names}
         for name in ("feature_mean", "feature_std"):
-            arrays[name] = np.asarray(meta[name], dtype=np.float64)
+            arrays[name] = _finite_array(path, f"feature statistics {name}", meta[name])
         d_c, d_e = doc["d_c"], doc["d_e"]
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path}: missing field {exc}") from exc
@@ -200,9 +211,9 @@ def load_checkpoint(path):
     if wrong:
         raise ConfigError(f"checkpoint {path}: array shapes disagree: {', '.join(wrong)}")
     mean, std = arrays["feature_mean"], arrays["feature_std"]
-    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
-        raise ConfigError(f"checkpoint {path}: feature statistics must be finite, "
-                          "with every std > 0")
+    if not (std > 0).all():
+        raise ConfigError(f"checkpoint {path}: feature statistics must have "
+                          "every std > 0")
     enc = EncoderParams(w1=w1, b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
                         d_c=d_c, d_e=d_e, feature_mean=mean, feature_std=std)
     pred = PredictorParams(w=arrays["w"], b=arrays["b"])

@@ -63,6 +63,10 @@ log = logging.getLogger(__name__)
 
 EPOCH_CAP = 100
 
+# Adam's moment decays and denominator guard, at their published defaults
+# (Kingma and Ba, ICLR 2015); every phase steps with Adam at cfg.lr
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 # which additions each mode enables on top of the base objective: the
 # Type III edit, and the supervised contrastive plus environmental terms
 MODE_FLAGS = {
@@ -84,7 +88,7 @@ class TrainConfig:
     seeds: tuple = (0,)
     splits: tuple = (0.5, 0.25, 0.25)
     mode: str = "HSCCAF"
-    optimizer: str = "gd"
+    optimizer: str = "adam"
     hidden: int = 16
     d_c: int = 16
 
@@ -102,8 +106,8 @@ class TrainConfig:
             object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.optimizer not in ("gd", "adam"):
-            raise ConfigError("optimizer must be 'gd' or 'adam'")
+        if self.optimizer != "adam":
+            raise ConfigError(f"optimizer must be 'adam', got {self.optimizer!r}")
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
         object.__setattr__(self, "seeds",
@@ -184,48 +188,13 @@ def split_dataset(n, labeled_ids, fractions, seed) -> Splits:
 
 
 # ---------------------------------------------------------------------------
-# optimizers: each step updates the parameter arrays in place
-
-class _GradientDescent:
-    def __init__(self, params, lr):
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads):
-        for p, g in zip(self.params, grads):
-            p -= self.lr * g
-
-
-class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-
-    def step(self, grads):
-        self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _make_optimizer(name, params, lr):
-    return _Adam(params, lr) if name == "adam" else _GradientDescent(params, lr)
-
-
-# ---------------------------------------------------------------------------
 # phases
 
 def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
              cfg: TrainConfig, epochs, phase, objective):
-    """The optimisation loop of every phase: `epochs` steps of a fresh
-    cfg.optimizer on the weighted objective, updating enc and pred in place.
+    """The optimisation loop of every phase: `epochs` Adam steps at cfg.lr
+    on the weighted objective, updating enc and pred in place. The moments
+    start at zero in each call, so each phase starts a fresh Adam.
 
     objective(epoch, latent, probs) returns the epoch's LossParts from the
     forward pass of the current parameters. A non-finite weighted loss
@@ -235,7 +204,9 @@ def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
     parameter state is encoded once.
     """
     agg = NeighborAggregator(graph)
-    opt = _make_optimizer(cfg.optimizer, enc.arrays() + pred.arrays(), cfg.lr)
+    params = enc.arrays() + pred.arrays()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     latent = encode(enc, agg, x)
     probs = predict(pred, latent.c)
     for epoch in range(1, epochs + 1):
@@ -244,7 +215,12 @@ def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
         if not np.isfinite(loss):
             raise DivergenceError(f"{phase} loss became non-finite at epoch {epoch}",
                                   epoch=epoch, phase=phase)
-        opt.step(ad.grad(enc, latent, g_h, g_logit))
+        for i, (p, g) in enumerate(zip(params, ad.grad(enc, latent, g_h, g_logit))):
+            m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[i] / (1 - ADAM_BETA1 ** epoch)
+            v_hat = v[i] / (1 - ADAM_BETA2 ** epoch)
+            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         latent = encode(enc, agg, x)
         probs = predict(pred, latent.c)
         yield epoch, float(loss), parts, probs

@@ -234,6 +234,10 @@ def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
     agg = json.loads((run_dir / "aggregate.json").read_text())
     assert agg["aggregate"]["n_runs"] == 2
     assert "config_hash" in agg and "library_version" in agg
+    # the default optimisation path is Adam, the one the benchmark measures
+    assert agg["optimizer"] == agg["config"]["optimizer"] == "adam"
+    assert all(json.loads(path.read_text())["optimizer"] == "adam"
+               for path in run_dir.glob("run_*_split?.json"))
     stdout = capsys.readouterr().out
     assert "mean(std)" in stdout
 
@@ -325,6 +329,19 @@ def _drop(doc, block, key=None):
     del (doc if key is None else doc[block])[key or block]
 
 
+def _bad_value(name, value):
+    """A fault that puts `value` first in the checkpoint array `name`; the
+    error must name the array."""
+    def tamper(doc):
+        if name.startswith("feature_"):
+            doc["meta"][name][0] = value
+        else:
+            block = "encoder" if name in doc["encoder"] else "predictor"
+            doc[block][name]["data"][0] = value
+    tamper.array = name
+    return tamper
+
+
 CHECKPOINT_FAULTS = {
     "format-version": lambda doc: doc.update(format_version=2),
     "no-encoder": lambda doc: _drop(doc, "encoder"),
@@ -344,6 +361,16 @@ CHECKPOINT_FAULTS = {
     "meta-not-mapping": lambda doc: doc.update(meta=[]),
     "missing-file": None,
     "not-json": "{",
+    "w1-null": _bad_value("w1", None),
+    "w1-string-nan": _bad_value("w1", "nan"),
+    "w1-string-number": _bad_value("w1", "0.5"),
+    "w1-bool": _bad_value("w1", True),
+    "w1-nan": _bad_value("w1", math.nan),
+    "b2-infinity": _bad_value("b2", math.inf),
+    "w-minus-infinity": _bad_value("w", -math.inf),
+    "b1-int-beyond-float": _bad_value("b1", 10 ** 400),
+    "feature-mean-bool": _bad_value("feature_mean", True),
+    "feature-std-string-number": _bad_value("feature_std", "0.5"),
 }
 
 
@@ -362,7 +389,8 @@ def test_bad_checkpoint_is_config_error(toy_dir, tmp_path, fault, capsys):
     for command in (["evaluate", "--report", str(report_path)],
                     ["export", "--out", str(tmp_path / "emb.csv")]):
         assert main([*command, "--dataset", toy_dir, "--checkpoint", str(ckpt)]) == 2
-        assert "checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and getattr(tamper, "array", "") in err, err
 
 
 def _retype_edge(convert):
@@ -541,7 +569,7 @@ def test_divergence_exit_1(toy_dir, tmp_path, capsys):
     out = tmp_path / "train"
     with np.errstate(all="ignore"):
         assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
-                     "--lr", "1e6", "--out", str(out)]) == 1
+                     "--lr", "1e90", "--out", str(out)]) == 1
     assert "train loss became non-finite at epoch" in capsys.readouterr().err
     assert not out.exists()
 
@@ -581,16 +609,16 @@ def test_bad_config_file_exit_2(toy_dir, tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("hidden", 0), ("d_c", 0), ("T_pre", 2.5), ("hidden", "8"), ("seeds", ["a"]),
     ("seeds", []), ("refresh_period", 2.5), ("lr", True), ("optimizer", "sgd"),
-    ("splits", [0.5, 0.5]), ("splits", [0.6, 0.3, 0.3])],
+    ("optimizer", "gd"), ("splits", [0.5, 0.5]), ("splits", [0.6, 0.3, 0.3])],
     ids=["hidden-0", "d_c-0", "T_pre-2.5", "hidden-string", "seeds-string",
          "seeds-empty", "refresh_period-2.5", "lr-bool", "optimizer-sgd",
-         "splits-two", "splits-sum-1.2"])
+         "optimizer-gd", "splits-two", "splits-sum-1.2"])
 def test_malformed_config_value_exit_2(toy_dir, tmp_path, field, value, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T_pre": 1, "T_train": 1, field: value}))
     assert main(["train", "--dataset", toy_dir, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
-    assert field in capsys.readouterr().err
+    _one_error_line(capsys, field)
     assert not (tmp_path / "out").exists()
 
 
@@ -814,6 +842,13 @@ def test_synth_below_eight_nodes_exit_1(tmp_path, capsys):
     out = tmp_path / "ds"
     assert main(["synth", "--out", str(out), "--n", "7"]) == 1
     _one_error_line(capsys, "need at least 8 nodes")
+    assert not out.exists()
+
+
+def test_synth_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+    _one_error_line(capsys, "seed must be >= 0, got -1")
     assert not out.exists()
 
 

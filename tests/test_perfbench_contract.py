@@ -69,3 +69,15 @@ def test_traced_workload_records_every_span_and_count(tmp_path):
     assert set(workloads.quality(wl, out)) == {"test_bacc", "test_auc", "test_dsp",
                                                "test_deo"}
     assert workloads.check_output(workloads.WORKLOADS["verify"], suites) == []
+
+
+def test_training_workloads_run_the_default_optimisation_path():
+    """The benchmark times the path `fairgraph train` takes by default: a
+    workload's config departs from TrainConfig() only in what the workload
+    is about, never in how it optimises."""
+    default = pipeline.TrainConfig().to_dict()
+    for wl in workloads.WORKLOADS.values():
+        if wl.trains:
+            cfg = wl.cfg.to_dict()
+            differ = {key for key in default if cfg[key] != default[key]}
+            assert differ <= {"weights", "T_pre", "T_train", "mode"}, (wl.name, differ)

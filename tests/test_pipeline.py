@@ -302,10 +302,11 @@ def test_threaded_fanout_matches_sequential(monkeypatch):
 
 
 def test_training_divergence_names_phase_and_epoch():
-    # pre-training's clamped loss survives one huge step; phase 2's
-    # unbounded terms overflow a few epochs later
+    # an Adam step moves each weight by about lr, so at a huge lr the weights
+    # grow without bound: pre-training's clamped loss survives one step, and
+    # phase 2's unbounded terms overflow an epoch or more later
     g, table = toy_dataset(n=120, seed=2)
-    cfg = TrainConfig(lr=1e6, T_pre=1, T_train=20)
+    cfg = TrainConfig(lr=1e90, T_pre=1, T_train=20)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="train") as info:
         run_single(g, table, cfg, seed=1)
     epoch = info.value.epoch
