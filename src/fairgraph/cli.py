@@ -32,7 +32,7 @@ from .errors import ConfigError, DatasetError, FairGraphError
 from .graph import edge_census, fair_edge_remove, homophily_ratios
 from .losses import LossWeights
 from .metrics import SUMMARY_METRICS, evaluate_predictions
-from .model import encode, hard_labels, load_checkpoint, predict, save_checkpoint
+from .model import encode, load_checkpoint, predict, save_checkpoint
 from .pipeline import (
     DEFAULT_GRID,
     MODES,
@@ -133,17 +133,20 @@ def _stored_run(path, graph, n, fields=("splits",)):
         raise ConfigError(f"stored report's removed edges do not fit the dataset: {exc}") from exc
 
 
-def _effective_labels(args, graph, table):
-    if args.labels == "truth":
+def _phase1_labels(args, table):
+    """Ground truth, complete; or with --report the pre-training report's
+    pseudo_labels (one 0 or 1 per node) with the dataset's sensitive attribute."""
+    if not args.report:
         if (table.labels.class_label < 0).any():
-            raise ConfigError(
-                "--labels truth requires every node to carry a class label; "
-                "use --labels pseudo with a checkpoint")
+            raise ConfigError("without --report every node must carry a class label")
         return table.labels
-    if not args.checkpoint:
-        raise ConfigError("--labels pseudo requires --checkpoint")
-    _, probs = _checkpoint_on(graph, table, args.checkpoint)
-    return table.labels.with_pseudo(hard_labels(probs))
+    stored = read_json(args.report, "report")
+    pseudo = stored.get("pseudo_labels") if isinstance(stored, dict) else None
+    if not (isinstance(pseudo, list) and len(pseudo) == table.n
+            and all(type(v) is int and v in (0, 1) for v in pseudo)):
+        raise ConfigError(f"report {args.report} holds no pseudo_labels list of "
+                          f"{table.n} values 0 or 1")
+    return replace(table.labels, class_label=pseudo)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +156,10 @@ def cmd_analyze(args):
     if args.json:
         _check_out_file(args.json)
     graph, table = _load_dataset_arg(args.dataset)
-    labels = _effective_labels(args, graph, table)
-    census = edge_census(graph, labels)
+    census = edge_census(graph, _phase1_labels(args, table))
     hr_c, hr_s = census.hr_c, census.hr_s
-    payload = {"dataset": args.dataset, "labels_source": args.labels,
+    payload = {"dataset": args.dataset,
+               "labels_source": "pseudo" if args.report else "truth",
                "n": graph.n, "census": census.to_dict(),
                "hr_c": hr_c, "hr_s": hr_s}
     print(f"nodes {graph.n}  edges {census.m}")
@@ -171,8 +174,7 @@ def cmd_analyze(args):
 def cmd_edit(args):
     _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
-    labels = _effective_labels(args, graph, table)
-    edited, report = fair_edge_remove(graph, labels)
+    edited, report = fair_edge_remove(graph, _phase1_labels(args, table))
     make_dir(args.out)
     with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
         fh.writelines(f"{u} {v}\n" for u, v in edited.edge_array.tolist())
@@ -355,15 +357,13 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="edge census and homophily ratios")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--labels", choices=("truth", "pseudo"), default="truth")
-    p.add_argument("--checkpoint")
+    p.add_argument("--report", help="pretrain_report.json to take pseudo_labels from")
     p.add_argument("--json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("edit", help="remove Type III edges and report shifts")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--labels", choices=("truth", "pseudo"), default="pseudo")
-    p.add_argument("--checkpoint")
+    p.add_argument("--report", help="pretrain_report.json to take pseudo_labels from")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_edit)
 

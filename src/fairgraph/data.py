@@ -249,6 +249,10 @@ class SynthConfig:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "seed", seed)
+        for name in ("class_signal", "sensitive_signal"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         if not (0.0 < self.target_hr_c < 1.0 and 0.0 < self.target_hr_s < 1.0):
             raise InfeasibleError("homophily targets must lie strictly inside (0, 1)")
         if self.n < 8:

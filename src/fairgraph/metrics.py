@@ -18,6 +18,11 @@ def _as_int(x):
     return np.asarray(x).reshape(-1).astype(np.int64)
 
 
+def hard_labels(probs):
+    """Threshold at 0.5; the tie at exactly 0.5 goes to class 1."""
+    return (np.asarray(probs).reshape(-1) >= 0.5).astype(np.int64)
+
+
 def stat_parity(pred_hard, sensitive) -> float:
     """|P(pred=1 | s=0) - P(pred=1 | s=1)| * 100."""
     pred, s = _as_int(pred_hard), _as_int(sensitive)
@@ -148,7 +153,7 @@ def evaluate_predictions(probs, labels, sensitive, mask=None, seed=0,
     if (y < 0).any():
         raise UndefinedMetricError(
             f"{int((y < 0).sum())} evaluated nodes have no class label")
-    pred = (probs >= 0.5).astype(np.int64)
+    pred = hard_labels(probs)
     bacc = balanced_accuracy(pred, y)
     d_sp = stat_parity(pred, s)
     d_eo = equal_opportunity(pred, y, s)

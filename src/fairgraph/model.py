@@ -125,11 +125,6 @@ def predict(phi: PredictorParams, c):
     return ad.logistic(c @ phi.w + phi.b)
 
 
-def hard_labels(probs):
-    """Threshold at 0.5; the tie at exactly 0.5 goes to class 1."""
-    return (np.asarray(probs).reshape(-1) >= 0.5).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 

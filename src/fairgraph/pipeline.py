@@ -47,13 +47,12 @@ from .losses import (
     env_loss,
     total_loss,
 )
-from .metrics import SUMMARY_METRICS, MetricsReport, evaluate_predictions
+from .metrics import SUMMARY_METRICS, MetricsReport, evaluate_predictions, hard_labels
 from .model import (
     EncoderParams,
     PredictorParams,
     encode,
     feature_stats,
-    hard_labels,
     init_params,
     predict,
 )

@@ -9,16 +9,18 @@ import os
 import numpy as np
 import pytest
 
+import fairgraph.verify
 from fairgraph.cli import build_parser, main
 from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_generate, \
     write_dataset
-from fairgraph.errors import ConfigError
-from fairgraph.graph import Graph, fair_edge_remove
+from fairgraph.errors import ConfigError, InfeasibleError
+from fairgraph.graph import Graph, NodeLabels, edge_census, fair_edge_remove, \
+    minimal_deletions
 from fairgraph.losses import LossWeights, select_counterfactuals
 from fairgraph.model import init_params, save_checkpoint
 from fairgraph.pipeline import TrainConfig, grid_search, prepare, run_experiment
 from fairgraph.seeding import derive_seed
-from fairgraph.verify import run_suites
+from fairgraph.verify import budget_suite, identity_suite, run_suites, sign_suite
 
 
 @pytest.fixture()
@@ -46,6 +48,7 @@ def test_analyze_stdout_matches_json(toy_dir, tmp_path, capsys):
     assert main(["analyze", "--dataset", toy_dir, "--json", str(out_json)]) == 0
     stdout = capsys.readouterr().out
     doc = json.loads(out_json.read_text())
+    assert doc["labels_source"] == "truth"
     assert f"hr_c {doc['hr_c']:.4f}" in stdout
     assert f"hr_s {doc['hr_s']:.4f}" in stdout
     assert f"edges {doc['census']['m']}" in stdout
@@ -54,9 +57,13 @@ def test_analyze_stdout_matches_json(toy_dir, tmp_path, capsys):
         + census["type_iv"] == census["m"]
 
 
-def test_analyze_pseudo_without_checkpoint_is_usage_error(toy_dir, capsys):
-    assert main(["analyze", "--dataset", toy_dir, "--labels", "pseudo"]) == 2
-    assert "checkpoint" in capsys.readouterr().err
+def test_analyze_and_edit_have_no_labels_or_checkpoint_flag(toy_dir, tmp_path, capsys):
+    out = tmp_path / "edit"
+    for command, output in (("analyze", []), ("edit", ["--out", str(out)])):
+        for flag in (["--labels", "pseudo"], ["--checkpoint", "c.json"]):
+            assert main([command, "--dataset", toy_dir, *flag, *output]) == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_dataset_exit_2(capsys):
@@ -191,6 +198,52 @@ def test_verify_fault_injection_exits_1(monkeypatch, capsys):
     assert "counterexample" in err
 
 
+def _shift_full_removal(real):
+    """predict_ratio_shift off by 1e-9 on a second call for one census: the
+    identity suite's full-removal check, after its subset check."""
+    calls = []
+
+    def shifted(census, k):
+        dc, ds = real(census, k)
+        repeat = bool(calls) and calls[-1] is census
+        calls.append(census)
+        return (dc + 1e-9, ds) if repeat else (dc, ds)
+    return shifted
+
+
+def _infeasible(census, tau_c, tau_s):
+    raise InfeasibleError("no budget")
+
+
+@pytest.mark.parametrize("suite,target,fault,kind", [
+    (identity_suite, "predict_ratio_shift",
+     lambda real: lambda c, k: (real(c, k)[0] + 1e-9, real(c, k)[1]), "subset-shift"),
+    (identity_suite, "predict_ratio_shift", _shift_full_removal, "full-removal-shift"),
+    (sign_suite, "single_edge_effect",
+     lambda real: lambda c, t: (real(c, t)[0], -real(c, t)[1]), "sign-table"),
+    (budget_suite, "minimal_deletions",
+     lambda real: lambda c, tau_c, tau_s: real(c, tau_c, tau_s) + 1, "budget"),
+    (budget_suite, "minimal_deletions", lambda real: _infeasible, "budget"),
+], ids=["subset-shift", "full-removal-shift", "sign-table", "budget-off-by-one",
+        "budget-infeasible"])
+def test_verify_suite_reports_a_rebuildable_counterexample(suite, target, fault, kind,
+                                                           monkeypatch):
+    monkeypatch.setattr(f"fairgraph.verify.{target}",
+                        fault(getattr(fairgraph.verify, target)))
+    report = suite(50)
+    example = report.counterexample
+    assert not report.passed and example["kind"] == kind
+    assert json.loads(json.dumps(report.to_dict()))["counterexample"] == example
+    graph = Graph.from_edges(example["n"], example["edges"])
+    labels = NodeLabels.create(sensitive=example["sensitive"],
+                               class_label=example["class_label"])
+    assert graph.edge_array.tolist() == example["edges"]
+    assert edge_census(graph, labels).m == len(example["edges"])
+    if kind == "budget":  # the unfaulted kernel agrees with the brute force
+        assert minimal_deletions(edge_census(graph, labels), example["tau_c"],
+                                 example["tau_s"]) == example["expected"]
+
+
 @pytest.mark.parametrize("flag,value", [("graphs", "0"), ("graphs", "-3"), ("tol", "nan"),
                                         ("tol", "inf"), ("tol", "-1e-12")])
 def test_verify_that_checks_nothing_exit_2(tmp_path, flag, value, capsys):
@@ -205,14 +258,23 @@ def test_verify_that_checks_nothing_exit_2(tmp_path, flag, value, capsys):
     assert run_suites(n_graphs=1, tol=0.0)[1][0].graphs_checked == 1
 
 
-def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, capsys):
+def _no_checkpoint_runs(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a checkpoint was loaded or run")
+
+    monkeypatch.setattr("fairgraph.cli.load_checkpoint", must_not_run)
+    monkeypatch.setattr("fairgraph.cli.encode", must_not_run)
+
+
+def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, monkeypatch, capsys):
     pre_dir = tmp_path / "pre"
     assert main(["pretrain", "--dataset", toy_dir, "--seed", "3",
                  "--out", str(pre_dir)]) == 0
-    ckpt = pre_dir / "pretrained.json"
-    assert ckpt.exists()
+    assert (pre_dir / "pretrained.json").exists()
+    pre_report = str(pre_dir / "pretrain_report.json")
+    _no_checkpoint_runs(monkeypatch)
     edit_dir = tmp_path / "edit"
-    assert main(["edit", "--dataset", toy_dir, "--checkpoint", str(ckpt),
+    assert main(["edit", "--dataset", toy_dir, "--report", pre_report,
                  "--out", str(edit_dir)]) == 0
     report = json.loads((edit_dir / "edit_report.json").read_text())
     assert report["census_after"]["type_iii"] == 0
@@ -220,9 +282,64 @@ def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, capsys):
     assert report["hr_s_after"] <= report["hr_s_before"]
     edges = (edit_dir / "edited_edges.txt").read_text().strip().splitlines()
     assert len(edges) == report["census_after"]["m"]
-    assert main(["analyze", "--dataset", toy_dir, "--labels", "pseudo",
-                 "--checkpoint", str(ckpt)]) == 0
+    out_json = tmp_path / "analyze.json"
+    assert main(["analyze", "--dataset", toy_dir, "--report", pre_report,
+                 "--json", str(out_json)]) == 0
+    doc = json.loads(out_json.read_text())
+    assert doc["labels_source"] == "pseudo"
+    assert doc["census"] == report["census_before"]
     capsys.readouterr()
+
+
+def test_edit_from_the_pretrain_report_is_trains_edit(toy_dir, tmp_path, monkeypatch,
+                                                       capsys):
+    """`pretrain` then `edit --report` is phase 1 of `train` for the same
+    config and seed: the same labelling, so the same edit."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_train": 1}))
+    common = ["--dataset", toy_dir, "--config", str(cfg), "--seed", "0"]
+    assert main(["pretrain", *common, "--out", str(tmp_path / "pre")]) == 0
+    assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
+    trained = json.loads((tmp_path / "run" / "run_seed0_split0.json").read_text())["edit"]
+    _no_checkpoint_runs(monkeypatch)
+    edit_dir = tmp_path / "edit"
+    assert main(["edit", "--dataset", toy_dir,
+                 "--report", str(tmp_path / "pre" / "pretrain_report.json"),
+                 "--out", str(edit_dir)]) == 0
+    assert json.loads((edit_dir / "edit_report.json").read_text()) == trained
+    graph, table = load_dataset(resolve_dataset(toy_dir))
+    edited = graph.remove_edges(trained["removed_edges"])
+    lines = (edit_dir / "edited_edges.txt").read_text().splitlines()
+    assert [list(map(int, line.split())) for line in lines] == edited.edge_array.tolist()
+    # the pseudo-labels are not the ground truth, so the truth's edit differs
+    assert trained["census_before"] != edge_census(graph, table.labels).to_dict()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "edit"])
+@pytest.mark.parametrize("fault", ["unreadable", "not-json", "no-pseudo-labels",
+                                   "not-a-list", "wrong-length", "true", "0.5", "-1",
+                                   '"1"'])
+def test_bad_pretrain_report_is_config_error(toy_dir, tmp_path, command, fault, capsys):
+    """A --report that does not hold one 0 or 1 per node exits 2 with one
+    error line naming it, before anything is written."""
+    n = load_dataset(resolve_dataset(toy_dir))[0].n
+    pseudo = [i % 2 for i in range(n)]
+    docs = {"no-pseudo-labels": {"seed": 0},
+            "not-a-list": {"pseudo_labels": "01" * n},
+            "wrong-length": {"pseudo_labels": pseudo[1:]},
+            **{value: {"pseudo_labels": [json.loads(value), *pseudo[1:]]}
+               for value in ("true", "0.5", "-1", '"1"')}}
+    report = tmp_path / "pretrain_report.json"
+    if fault == "not-json":
+        report.write_bytes(b"\xff\xfe{")
+    elif fault in docs:
+        report.write_text(json.dumps(docs[fault]))
+    out = tmp_path / "out"
+    output = ["--json", str(out)] if command == "analyze" else ["--out", str(out)]
+    assert main([command, "--dataset", toy_dir, "--report", str(report), *output]) == 2
+    _one_error_line(capsys, str(report))
+    assert not out.exists()
 
 
 def test_train_evaluate_export_flow(toy_dir, tmp_path, capsys):
@@ -765,8 +882,7 @@ def test_out_that_is_a_file_fails_before_any_work(toy_dir, tmp_path, command, wo
     monkeypatch.setattr(f"fairgraph.cli.{work}", must_not_run)
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
-    labels = ["--labels", "truth"] if command == "edit" else []
-    assert main([command, "--dataset", toy_dir, *labels, "--out", str(afile)]) == 2
+    assert main([command, "--dataset", toy_dir, "--out", str(afile)]) == 2
     _one_error_line(capsys, f"cannot write {afile}: not a directory")
     assert afile.read_text() == "keep\n"
     assert sorted(os.listdir(tmp_path)) == ["afile", "data"]
@@ -801,9 +917,11 @@ def test_checkpoint_for_another_feature_width_exit_2(toy_dir, tmp_path, capsys):
         meta = json.load(fh)
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump({**meta, "feature_cols": [f"feat_{j}" for j in range(7)]}, fh)
-    assert main(["analyze", "--dataset", toy_dir, "--labels", "pseudo",
-                 "--checkpoint", str(ckpt)]) == 2
+    out = tmp_path / "e.csv"
+    assert main(["export", "--dataset", toy_dir, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
     _one_error_line(capsys, "is for 8 features; the dataset has 7")
+    assert not out.exists()
 
 
 def test_truth_labels_with_an_unlabelled_node_exit_2(toy_dir, capsys):
@@ -814,7 +932,7 @@ def test_truth_labels_with_an_unlabelled_node_exit_2(toy_dir, capsys):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
     assert main(["analyze", "--dataset", toy_dir]) == 2
-    _one_error_line(capsys, "--labels truth requires every node to carry a class label")
+    _one_error_line(capsys, "without --report every node must carry a class label")
 
 
 def test_evaluate_on_an_empty_test_split_exits_1(toy_dir, tmp_path, capsys):
@@ -845,6 +963,16 @@ def test_synth_below_eight_nodes_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--class-signal", "--sensitive-signal"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synth_non_finite_signal_exit_2(tmp_path, flag, value, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--n", "40", f"{flag}={value}"]) == 2
+    _one_error_line(capsys, f"{flag[2:].replace('-', '_')} must be a finite number, "
+                            f"got {value}")
+    assert not out.exists()
+
+
 def test_synth_negative_seed_exit_2(tmp_path, capsys):
     out = tmp_path / "ds"
     assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
@@ -856,7 +984,7 @@ def test_edit_of_an_edgeless_dataset_exit_1(tmp_path, capsys):
     _, table = synth_generate(SynthConfig(n=20, target_hr_c=0.6, target_hr_s=0.6, seed=1))
     data_dir = write_dataset(str(tmp_path / "edgeless"), Graph.from_edges(20, []), table)
     out = tmp_path / "edit"
-    assert main(["edit", "--dataset", data_dir, "--labels", "truth", "--out", str(out)]) == 1
+    assert main(["edit", "--dataset", data_dir, "--out", str(out)]) == 1
     _one_error_line(capsys, "cannot edit an empty graph")
     assert not out.exists()
 

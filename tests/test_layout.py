@@ -2,12 +2,16 @@
 assignment in src/fairgraph is used by package code outside its own
 definition. Test oracles and checkers live under tests/ (see oracles.py)."""
 
+import argparse
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
+
+from fairgraph.cli import build_parser
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairgraph"
 
@@ -166,3 +170,17 @@ def test_importing_the_cli_loads_no_other_public_scipy_subpackage():
                             capture_output=True, text=True).stdout.split()
     public = sorted(name for name in loaded if not name.startswith("_"))
     assert public == ["sparse"], f"import fairgraph.cli loads scipy subpackages {public}"
+
+
+def test_every_cli_flag_is_in_the_readme():
+    """Each `--flag` of every command (bar --help and --version) is
+    documented in README.md, so a new or renamed flag updates the docs."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {flag for p in (parser, *commands.values()) for action in p._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    missing = sorted(flag for flag in flags - {"--help", "--version"}
+                     if not re.search(re.escape(flag) + r"(?![\w-])", readme))
+    assert not missing, f"CLI flags missing from README.md: {missing}"

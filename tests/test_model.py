@@ -9,10 +9,10 @@ import pytest
 from fairgraph.autodiff import NeighborAggregator
 from fairgraph.errors import ConfigError, ShapeError
 from fairgraph.graph import Graph
+from fairgraph.metrics import hard_labels
 from fairgraph.model import (
     encode,
     feature_stats,
-    hard_labels,
     init_params,
     load_checkpoint,
     predict,
