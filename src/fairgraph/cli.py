@@ -29,7 +29,7 @@ from .data import (
     write_dataset,
 )
 from .errors import ConfigError, DatasetError, FairGraphError
-from .graph import edge_census, fair_edge_remove, homophily_ratios
+from .graph import edge_census, homophily_ratios
 from .losses import LossWeights
 from .metrics import SUMMARY_METRICS, evaluate_predictions
 from .model import encode, load_checkpoint, predict, save_checkpoint
@@ -39,9 +39,9 @@ from .pipeline import (
     Splits,
     TrainConfig,
     grid_search,
-    prepare,
-    pretrain,
+    phase_one,
     run_experiment,
+    run_phase1,
 )
 from .seeding import derive_seed
 from .verify import run_suites
@@ -134,19 +134,20 @@ def _stored_run(path, graph, n, fields=("splits",)):
 
 
 def _phase1_labels(args, table):
-    """Ground truth, complete; or with --report the pre-training report's
-    pseudo_labels (one 0 or 1 per node) with the dataset's sensitive attribute."""
+    """(labelling, report): ground truth, complete, and no report; or with
+    --report the pre-training report and its pseudo_labels (one 0 or 1 per
+    node) with the dataset's sensitive attribute."""
     if not args.report:
         if (table.labels.class_label < 0).any():
             raise ConfigError("without --report every node must carry a class label")
-        return table.labels
+        return table.labels, None
     stored = read_json(args.report, "report")
     pseudo = stored.get("pseudo_labels") if isinstance(stored, dict) else None
     if not (isinstance(pseudo, list) and len(pseudo) == table.n
             and all(type(v) is int and v in (0, 1) for v in pseudo)):
         raise ConfigError(f"report {args.report} holds no pseudo_labels list of "
                           f"{table.n} values 0 or 1")
-    return replace(table.labels, class_label=pseudo)
+    return replace(table.labels, class_label=pseudo), stored
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def cmd_analyze(args):
     if args.json:
         _check_out_file(args.json)
     graph, table = _load_dataset_arg(args.dataset)
-    census = edge_census(graph, _phase1_labels(args, table))
+    census = edge_census(graph, _phase1_labels(args, table)[0])
     hr_c, hr_s = census.hr_c, census.hr_s
     payload = {"dataset": args.dataset,
                "labels_source": "pseudo" if args.report else "truth",
@@ -174,11 +175,19 @@ def cmd_analyze(args):
 def cmd_edit(args):
     _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
-    edited, report = fair_edge_remove(graph, _phase1_labels(args, table))
+    labels, stored = _phase1_labels(args, table)
+    # the pre-training run's mode; without a report, edit as HSCCAF does
+    mode = stored.get("mode") if stored else "HSCCAF"
+    if mode not in MODES:
+        raise ConfigError(f"report {args.report}: mode must be one of "
+                          f"{list(MODES)}, got {mode!r}")
+    edited, report = run_phase1(graph, labels, mode)
     make_dir(args.out)
     with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
         fh.writelines(f"{u} {v}\n" for u, v in edited.edge_array.tolist())
     _write_json(os.path.join(args.out, "edit_report.json"), report.to_dict())
+    if report.skipped:
+        print(f"mode {mode} does not edit; the edges are unchanged")
     print(f"removed {len(report.removed_edges)} Type III edges "
           f"({report.census_before.m} -> {report.census_after.m})")
     print(f"hr_c {report.hr_c_before:.4f} -> {report.hr_c_after:.4f}")
@@ -191,8 +200,8 @@ def cmd_pretrain(args):
     graph, table = _load_dataset_arg(args.dataset)
     cfg = _build_config(args)
     seed = cfg.seeds[0]
-    splits = prepare(table, cfg, seed)
-    result = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
+    start = phase_one(graph, table, cfg, seed)
+    result = start.pre
     make_dir(args.out)
     ckpt = os.path.join(args.out, "pretrained.json")
     save_checkpoint(ckpt, result.encoder, result.predictor,
@@ -200,9 +209,10 @@ def cmd_pretrain(args):
                           "library_version": __version__, "phase": "pretrain"})
     _write_json(os.path.join(args.out, "pretrain_report.json"),
                 {"final_loss": result.losses[-1], "epochs": len(result.losses),
-                 "seed": seed, "config_hash": cfg.config_hash(),
+                 "seed": seed, "config_hash": cfg.config_hash(), "mode": cfg.mode,
                  "pseudo_labels": result.pseudo_labels.tolist(),
-                 "splits": splits.to_dict()})
+                 "splits": start.splits.to_dict(),
+                 "edit": start.edit_report.to_dict()})
     print(f"pre-trained {len(result.losses)} epochs, final loss "
           f"{result.losses[-1]:.4f}; checkpoint at {ckpt}")
     return 0
@@ -367,7 +377,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_edit)
 
-    p = sub.add_parser("pretrain", help="prediction-loss pre-training")
+    p = sub.add_parser("pretrain", help="phase 1: pre-training and the mode's edit")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)

@@ -10,6 +10,7 @@ are derived from the run seed by labeled hashing.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -262,8 +263,6 @@ def run_phase1(graph: Graph, labels: NodeLabels, mode):
     applied, as an edgeless graph would leave the neighbour means all zero:
     the report is `degenerate`. An edgeless graph raises UndefinedRatioError
     in every mode."""
-    if graph.m == 0:
-        raise UndefinedRatioError("homophily ratios are undefined on an empty edge set")
     edit = MODE_FLAGS[mode]["edit"]
     if edit:
         try:
@@ -271,9 +270,35 @@ def run_phase1(graph: Graph, labels: NodeLabels, mode):
         except DegenerateEditError:
             log.warning("editing would remove every edge; training on the "
                         "unedited graph")
+    elif graph.m == 0:
+        raise UndefinedRatioError("homophily ratios are undefined on an empty edge set")
     census = edge_census(graph, labels)
     return graph, EditReport(removed_edges=(), census_before=census,
                              census_after=census, skipped=not edit, degenerate=edit)
+
+
+@dataclass(frozen=True)
+class PhaseOne:
+    """What phase 2 starts from: the split, pre-training's result, and the
+    graph phase 2 trains on with its EditReport."""
+    splits: Splits
+    pre: PretrainResult
+    graph: Graph
+    edit_report: EditReport
+
+
+def phase_one(graph: Graph, table: NodeTable, cfg: TrainConfig, seed) -> PhaseOne:
+    """Phase 1 of a run: split the labelled nodes, pre-train on the training
+    split, and make the mode's edit under pre-training's pseudo-labels. Only
+    the training split's ground truth enters; the val/test labels reach only
+    phase 2's reports. No loss weight is read, so every grid cell of a seed
+    shares one result."""
+    labeled_ids = np.where(table.labels.labeled_mask())[0]
+    splits = split_dataset(table.n, labeled_ids, cfg.splits, derive_seed(seed, "split"))
+    pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
+    edited, edit_report = run_phase1(
+        graph, replace(table.labels, class_label=pre.pseudo_labels), cfg.mode)
+    return PhaseOne(splits=splits, pre=pre, graph=edited, edit_report=edit_report)
 
 
 @dataclass
@@ -320,10 +345,11 @@ class RunResult:
         }
 
 
-def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
-               enc: EncoderParams, pred: PredictorParams, cfg: TrainConfig,
-               seed, edit_report: EditReport, split_id=0) -> RunResult:
-    """Phase 2: full objective on the edited graph, from the raw features x.
+def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
+               split_id=0) -> RunResult:
+    """Phase 2: full objective on phase 1's graph, from the raw features x,
+    starting from a copy of the pre-trained parameters, so one `start`
+    feeds any number of runs.
 
     Training reads ground truth on splits.train only: it is the label set of
     the prediction loss and of the contrast. With the invariance term on,
@@ -332,9 +358,11 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
     pass that epoch's loss uses; the edit itself stays frozen. The best
     epoch maximizes the validation selection score, earliest on ties; epochs
     with undefined validation metrics are disqualified. The test report
-    reads the best epoch's forward pass, and enc and pred end holding that
-    epoch's parameters.
+    reads the best epoch's forward pass, and the result's encoder and
+    predictor hold that epoch's parameters.
     """
+    graph, splits = start.graph, start.splits
+    enc, pred = copy.deepcopy((start.pre.encoder, start.pre.predictor))
     contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
     use_inv = w.alpha > 0
@@ -397,29 +425,16 @@ def train_full(graph: Graph, x, labels: NodeLabels, splits: Splits,
                                        seed=seed, split_id=split_id)
     return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],
-                     test_report=test_report, edit_report=edit_report,
+                     test_report=test_report, edit_report=start.edit_report,
                      encoder=enc, predictor=pred, splits=splits,
                      config_hash=cfg.config_hash(), optimizer=cfg.optimizer)
 
 
-def prepare(table: NodeTable, cfg: TrainConfig, seed) -> Splits:
-    """The split of the labelled nodes for this seed."""
-    labeled_ids = np.where(table.labels.labeled_mask())[0]
-    return split_dataset(table.n, labeled_ids, cfg.splits, derive_seed(seed, "split"))
-
-
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
                split_id=0) -> RunResult:
-    """One complete run: split, pre-train, edit, train. Only the training
-    split's ground truth enters the run; the edit reads it completed by
-    pre-training's pseudo-labels, and only the val/test reports read the
-    other splits' labels."""
-    splits = prepare(table, cfg, seed)
-    pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
-    edited, edit_report = run_phase1(
-        graph, replace(table.labels, class_label=pre.pseudo_labels), cfg.mode)
-    return train_full(edited, table.features, table.labels, splits, pre.encoder,
-                      pre.predictor, cfg, seed, edit_report, split_id=split_id)
+    """One complete run: phase 1, then phase 2 on its result."""
+    return train_full(phase_one(graph, table, cfg, seed), table.features,
+                      table.labels, cfg, seed, split_id=split_id)
 
 
 def _thread_count():
@@ -503,14 +518,17 @@ def grid_search(graph: Graph, table: NodeTable, base_cfg: TrainConfig, grid):
 
     cfgs = [replace(base_cfg, weights=LossWeights.from_dict({**base, **cell}))
             for cell in cells]
-    # one flat pool over every (cell, split, seed) run
-    runs = list(enumerate(base_cfg.seeds))
+    # no cell changes phase 1: one pool runs it per (split, seed), a second
+    # every (cell, split, seed) phase 2
+    seeds = base_cfg.seeds
+    starts = _pool_map(lambda seed: phase_one(graph, table, base_cfg, seed), seeds)
     results = _pool_map(
-        lambda job: run_single(graph, table, cfgs[job[0]], job[2], split_id=job[1]),
-        [(c, split_id, seed) for c in range(len(cells)) for split_id, seed in runs])
+        lambda job: train_full(starts[job[1]], table.features, table.labels,
+                               cfgs[job[0]], seeds[job[1]], split_id=job[1]),
+        [(c, split_id) for c in range(len(cells)) for split_id in range(len(seeds))])
     out = []
     for c, cell in enumerate(cells):
-        cell_results = results[c * len(runs):(c + 1) * len(runs)]
+        cell_results = results[c * len(seeds):(c + 1) * len(seeds)]
         scores = np.array([r.val_report.score for r in cell_results])
         out.append(GridCell(params=cell, mean_val_score=float(scores.mean()),
                             std_val_score=float(scores.std(ddof=0)),

@@ -22,11 +22,9 @@ import pytest
 
 from fairgraph.data import load_dataset, resolve_dataset
 from fairgraph.errors import DatasetError, InfeasibleError
-from fairgraph.graph import edge_census, fair_edge_remove, homophily_ratios, \
-    minimal_deletions
+from fairgraph.graph import edge_census, homophily_ratios, minimal_deletions
 from fairgraph.losses import LossWeights, _tvmf, select_counterfactuals
-from fairgraph.pipeline import TrainConfig, pretrain, run_experiment, run_single, \
-    split_dataset
+from fairgraph.pipeline import TrainConfig, phase_one, run_experiment, run_single
 from fairgraph.seeding import derive_seed
 from fairgraph.verify import budget_suite, identity_suite, random_labeled_graph, \
     sign_suite
@@ -237,13 +235,7 @@ def test_criterion_9_german_edited_homophily():
         graph, table = load_benchmark("german")
         start = time.monotonic()
         cfg = five_split_config(GERMAN_WEIGHTS)
-        seed = cfg.seeds[0]
-        labeled = np.where(table.labels.labeled_mask())[0]
-        splits = split_dataset(table.n, labeled, cfg.splits,
-                               derive_seed(seed, "split"))
-        pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
-        labels_p = table.labels.with_pseudo(pre.pseudo_labels)
-        _, report = fair_edge_remove(graph, labels_p)
+        report = phase_one(graph, table, cfg, cfg.seeds[0]).edit_report
         elapsed = time.monotonic() - start
         assert 0.71 <= report.hr_s_after <= 0.77, report.hr_s_after
         assert 0.60 <= report.hr_c_after <= 0.65, report.hr_c_after

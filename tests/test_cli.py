@@ -18,7 +18,8 @@ from fairgraph.graph import Graph, NodeLabels, edge_census, fair_edge_remove, \
     minimal_deletions
 from fairgraph.losses import LossWeights, select_counterfactuals
 from fairgraph.model import init_params, save_checkpoint
-from fairgraph.pipeline import TrainConfig, grid_search, prepare, run_experiment
+from fairgraph.pipeline import MODE_FLAGS, MODES, TrainConfig, grid_search, \
+    run_experiment, split_dataset
 from fairgraph.seeding import derive_seed
 from fairgraph.verify import budget_suite, identity_suite, run_suites, sign_suite
 
@@ -291,16 +292,21 @@ def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", MODES)
 def test_edit_from_the_pretrain_report_is_trains_edit(toy_dir, tmp_path, monkeypatch,
-                                                       capsys):
+                                                       mode, capsys):
     """`pretrain` then `edit --report` is phase 1 of `train` for the same
-    config and seed: the same labelling, so the same edit."""
+    config and seed: the same labelling and mode, so the same edit, which
+    the pre-training report records too."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T_train": 1}))
+    cfg.write_text(json.dumps({"T_train": 1, "mode": mode}))
     common = ["--dataset", toy_dir, "--config", str(cfg), "--seed", "0"]
     assert main(["pretrain", *common, "--out", str(tmp_path / "pre")]) == 0
     assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
     trained = json.loads((tmp_path / "run" / "run_seed0_split0.json").read_text())["edit"]
+    pre_report = json.loads((tmp_path / "pre" / "pretrain_report.json").read_text())
+    assert pre_report["mode"] == mode and pre_report["edit"] == trained
+    assert trained["skipped"] is not MODE_FLAGS[mode]["edit"]
     _no_checkpoint_runs(monkeypatch)
     edit_dir = tmp_path / "edit"
     assert main(["edit", "--dataset", toy_dir,
@@ -319,10 +325,11 @@ def test_edit_from_the_pretrain_report_is_trains_edit(toy_dir, tmp_path, monkeyp
 @pytest.mark.parametrize("command", ["analyze", "edit"])
 @pytest.mark.parametrize("fault", ["unreadable", "not-json", "no-pseudo-labels",
                                    "not-a-list", "wrong-length", "true", "0.5", "-1",
-                                   '"1"'])
+                                   '"1"', "no-mode", "bad-mode"])
 def test_bad_pretrain_report_is_config_error(toy_dir, tmp_path, command, fault, capsys):
-    """A --report that does not hold one 0 or 1 per node exits 2 with one
-    error line naming it, before anything is written."""
+    """A --report that does not hold one 0 or 1 per node, or for `edit` one
+    of the modes, exits 2 with one error line naming it, before anything is
+    written. `analyze` reads the pseudo-labels only."""
     n = load_dataset(resolve_dataset(toy_dir))[0].n
     pseudo = [i % 2 for i in range(n)]
     docs = {"no-pseudo-labels": {"seed": 0},
@@ -330,6 +337,9 @@ def test_bad_pretrain_report_is_config_error(toy_dir, tmp_path, command, fault, 
             "wrong-length": {"pseudo_labels": pseudo[1:]},
             **{value: {"pseudo_labels": [json.loads(value), *pseudo[1:]]}
                for value in ("true", "0.5", "-1", '"1"')}}
+    docs = {key: {"mode": "HSCCAF", **doc} for key, doc in docs.items()}
+    docs["no-mode"] = {"pseudo_labels": pseudo}
+    docs["bad-mode"] = {"pseudo_labels": pseudo, "mode": "hsccaf"}
     report = tmp_path / "pretrain_report.json"
     if fault == "not-json":
         report.write_bytes(b"\xff\xfe{")
@@ -337,7 +347,11 @@ def test_bad_pretrain_report_is_config_error(toy_dir, tmp_path, command, fault, 
         report.write_text(json.dumps(docs[fault]))
     out = tmp_path / "out"
     output = ["--json", str(out)] if command == "analyze" else ["--out", str(out)]
-    assert main([command, "--dataset", toy_dir, "--report", str(report), *output]) == 2
+    code = main([command, "--dataset", toy_dir, "--report", str(report), *output])
+    if command == "analyze" and fault in ("no-mode", "bad-mode"):
+        assert code == 0 and out.exists()
+        return
+    assert code == 2
     _one_error_line(capsys, str(report))
     assert not out.exists()
 
@@ -803,7 +817,9 @@ def test_degenerate_edit_run_evaluates_exactly(tmp_path, capsys):
     g, table = synth_generate(SynthConfig(n=150, target_hr_c=0.55, target_hr_s=0.85,
                                           mean_degree=8, seed=4))
     y, s = table.labels.class_label, table.labels.sensitive
-    train = prepare(table, TrainConfig(), 2).train
+    labeled = np.where(table.labels.labeled_mask())[0]
+    train = split_dataset(table.n, labeled, TrainConfig().splits,
+                          derive_seed(2, "split")).train
     g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
                                if y[u] != y[v] and s[u] == s[v] and train[u] and train[v]])
     data_dir = str(tmp_path / "all_iii")
@@ -872,8 +888,8 @@ def test_export_into_a_missing_directory_exit_2(toy_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,work", [
-    ("train", "run_experiment"), ("grid", "grid_search"), ("pretrain", "pretrain"),
-    ("edit", "fair_edge_remove")])
+    ("train", "run_experiment"), ("grid", "grid_search"), ("pretrain", "phase_one"),
+    ("edit", "run_phase1")])
 def test_out_that_is_a_file_fails_before_any_work(toy_dir, tmp_path, command, work,
                                                   monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
@@ -987,6 +1003,24 @@ def test_edit_of_an_edgeless_dataset_exit_1(tmp_path, capsys):
     assert main(["edit", "--dataset", data_dir, "--out", str(out)]) == 1
     _one_error_line(capsys, "cannot edit an empty graph")
     assert not out.exists()
+
+
+def test_edit_of_an_all_type_iii_graph_is_degenerate(tmp_path, capsys):
+    """Editing would remove every edge: `edit` keeps them all and reports
+    `degenerate`, as a training run does."""
+    g, table = synth_generate(SynthConfig(n=150, target_hr_c=0.55, target_hr_s=0.85,
+                                          mean_degree=8, seed=4))
+    y, s = table.labels.class_label, table.labels.sensitive
+    g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges if y[u] != y[v] and s[u] == s[v]])
+    data_dir = write_dataset(str(tmp_path / "all_iii"), g, table)
+    out = tmp_path / "edit"
+    assert main(["edit", "--dataset", data_dir, "--out", str(out)]) == 0
+    report = json.loads((out / "edit_report.json").read_text())
+    assert report["degenerate"] is True and report["skipped"] is False
+    assert report["removed_count"] == 0 and report["census_before"]["type_iii"] == g.m
+    lines = (out / "edited_edges.txt").read_text().splitlines()
+    assert [tuple(map(int, line.split())) for line in lines] == list(g.edges)
+    capsys.readouterr()
 
 
 def test_count_weight_flag_takes_whole_numbers_only(toy_dir, tmp_path, capsys):

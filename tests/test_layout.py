@@ -131,6 +131,49 @@ def test_only_read_json_parses_json():
     assert not outside, f"JSON parsed outside data.read_json: {outside}"
 
 
+# the one place each phase-1 step may be called from, as (module, top-level
+# definition); "*" is any definition of the module
+PHASE_ONE_CALLERS = {
+    "pretrain": {("pipeline.py", "phase_one")},
+    # phase_one's edit, and `fairgraph edit`'s from a stored pre-training report
+    "run_phase1": {("pipeline.py", "phase_one"), ("cli.py", "cmd_edit")},
+    "fair_edge_remove": {("pipeline.py", "run_phase1"), ("verify.py", "*")},
+}
+
+
+def _calls(tree, names):
+    """(name, top-level definition, line) of every call under tree to a
+    function or method named in `names`."""
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                func = n.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if name in names:
+                    yield name, owner, n.lineno
+
+
+def test_phase_one_is_built_in_one_place():
+    """Pre-training and the edit under its pseudo-labels are put together by
+    pipeline.phase_one alone, so `train`, `grid` and `pretrain` cannot drift
+    apart; `edit` makes its edit through run_phase1, and only run_phase1 and
+    the verify suites call fair_edge_remove."""
+    found, stray = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, owner, line in _calls(tree, PHASE_ONE_CALLERS):
+            allowed = PHASE_ONE_CALLERS[name]
+            if (path.name, owner) in allowed or (path.name, "*") in allowed:
+                found.add(name)
+            else:
+                stray.append(f"{path.name}:{line} {owner} calls {name}")
+    assert found == set(PHASE_ONE_CALLERS), \
+        f"no longer called where expected: {sorted(set(PHASE_ONE_CALLERS) - found)}"
+    assert not stray, f"phase-1 steps called outside their one place: {stray}"
+
+
 def _scipy_imports(tree):
     """(line, module) for every scipy module an import under tree names."""
     for n in ast.walk(tree):

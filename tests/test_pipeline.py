@@ -21,7 +21,7 @@ from fairgraph.pipeline import (
     TrainConfig,
     aggregate_results,
     grid_search,
-    prepare,
+    phase_one,
     pretrain,
     run_experiment,
     run_phase1,
@@ -334,7 +334,8 @@ def test_degenerate_edit_trains_on_unedited_graph():
     g, table = toy_dataset(n=140, seed=9)
     cfg = quick_config(T_pre=10, T_train=5)
     y, s = table.labels.class_label, table.labels.sensitive
-    train = prepare(table, cfg, 3).train
+    labeled = np.where(table.labels.labeled_mask())[0]
+    train = split_dataset(table.n, labeled, cfg.splits, derive_seed(3, "split")).train
     g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
                                if y[u] != y[v] and s[u] == s[v] and train[u] and train[v]])
     assert g.m > 0
@@ -363,9 +364,9 @@ def _relabelled(table, mask, seed):
 def test_training_reads_no_validation_or_test_label(mode):
     g, table = toy_dataset(n=140, seed=9)
     cfg = quick_config(mode=mode, T_pre=15, T_train=10)
-    splits = prepare(table, cfg, 3)
+    start = phase_one(g, table, cfg, 3)
+    splits, base_pseudo = start.splits, start.pre.pseudo_labels
     base = run_single(g, table, cfg, seed=3).to_dict()
-    base_pseudo = pretrain(g, table.features, table.labels, splits.train, cfg, 3).pseudo_labels
 
     # new test labels move the test report and nothing else
     moved = _relabelled(table, splits.test, seed=0)
@@ -379,7 +380,7 @@ def test_training_reads_no_validation_or_test_label(mode):
     assert [(e.loss, e.parts) for e in result.epochs] == \
         [(e["loss"], e["parts"]) for e in base["epochs"]]
     assert result.to_dict()["edit"] == base["edit"]
-    pseudo = pretrain(g, moved.features, moved.labels, splits.train, cfg, 3).pseudo_labels
+    pseudo = phase_one(g, moved, cfg, 3).pre.pseudo_labels
     assert np.array_equal(pseudo, base_pseudo)
     assert np.array_equal(pseudo[splits.train], table.labels.class_label[splits.train])
 
@@ -468,6 +469,49 @@ def test_grid_ranking_deterministic():
     assert scores == sorted(scores, reverse=True)
     with pytest.raises(ConfigError):
         grid_search(g, table, cfg, {"lr": [0.1]})
+
+
+def test_grid_runs_phase_one_once_per_seed(monkeypatch):
+    g, table = toy_dataset(n=120, seed=14)
+    cfg = quick_config(seeds=(0, 1), T_pre=5, T_train=3)
+    seeds = []
+    original = pipeline.pretrain
+
+    def counted(graph, x, labels, train_mask, cfg, seed):
+        seeds.append(seed)
+        return original(graph, x, labels, train_mask, cfg, seed)
+
+    monkeypatch.setattr(pipeline, "pretrain", counted)
+    cells = grid_search(g, table, cfg, {"alpha": [0.2, 0.9], "omega": [0.03, 0.3]})
+    assert len(cells) == 4
+    assert sorted(seeds) == [0, 1]
+
+
+def test_grid_cell_equals_run_experiment_under_its_weights():
+    """Every cell's phase 2 starts from the same pre-trained parameters, not
+    from another cell's trained copy of them."""
+    g, table = toy_dataset(n=120, seed=16)
+    cfg = quick_config(seeds=(0, 1), T_pre=10, T_train=5)
+    cells = grid_search(g, table, cfg, {"alpha": [0.2, 0.9], "K": [2, 3]})
+    for cell in cells:
+        weights = LossWeights.from_dict({**cfg.weights.to_dict(), **cell.params})
+        results, agg = run_experiment(g, table, replace(cfg, weights=weights))
+        assert cell.aggregate == agg
+        scores = [r.val_report.score for r in results]
+        assert cell.mean_val_score == float(np.mean(scores))
+
+
+def test_phase_one_result_is_not_changed_by_training():
+    g, table = toy_dataset(n=120, seed=16)
+    cfg = quick_config(T_pre=10, T_train=5)
+    start = phase_one(g, table, cfg, 0)
+    before = [p.copy() for p in start.pre.encoder.arrays() + start.pre.predictor.arrays()]
+    first = pipeline.train_full(start, table.features, table.labels, cfg, 0)
+    after = start.pre.encoder.arrays() + start.pre.predictor.arrays()
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    second = pipeline.train_full(start, table.features, table.labels, cfg, 0)
+    assert first.to_dict() == second.to_dict()
+    assert first.to_dict() == run_single(g, table, cfg, 0).to_dict()
 
 
 def test_german_optimum_is_a_valid_grid_cell():
