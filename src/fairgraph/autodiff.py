@@ -79,20 +79,21 @@ def row_mean_neighbors_backward(g, agg):
     return agg.adj @ (g * agg.inv_deg[:, None])
 
 
-def grad(enc, latent, g_h, g_logit):
-    """Gradients [dW1, db1, dW2, db2, dw, db] of a loss, given its gradient
-    g_h with respect to H (every term's, the prediction's share of the C
-    columns included) and g_logit with respect to the predictor's logit.
+def grad(params, latent, g_h, g_logit):
+    """Gradients [dW1, db1, dW2, db2, dw, db] of a loss, in the order of
+    `params.arrays()`, given its gradient g_h with respect to H (every
+    term's, the prediction's share of the C columns included) and g_logit
+    with respect to the predictor's logit.
 
     `latent` is the LatentState that `model.encode` returned for the
-    parameters `enc`; its forward cache holds the layer inputs [X | mean X]
-    and [H1 | mean H1], the ReLU mask and the content block C.
+    model.Params `params`; its forward cache holds the layer inputs
+    [X | mean X] and [H1 | mean H1], the ReLU mask and the content block C.
     """
     g_w = latent.c.T @ g_logit
     g_b = g_logit.sum(axis=0)
     g_w2 = latent.z2.T @ g_h
     g_b2 = g_h.sum(axis=0)
-    g_z2 = g_h @ enc.w2.T
+    g_z2 = g_h @ params.w2.T
     hidden = latent.active.shape[1]
     g_h1 = g_z2[:, :hidden] + row_mean_neighbors_backward(g_z2[:, hidden:], latent.agg)
     g_a1 = g_h1 * latent.active

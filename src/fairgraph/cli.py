@@ -74,6 +74,9 @@ def _load_dataset_arg(name_or_path):
 
 
 def _build_config(args):
+    """The TrainConfig of `pretrain`, `train` and `grid`: the --config file
+    (or the defaults), then the flags `_add_config_flags` declares, then
+    `train`'s weight flags and the --splits of `train` and `grid`."""
     cfg = (TrainConfig.from_dict(read_json(args.config, "config")) if args.config
            else TrainConfig())
     weights = {flag: getattr(args, flag) for flag in WEIGHT_FLAGS
@@ -82,9 +85,9 @@ def _build_config(args):
         cfg = replace(cfg, weights=LossWeights.from_dict({**cfg.weights.to_dict(),
                                                           **weights}))
     cfg = replace(cfg, **{flag: getattr(args, flag) for flag in ("mode", "lr")
-                          if getattr(args, flag, None) is not None})
+                          if getattr(args, flag) is not None})
     # the config's seeds stand unless --seed or --splits replaces them
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if getattr(args, "splits", None) is not None:
         cfg = replace(cfg, seeds=tuple(derive_seed(seed or 0, f"run:{i}")
                                        for i in range(args.splits)))
@@ -99,13 +102,13 @@ def _build_config(args):
 def _checkpoint_on(graph, table, path):
     """(latent state, predicted probabilities) of the checkpoint at `path`
     on the dataset; a checkpoint for another feature width is a ConfigError."""
-    enc, pred, _ = load_checkpoint(path)
+    params, _ = load_checkpoint(path)
     width = table.features.shape[1]
-    if enc.w1.shape[0] != 2 * width:
-        raise ConfigError(f"checkpoint {path} is for {enc.w1.shape[0] // 2} "
+    if params.w1.shape[0] != 2 * width:
+        raise ConfigError(f"checkpoint {path} is for {params.w1.shape[0] // 2} "
                           f"features; the dataset has {width}")
-    latent = encode(enc, NeighborAggregator(graph), table.features)
-    return latent, predict(pred, latent.c)
+    latent = encode(params, NeighborAggregator(graph), table.features)
+    return latent, predict(params, latent.c)
 
 
 def _stored_run(path, graph, n, fields=("splits",)):
@@ -204,7 +207,7 @@ def cmd_pretrain(args):
     result = start.pre
     make_dir(args.out)
     ckpt = os.path.join(args.out, "pretrained.json")
-    save_checkpoint(ckpt, result.encoder, result.predictor,
+    save_checkpoint(ckpt, result.params,
                     meta={"config_hash": cfg.config_hash(), "seed": seed,
                           "library_version": __version__, "phase": "pretrain"})
     _write_json(os.path.join(args.out, "pretrain_report.json"),
@@ -227,10 +230,9 @@ def cmd_train(args):
     for res in results:
         stem = os.path.join(args.out, f"run_seed{res.seed}_split{res.split_id}")
         _write_json(stem + ".json", res.to_dict())
-        save_checkpoint(stem + ".ckpt.json", res.encoder, res.predictor,
-                        meta={"config_hash": res.config_hash, "seed": res.seed,
-                              "mode": res.mode,
-                              "library_version": __version__})
+        save_checkpoint(stem + ".ckpt.json", res.params,
+                        meta={"config_hash": cfg.config_hash(), "seed": res.seed,
+                              "mode": cfg.mode, "library_version": __version__})
     payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
                "mode": cfg.mode, "optimizer": cfg.optimizer,
                "library_version": __version__, "aggregate": agg}
@@ -350,6 +352,14 @@ def _at_least_one(text):
     return value
 
 
+def _add_config_flags(p):
+    """The flags `_build_config` reads for every command that trains."""
+    p.add_argument("--config")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lr", type=float)
+
+
 def _add_weight_flags(p):
     for flag, default in WEIGHT_FLAGS.items():
         p.add_argument(f"--{flag}", type=type(default), default=None)
@@ -379,18 +389,14 @@ def build_parser():
 
     p = sub.add_parser("pretrain", help="phase 1: pre-training and the mode's edit")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="three-phase training over splits")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--config")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p)
     p.add_argument("--splits", type=_at_least_one, help="number of random splits")
-    p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
     _add_weight_flags(p)
     p.set_defaults(func=cmd_train)
@@ -405,8 +411,7 @@ def build_parser():
 
     p = sub.add_parser("grid", help="hyper-parameter grid search")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p)
     p.add_argument("--splits", type=_at_least_one)
     p.add_argument("--grid-json", help="JSON file {param: [values]}")
     p.add_argument("--top", type=_at_least_one, default=10)

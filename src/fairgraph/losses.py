@@ -336,7 +336,10 @@ def sample_negative_edges(g: Graph, count, seed):
     n = g.n
     capacity = n * (n - 1) // 2 - g.m
     if count > capacity:
-        raise CapacityError(f"asked for {count} negative edges, capacity {capacity}")
+        raise CapacityError(
+            f"asked for {count} negative edges, capacity {capacity}: the structure "
+            "loss (beta > 0) draws one non-adjacent node pair per edge, so the graph "
+            "needs at least as many non-adjacent pairs as edges")
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)
     rng = np.random.default_rng(seed)

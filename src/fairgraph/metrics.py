@@ -7,7 +7,7 @@ zero would read as perfect fairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,16 +116,12 @@ class MetricsReport:
     delta_sp: float
     delta_eo: float
     score: float
-    seed: int = 0
-    split_id: int = 0
-    cells: dict | None = None
+    seed: int
+    split_id: int
+    cells: dict
 
     def to_dict(self):
-        doc = {name: getattr(self, name) for name in SUMMARY_METRICS}
-        doc.update(seed=self.seed, split_id=self.split_id)
-        if self.cells is not None:
-            doc["cells"] = self.cells
-        return doc
+        return asdict(self)
 
 
 def _confusion_cells(pred, y, s):

@@ -24,9 +24,16 @@ from .errors import ConfigError, ShapeError
 CHECKPOINT_VERSION = 1
 
 
+# the trained arrays of each checkpoint block, in the order `arrays()`,
+# `autodiff.grad` and the optimizer list them
+CHECKPOINT_ARRAYS = {"encoder": ("w1", "b1", "w2", "b2"), "predictor": ("w", "b")}
+
+
 @dataclass
-class EncoderParams:
-    """The weights, and the per-column feature mean and std that `encode`
+class Params:
+    """The encoder's weights w1, b1, w2, b2 and the predictor's w, b, trained
+    as one set; the content block's width d_c (the environment block is as
+    wide); and the per-column feature mean and std that `encode`
     standardizes its input with. The statistics are not trained, so
     `arrays()` leaves them out."""
 
@@ -34,22 +41,15 @@ class EncoderParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
     d_c: int
-    d_e: int
     feature_mean: np.ndarray
     feature_std: np.ndarray
 
     def arrays(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-@dataclass
-class PredictorParams:
-    w: np.ndarray
-    b: np.ndarray
-
-    def arrays(self):
-        return [self.w, self.b]
+        return [getattr(self, name) for names in CHECKPOINT_ARRAYS.values()
+                for name in names]
 
 
 @dataclass
@@ -81,12 +81,11 @@ def init_params(d_in, hidden, d_c, seed):
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     d_out = 2 * d_c
-    enc = EncoderParams(w1=_glorot(rng, 2 * d_in, hidden), b1=np.zeros(hidden),
-                        w2=_glorot(rng, 2 * hidden, d_out), b2=np.zeros(d_out),
-                        d_c=d_c, d_e=d_c, feature_mean=np.zeros(d_in),
-                        feature_std=np.ones(d_in))
-    pred = PredictorParams(w=_glorot(rng, d_c, 1), b=np.zeros(1))
-    return enc, pred
+    # keyword arguments evaluate in order: the draws are w1, w2, then w
+    return Params(w1=_glorot(rng, 2 * d_in, hidden), b1=np.zeros(hidden),
+                  w2=_glorot(rng, 2 * hidden, d_out), b2=np.zeros(d_out),
+                  w=_glorot(rng, d_c, 1), b=np.zeros(1), d_c=d_c,
+                  feature_mean=np.zeros(d_in), feature_std=np.ones(d_in))
 
 
 def feature_stats(features, train_mask):
@@ -100,7 +99,7 @@ def feature_stats(features, train_mask):
     return rows.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
-def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
+def encode(params: Params, agg: NeighborAggregator, x) -> LatentState:
     """Forward pass producing the latent state for every node of the graph
     that `agg` aggregates over, from the raw features x."""
     x = np.asarray(x, dtype=np.float64)
@@ -120,9 +119,9 @@ def encode(params: EncoderParams, agg: NeighborAggregator, x) -> LatentState:
                        active=active, agg=agg)
 
 
-def predict(phi: PredictorParams, c):
+def predict(params: Params, c):
     """Per-node positive-class probability, shape (n, 1)."""
-    return ad.logistic(c @ phi.w + phi.b)
+    return ad.logistic(c @ params.w + params.b)
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +144,29 @@ def _finite_array(path, name, values):
     return np.asarray(values, dtype=np.float64)
 
 
-def save_checkpoint(path, enc: EncoderParams, pred: PredictorParams, meta=None):
+def save_checkpoint(path, params: Params, meta=None):
     """JSON checkpoint; float values round-trip bit-exactly through repr.
-    The feature statistics head the `meta` block."""
+    The environment block's width `d_e` is written as d_c. The feature
+    statistics head the `meta` block."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "d_c": enc.d_c,
-        "d_e": enc.d_e,
-        "encoder": {name: _array_payload(getattr(enc, name))
-                    for name in ("w1", "b1", "w2", "b2")},
-        "predictor": {name: _array_payload(getattr(pred, name))
-                      for name in ("w", "b")},
-        "meta": {"feature_mean": enc.feature_mean.tolist(),
-                 "feature_std": enc.feature_std.tolist(), **(meta or {})},
+        "d_c": params.d_c,
+        "d_e": params.d_c,
+        **{block: {name: _array_payload(getattr(params, name)) for name in names}
+           for block, names in CHECKPOINT_ARRAYS.items()},
+        "meta": {"feature_mean": params.feature_mean.tolist(),
+                 "feature_std": params.feature_std.tolist(), **(meta or {})},
     }
     with atomic_open(path) as fh:
         json.dump(doc, fh)
 
 
 def load_checkpoint(path):
-    """Returns (EncoderParams, PredictorParams, meta). A file that cannot be
-    read, another format version, a missing field, a `meta` that is not a
-    mapping, an environment block not as wide as the content block
-    (d_e != d_c), an array value that is not a finite number, arrays whose
-    shapes disagree with each other or with d_c, or a feature std <= 0 are a
-    ConfigError."""
+    """Returns (Params, meta). A file that cannot be read, another format
+    version, a missing field, a `meta` that is not a mapping, an environment
+    block not as wide as the content block (d_e != d_c), an array value that
+    is not a finite number, arrays whose shapes disagree with each other or
+    with d_c, or a feature std <= 0 are a ConfigError."""
     doc = read_json(path, "checkpoint")
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -180,9 +177,7 @@ def load_checkpoint(path):
     try:
         arrays = {name: _finite_array(path, name, doc[block][name]["data"])
                   .reshape(doc[block][name]["shape"])
-                  for block, names in (("encoder", ("w1", "b1", "w2", "b2")),
-                                       ("predictor", ("w", "b")))
-                  for name in names}
+                  for block, names in CHECKPOINT_ARRAYS.items() for name in names}
         for name in ("feature_mean", "feature_std"):
             arrays[name] = _finite_array(path, f"feature statistics {name}", meta[name])
         d_c, d_e = doc["d_c"], doc["d_e"]
@@ -205,11 +200,7 @@ def load_checkpoint(path):
              for name, shape in expected.items() if arrays[name].shape != shape]
     if wrong:
         raise ConfigError(f"checkpoint {path}: array shapes disagree: {', '.join(wrong)}")
-    mean, std = arrays["feature_mean"], arrays["feature_std"]
-    if not (std > 0).all():
+    if not (arrays["feature_std"] > 0).all():
         raise ConfigError(f"checkpoint {path}: feature statistics must have "
                           "every std > 0")
-    enc = EncoderParams(w1=w1, b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
-                        d_c=d_c, d_e=d_e, feature_mean=mean, feature_std=std)
-    pred = PredictorParams(w=arrays["w"], b=arrays["b"])
-    return enc, pred, meta
+    return Params(d_c=d_c, **arrays), meta

@@ -49,14 +49,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import SUMMARY_METRICS, MetricsReport, evaluate_predictions, hard_labels
-from .model import (
-    EncoderParams,
-    PredictorParams,
-    encode,
-    feature_stats,
-    init_params,
-    predict,
-)
+from .model import Params, encode, feature_stats, init_params, predict
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -190,10 +183,10 @@ def split_dataset(n, labeled_ids, fractions, seed) -> Splits:
 # ---------------------------------------------------------------------------
 # phases
 
-def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
-             cfg: TrainConfig, epochs, phase, objective):
+def _descend(graph: Graph, x, params: Params, cfg: TrainConfig, epochs, phase,
+             objective):
     """The optimisation loop of every phase: `epochs` Adam steps at cfg.lr
-    on the weighted objective, updating enc and pred in place. The moments
+    on the weighted objective, updating `params` in place. The moments
     start at zero in each call, so each phase starts a fresh Adam.
 
     objective(epoch, latent, probs) returns the epoch's LossParts from the
@@ -204,32 +197,31 @@ def _descend(graph: Graph, x, enc: EncoderParams, pred: PredictorParams,
     parameter state is encoded once.
     """
     agg = NeighborAggregator(graph)
-    params = enc.arrays() + pred.arrays()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    latent = encode(enc, agg, x)
-    probs = predict(pred, latent.c)
+    arrays = params.arrays()
+    m = [np.zeros_like(p) for p in arrays]
+    v = [np.zeros_like(p) for p in arrays]
+    latent = encode(params, agg, x)
+    probs = predict(params, latent.c)
     for epoch in range(1, epochs + 1):
         parts = objective(epoch, latent, probs)
-        loss, g_h, g_logit = total_loss(parts, cfg.weights, pred.w)
+        loss, g_h, g_logit = total_loss(parts, cfg.weights, params.w)
         if not np.isfinite(loss):
             raise DivergenceError(f"{phase} loss became non-finite at epoch {epoch}",
                                   epoch=epoch, phase=phase)
-        for i, (p, g) in enumerate(zip(params, ad.grad(enc, latent, g_h, g_logit))):
+        for i, (p, g) in enumerate(zip(arrays, ad.grad(params, latent, g_h, g_logit))):
             m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
             v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g * g
             m_hat = m[i] / (1 - ADAM_BETA1 ** epoch)
             v_hat = v[i] / (1 - ADAM_BETA2 ** epoch)
             p -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        latent = encode(enc, agg, x)
-        probs = predict(pred, latent.c)
+        latent = encode(params, agg, x)
+        probs = predict(params, latent.c)
         yield epoch, float(loss), parts, probs
 
 
 @dataclass
 class PretrainResult:
-    encoder: EncoderParams
-    predictor: PredictorParams
+    params: Params
     pseudo_labels: np.ndarray
     losses: list
 
@@ -242,18 +234,16 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
     encoder standardizes x with its training rows' statistics."""
     if not np.asarray(train_mask, dtype=bool).any():
         raise UndefinedMetricError("pre-training needs a nonempty training mask")
-    enc, pred = init_params(x.shape[1], cfg.hidden, cfg.d_c,
-                            derive_seed(seed, "init"))
-    enc.feature_mean, enc.feature_std = feature_stats(x, train_mask)
+    params = init_params(x.shape[1], cfg.hidden, cfg.d_c, derive_seed(seed, "init"))
+    params.feature_mean, params.feature_std = feature_stats(x, train_mask)
     y = labels.class_label
     losses = []
     for _, loss, _, probs in _descend(
-            graph, x, enc, pred, cfg, cfg.T_pre, "pretrain",
+            graph, x, params, cfg, cfg.T_pre, "pretrain",
             lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
         losses.append(loss)
     pseudo = labels.training_view(train_mask).with_pseudo(hard_labels(probs)).class_label
-    return PretrainResult(encoder=enc, predictor=pred, pseudo_labels=pseudo,
-                          losses=losses)
+    return PretrainResult(params=params, pseudo_labels=pseudo, losses=losses)
 
 
 def run_phase1(graph: Graph, labels: NodeLabels, mode):
@@ -314,7 +304,7 @@ class EpochRecord:
 
 @dataclass
 class RunResult:
-    mode: str
+    cfg: TrainConfig
     seed: int
     split_id: int
     epochs: list
@@ -322,20 +312,17 @@ class RunResult:
     val_report: MetricsReport
     test_report: MetricsReport
     edit_report: EditReport
-    encoder: EncoderParams
-    predictor: PredictorParams
+    params: Params
     splits: Splits
-    config_hash: str
-    optimizer: str
 
     def to_dict(self):
         return {
             "library_version": __version__,
-            "mode": self.mode,
+            "mode": self.cfg.mode,
             "seed": self.seed,
             "split_id": self.split_id,
-            "config_hash": self.config_hash,
-            "optimizer": self.optimizer,
+            "config_hash": self.cfg.config_hash(),
+            "optimizer": self.cfg.optimizer,
             "best_epoch": self.best_epoch,
             "val": self.val_report.to_dict(),
             "test": self.test_report.to_dict(),
@@ -358,11 +345,11 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
     pass that epoch's loss uses; the edit itself stays frozen. The best
     epoch maximizes the validation selection score, earliest on ties; epochs
     with undefined validation metrics are disqualified. The test report
-    reads the best epoch's forward pass, and the result's encoder and
-    predictor hold that epoch's parameters.
+    reads the best epoch's forward pass, and the result's params hold that
+    epoch's values.
     """
     graph, splits = start.graph, start.splits
-    enc, pred = copy.deepcopy((start.pre.encoder, start.pre.predictor))
+    params = copy.deepcopy(start.pre.params)
     contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
     use_inv = w.alpha > 0
@@ -397,11 +384,11 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
             parts.env = env_loss(latent.e, sens, w.k_prime)
         return parts
 
-    params = enc.arrays() + pred.arrays()
+    arrays = params.arrays()
     records = []
     best = None  # (score, epoch, param values, val_report, probs)
     undefined = None  # why the last disqualified epoch's metrics were undefined
-    for epoch, loss, parts, probs in _descend(graph, x, enc, pred, cfg, cfg.T_train,
+    for epoch, loss, parts, probs in _descend(graph, x, params, cfg, cfg.T_train,
                                               "train", objective):
         try:
             val_report = evaluate_predictions(probs, y, sens,
@@ -413,21 +400,20 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
         records.append(EpochRecord(epoch=epoch, loss=loss,
                                    parts=parts.values(), val_score=val_score))
         if val_score is not None and (best is None or val_score > best[0]):
-            best = (val_score, epoch, [p.copy() for p in params], val_report, probs)
+            best = (val_score, epoch, [p.copy() for p in arrays], val_report, probs)
 
     if best is None:
         raise UndefinedMetricError(
             f"no epoch produced defined validation metrics: {undefined}")
 
-    for p, v in zip(params, best[2]):
+    for p, v in zip(arrays, best[2]):
         p[...] = v
     test_report = evaluate_predictions(best[4], y, sens, mask=splits.test,
                                        seed=seed, split_id=split_id)
-    return RunResult(mode=cfg.mode, seed=seed, split_id=split_id, epochs=records,
+    return RunResult(cfg=cfg, seed=seed, split_id=split_id, epochs=records,
                      best_epoch=best[1], val_report=best[3],
                      test_report=test_report, edit_report=start.edit_report,
-                     encoder=enc, predictor=pred, splits=splits,
-                     config_hash=cfg.config_hash(), optimizer=cfg.optimizer)
+                     params=params, splits=splits)
 
 
 def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,

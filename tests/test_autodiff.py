@@ -16,21 +16,21 @@ from oracles import grad_check
 
 
 def _model(seed=5, n=7, d_in=3, hidden=4, d_c=2):
-    """A small graph (node n-1 isolated), features and encoder parameters."""
+    """A small graph (node n-1 isolated), features and model parameters."""
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(0, 3)])
     rng = np.random.default_rng(seed)
-    enc, pred = init_params(d_in, hidden, d_c, seed)
-    return ad.NeighborAggregator(g), rng.standard_normal((n, d_in)), enc, pred
+    return ad.NeighborAggregator(g), rng.standard_normal((n, d_in)), \
+        init_params(d_in, hidden, d_c, seed)
 
 
 def test_relu_on_all_negative_is_zero():
-    agg, x, enc, _ = _model()
-    enc.w1[...] = 0.0
-    enc.b1[...] = -1.0
-    latent = encode(enc, agg, x)
+    agg, x, params = _model()
+    params.w1[...] = 0.0
+    params.b1[...] = -1.0
+    latent = encode(params, agg, x)
     assert not latent.active.any()
     assert np.array_equal(latent.z2, np.zeros_like(latent.z2))
-    g_w1, g_b1, *_ = ad.grad(enc, latent, np.ones_like(latent.h), np.ones((agg.n, 1)))
+    g_w1, g_b1, *_ = ad.grad(params, latent, np.ones_like(latent.h), np.ones((agg.n, 1)))
     assert not np.any(g_w1) and not np.any(g_b1)
 
 
@@ -45,36 +45,36 @@ def test_row_mean_neighbors_isolated_node_zero_row():
 def test_quadratic_closed_form():
     # L = sum(H * H), so dL/dH = 2H, and the second layer's gradients are
     # [H1 | mean H1]^T 2H and the column sums of 2H
-    agg, x, enc, _ = _model(seed=2)
-    latent = encode(enc, agg, x)
-    h1 = np.maximum(np.hstack([x, ad.row_mean_neighbors(x, agg)]) @ enc.w1 + enc.b1, 0.0)
+    agg, x, params = _model(seed=2)
+    latent = encode(params, agg, x)
+    h1 = np.maximum(np.hstack([x, ad.row_mean_neighbors(x, agg)]) @ params.w1 + params.b1, 0.0)
     z2 = np.hstack([h1, ad.row_mean_neighbors(h1, agg)])
-    _, _, g_w2, g_b2, _, _ = ad.grad(enc, latent, 2.0 * latent.h, np.zeros((agg.n, 1)))
-    assert np.allclose(g_w2, z2.T @ (2.0 * (z2 @ enc.w2 + enc.b2)), atol=1e-12)
+    _, _, g_w2, g_b2, _, _ = ad.grad(params, latent, 2.0 * latent.h, np.zeros((agg.n, 1)))
+    assert np.allclose(g_w2, z2.T @ (2.0 * (z2 @ params.w2 + params.b2)), atol=1e-12)
     assert np.allclose(g_b2, 2.0 * latent.h.sum(axis=0), atol=1e-12)
 
 
 def test_shape_errors():
-    agg, x, enc, _ = _model()
+    agg, x, params = _model()
     with pytest.raises(ShapeError):
         ad.row_mean_neighbors(np.ones((agg.n + 1, 2)), agg)
     with pytest.raises(ShapeError):
-        encode(enc, agg, x[:, :2])
+        encode(params, agg, x[:, :2])
 
 
 def test_grad_is_fresh_between_losses():
     # the backward keeps no state: a second call on the same forward cache
     # depends on its own upstream gradients only, and shares no array with
     # the first
-    agg, x, enc, _ = _model(seed=3)
-    latent = encode(enc, agg, x)
+    agg, x, params = _model(seed=3)
+    latent = encode(params, agg, x)
     rng = np.random.default_rng(3)
     g_h, g_logit = rng.standard_normal(latent.h.shape), rng.standard_normal((agg.n, 1))
-    first = ad.grad(enc, latent, g_h, g_logit)
+    first = ad.grad(params, latent, g_h, g_logit)
     kept = [g.copy() for g in first]
-    other = ad.grad(enc, latent, 3.0 * g_h, np.zeros_like(g_logit))
+    other = ad.grad(params, latent, 3.0 * g_h, np.zeros_like(g_logit))
     assert not np.any(other[5])
-    again = ad.grad(enc, latent, g_h, g_logit)
+    again = ad.grad(params, latent, g_h, g_logit)
     for a, b, c in zip(first, kept, again):
         assert np.array_equal(a, b) and np.array_equal(a, c)
     assert not any(np.shares_memory(a, b) for a in first for b in other)
@@ -83,20 +83,20 @@ def test_grad_is_fresh_between_losses():
 def test_broadcast_add_gradient():
     # each bias is broadcast over the nodes, so its gradient is the column
     # sum of its layer's output gradient
-    agg, x, enc, _ = _model(seed=4)
+    agg, x, params = _model(seed=4)
     rng = np.random.default_rng(4)
     g_h, g_logit = rng.standard_normal((agg.n, 4)), rng.standard_normal((agg.n, 1))
-    latent = encode(enc, agg, x)
-    _, _, _, g_b2, _, g_b = ad.grad(enc, latent, g_h, g_logit)
+    latent = encode(params, agg, x)
+    _, _, _, g_b2, _, g_b = ad.grad(params, latent, g_h, g_logit)
     assert np.array_equal(g_b2, g_h.sum(axis=0))
     assert np.array_equal(g_b, g_logit.sum(axis=0))
 
     def loss_fn():
-        lat = encode(enc, agg, x)
+        lat = encode(params, agg, x)
         value = (g_h * lat.h).sum()
-        return value, ad.grad(enc, lat, g_h, np.zeros((agg.n, 1)))[:4], lat
+        return value, ad.grad(params, lat, g_h, np.zeros((agg.n, 1)))[:4], lat
 
-    assert grad_check(loss_fn, enc.arrays(), eps=1e-5) < 1e-8
+    assert grad_check(loss_fn, params.arrays()[:4], eps=1e-5) < 1e-8
 
 
 def test_gather_scatter_gradient():
@@ -232,32 +232,32 @@ def _relu_on_kink():
     features make layer one's pre-activation the bias b1 = (0, 1, -1)."""
     g = Graph.from_edges(2, [(0, 1)])
     agg = ad.NeighborAggregator(g)
-    enc, _ = init_params(1, 3, 1, seed=0)
-    enc.b1[...] = [0.0, 1.0, -1.0]
-    enc.w2[...] = 1.0
+    params = init_params(1, 3, 1, seed=0)
+    params.b1[...] = [0.0, 1.0, -1.0]
+    params.w2[...] = 1.0
     x = np.zeros((2, 1))
 
     def loss_fn():
-        latent = encode(enc, agg, x)
-        grads = ad.grad(enc, latent, np.ones_like(latent.h), np.zeros((2, 1)))
+        latent = encode(params, agg, x)
+        grads = ad.grad(params, latent, np.ones_like(latent.h), np.zeros((2, 1)))
         return latent.h.sum(), grads[:4], latent
 
-    return enc, loss_fn
+    return params, loss_fn
 
 
 def test_grad_check_skips_relu_kink():
     # b1[0] sits exactly on the kink; central differences there read half
     # the active slope against a subgradient of 0, so it must be skipped
-    enc, loss_fn = _relu_on_kink()
-    assert grad_check(loss_fn, enc.arrays(), eps=1e-5) < 1e-9
+    params, loss_fn = _relu_on_kink()
+    assert grad_check(loss_fn, params.arrays()[:4], eps=1e-5) < 1e-9
     # without the skip that coordinate would read 4 against 0, a relative
     # error of 1
     _, grads, _ = loss_fn()
-    enc.b1[0] = 1e-5
+    params.b1[0] = 1e-5
     plus = loss_fn()[0]
-    enc.b1[0] = -1e-5
+    params.b1[0] = -1e-5
     minus = loss_fn()[0]
-    enc.b1[0] = 0.0
+    params.b1[0] = 0.0
     assert grads[1][0] == 0.0 and (plus - minus) / 2e-5 == pytest.approx(4.0)
 
 
@@ -301,16 +301,16 @@ def test_grad_check_eps_validation():
 
 
 def test_determinism_bit_identical():
-    agg, x, enc, pred = _model(seed=8)
+    agg, x, params = _model(seed=8)
     rng = np.random.default_rng(8)
     y, mask = rng.integers(0, 2, agg.n), np.ones(agg.n, bool)
 
     def run():
-        latent = encode(enc, agg, x)
-        probs = ad.logistic(latent.c @ pred.w + pred.b)
+        latent = encode(params, agg, x)
+        probs = ad.logistic(latent.c @ params.w + params.b)
         parts = losses.LossParts(pred=losses.pred_loss(probs, y, mask))
-        value, g_h, g_logit = losses.total_loss(parts, losses.LossWeights(), pred.w)
-        return value, ad.grad(enc, latent, g_h, g_logit)
+        value, g_h, g_logit = losses.total_loss(parts, losses.LossWeights(), params.w)
+        return value, ad.grad(params, latent, g_h, g_logit)
 
     l1, g1 = run()
     l2, g2 = run()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fairgraph.verify
-from fairgraph.cli import build_parser, main
+from fairgraph.cli import _build_config, build_parser, main
 from fairgraph.data import SynthConfig, load_dataset, resolve_dataset, synth_generate, \
     write_dataset
 from fairgraph.errors import ConfigError, InfeasibleError
@@ -184,6 +184,35 @@ def test_verify_ok_and_report_fields(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ratios, signs, kind", [
+    ((2.0, -1.0), (1, -1), "non-iii-improvement"),
+    ((-1.0, 2.0), (-1, 1), "iii-not-improving")])
+def test_verify_reports_an_edge_type_that_moves_the_ratios_wrongly(ratios, signs, kind,
+                                                                   monkeypatch, capsys):
+    """The sign suite's last two checks: only a Type III deletion may raise
+    hr_c while lowering hr_s, and every Type III deletion must. Within that
+    suite every single-edge deletion is made to leave the ratios at `ratios`
+    (outside [0, 1], so each shift has the sign in `signs`), and the sign
+    table predicts `signs`, so the first edge of the wrong type is the
+    counterexample. The other suites run unchanged."""
+    real_sign_suite = fairgraph.verify.sign_suite
+
+    def shifted_sign_suite(**kwargs):
+        monkeypatch.setattr("fairgraph.verify.homophily_ratios",
+                            lambda graph, labels: ratios)
+        monkeypatch.setattr("fairgraph.verify.single_edge_effect",
+                            lambda census, t: signs)
+        return real_sign_suite(**kwargs)
+
+    monkeypatch.setattr("fairgraph.verify.sign_suite", shifted_sign_suite)
+    assert main(["verify", "--graphs", "40", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "signs     FAIL" in captured.out
+    assert captured.out.count(" ok ") == 2  # identity and budget still pass
+    example = json.loads(captured.err.removeprefix("counterexample: "))
+    assert example["kind"] == kind
+
+
 def test_verify_fault_injection_exits_1(monkeypatch, capsys):
     def leave_one_type_iii_edge(graph, labels):
         edited, report = fair_edge_remove(graph, labels)
@@ -292,15 +321,19 @@ def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode, by_flag", [
+    *(pytest.param(mode, False, id=mode) for mode in MODES),
+    pytest.param("CAF", True, id="CAF-flag")])
 def test_edit_from_the_pretrain_report_is_trains_edit(toy_dir, tmp_path, monkeypatch,
-                                                       mode, capsys):
+                                                       mode, by_flag, capsys):
     """`pretrain` then `edit --report` is phase 1 of `train` for the same
     config and seed: the same labelling and mode, so the same edit, which
-    the pre-training report records too."""
+    the pre-training report records too. The mode comes from the config
+    file, or from the --mode flag both commands take."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T_train": 1, "mode": mode}))
-    common = ["--dataset", toy_dir, "--config", str(cfg), "--seed", "0"]
+    cfg.write_text(json.dumps({"T_train": 1} if by_flag else {"T_train": 1, "mode": mode}))
+    common = ["--dataset", toy_dir, "--config", str(cfg), "--seed", "0",
+              *(["--mode", mode] if by_flag else [])]
     assert main(["pretrain", *common, "--out", str(tmp_path / "pre")]) == 0
     assert main(["train", *common, "--out", str(tmp_path / "run")]) == 0
     trained = json.loads((tmp_path / "run" / "run_seed0_split0.json").read_text())["edit"]
@@ -320,6 +353,18 @@ def test_edit_from_the_pretrain_report_is_trains_edit(toy_dir, tmp_path, monkeyp
     # the pseudo-labels are not the ground truth, so the truth's edit differs
     assert trained["census_before"] != edge_census(graph, table.labels).to_dict()
     capsys.readouterr()
+
+
+def test_every_training_command_reads_the_same_config_flags(tmp_path):
+    """`pretrain`, `train` and `grid` take --config, --mode, --seed and --lr
+    alike, so a flag-only `train` has a `pretrain` and a `grid` twin."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_pre": 3}))
+    flags = ["--dataset", "d", "--out", "o", "--config", str(cfg), "--mode", "CAF",
+             "--seed", "5", "--lr", "0.05"]
+    want = TrainConfig(T_pre=3, mode="CAF", seeds=(5,), lr=0.05)
+    for command in ("pretrain", "train", "grid"):
+        assert _build_config(build_parser().parse_args([command, *flags])) == want
 
 
 @pytest.mark.parametrize("command", ["analyze", "edit"])
@@ -353,6 +398,28 @@ def test_bad_pretrain_report_is_config_error(toy_dir, tmp_path, command, fault, 
         return
     assert code == 2
     _one_error_line(capsys, str(report))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("synth, cfg, phrase", [
+    (["--n", "12", "--hr-c", "0.5", "--hr-s", "0.5", "--mean-degree", "6", "--seed", "1"],
+     {}, "draws one non-adjacent node pair per edge"),
+    (["--n", "40", "--seed", "2"], {"splits": [0.02, 0.49, 0.49]},
+     ">= 2 participating nodes"),
+], ids=["more-edges-than-non-adjacent-pairs", "one-training-node"])
+def test_a_loss_that_cannot_be_formed_exits_1(tmp_path, synth, cfg, phrase, capsys):
+    """The structure loss draws one non-adjacent pair per edge, and the
+    supervised contrast needs two training nodes: a dataset or split that
+    cannot supply them fails the run with one error line saying so, and no
+    --out directory."""
+    data, cfg_path, out = tmp_path / "data", tmp_path / "cfg.json", tmp_path / "run"
+    assert main(["synth", "--out", str(data), *synth]) == 0
+    cfg_path.write_text(json.dumps({"T_pre": 1, "T_train": 1, **cfg}))
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(data), "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and phrase in err, err
     assert not out.exists()
 
 
@@ -445,9 +512,8 @@ def _checkpoint_and_report(toy_dir, tmp_path):
     """An untrained checkpoint for the toy dataset and a minimal run report
     whose splits and one removed edge fit it."""
     graph, table = load_dataset(resolve_dataset(toy_dir))
-    enc, pred = init_params(table.features.shape[1], 16, 16, seed=0)
     ckpt = tmp_path / "model.ckpt.json"
-    save_checkpoint(ckpt, enc, pred)
+    save_checkpoint(ckpt, init_params(table.features.shape[1], 16, 16, seed=0))
     report = {"splits": {"train": [0, 1], "val": [2, 3], "test": [4, 5]},
               "edit": {"removed_edges": [graph.edge_array[0].tolist()]},
               "test": {}, "seed": 0, "split_id": 0}

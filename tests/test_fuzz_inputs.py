@@ -42,8 +42,8 @@ def inputs(tmp_path_factory):
     dataset = root / "toy"
     assert main(["synth", "--out", str(dataset), "--n", "60", "--seed", "4"]) == 0
     graph, table = load_dataset(resolve_dataset(str(dataset)))
-    enc, pred = init_params(table.features.shape[1], 8, 4, seed=0)
-    save_checkpoint(root / "model.ckpt.json", enc, pred)
+    save_checkpoint(root / "model.ckpt.json",
+                    init_params(table.features.shape[1], 8, 4, seed=0))
     (root / "report.json").write_text(json.dumps(
         {"splits": {"train": [0, 1], "val": [2, 3], "test": [4, 5]},
          "edit": {"removed_edges": [graph.edge_array[0].tolist()]},

@@ -924,20 +924,20 @@ def loss_builders(seed):
     while len(set(y.tolist())) < 2 or len(set(s.tolist())) < 2:
         y = rng.integers(0, 2, n)
         s = rng.integers(0, 2, n)
-    enc, pred = init_params(d, hidden=6, d_c=4, seed=seed)
+    params = init_params(d, hidden=6, d_c=4, seed=seed)
     agg = NeighborAggregator(g)
     mask = np.ones(n, bool)
     w = LossWeights(alpha=0.7, beta=0.9, gamma=0.5, omega=0.4, eta=0.2,
                     k=2, k_prime=2, kappa=1.0)
-    cf = select_counterfactuals(encode(enc, agg, x).h, y, s, w.k)
+    cf = select_counterfactuals(encode(params, agg, x).h, y, s, w.k)
     neg = sample_negative_edges(g, g.m, seed=seed + 1)
 
     def build(which):
         """(value, parameter gradients, latent state, probabilities) of one
         term, or of the composite for "total", computed as the pipeline
         computes them; a single auxiliary term has encoder gradients only."""
-        latent = encode(enc, agg, x)
-        probs = predict(pred, latent.c)
+        latent = encode(params, agg, x)
+        probs = predict(params, latent.c)
         if which in ("pred", "total"):
             parts = LossParts(pred=pred_loss(probs, y, mask))
             if which == "total":
@@ -945,8 +945,8 @@ def loss_builders(seed):
                 parts.suf = suf_loss(latent.h, g.edges, neg)
                 parts.sc = sc_loss(latent.c, y, mask, w.kappa)
                 parts.env = env_loss(latent.e, s, w.k_prime)
-            value, g_h, g_logit = total_loss(parts, w, pred.w)
-            return value, ad.grad(enc, latent, g_h, g_logit), latent, probs
+            value, g_h, g_logit = total_loss(parts, w, params.w)
+            return value, ad.grad(params, latent, g_h, g_logit), latent, probs
         zeros = np.zeros_like(latent.c)
         if which == "inv":
             value, g_c, g_e = inv_loss(latent.c, latent.e, cf, w.gamma)
@@ -959,9 +959,9 @@ def loss_builders(seed):
         else:
             value, g_e = env_loss(latent.e, s, w.k_prime)
             g_h = np.hstack([zeros, g_e])
-        return value, ad.grad(enc, latent, g_h, np.zeros((n, 1)))[:4], latent
+        return value, ad.grad(params, latent, g_h, np.zeros((n, 1)))[:4], latent
 
-    return enc, pred, build
+    return params, build
 
 
 def test_grad_check_skips_abs_cos_kink():
@@ -997,9 +997,7 @@ def test_grad_check_skips_suf_clamp_crossing():
 @pytest.mark.parametrize("which", ["pred", "inv", "suf", "sc", "env", "total"])
 def test_every_loss_passes_grad_check(which):
     for seed in range(5):
-        enc, pred, build = loss_builders(seed)
-        params = enc.arrays()
-        if which in ("pred", "total"):
-            params = params + pred.arrays()
-        err = grad_check(lambda: build(which), params, eps=1e-5, seed=seed)
+        params, build = loss_builders(seed)
+        arrays = params.arrays() if which in ("pred", "total") else params.arrays()[:4]
+        err = grad_check(lambda: build(which), arrays, eps=1e-5, seed=seed)
         assert err < 1e-4, f"{which} seed {seed}: {err}"

@@ -505,10 +505,10 @@ def test_phase_one_result_is_not_changed_by_training():
     g, table = toy_dataset(n=120, seed=16)
     cfg = quick_config(T_pre=10, T_train=5)
     start = phase_one(g, table, cfg, 0)
-    before = [p.copy() for p in start.pre.encoder.arrays() + start.pre.predictor.arrays()]
+    before = [p.copy() for p in start.pre.params.arrays()]
     first = pipeline.train_full(start, table.features, table.labels, cfg, 0)
-    after = start.pre.encoder.arrays() + start.pre.predictor.arrays()
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, start.pre.params.arrays(), strict=True))
     second = pipeline.train_full(start, table.features, table.labels, cfg, 0)
     assert first.to_dict() == second.to_dict()
     assert first.to_dict() == run_single(g, table, cfg, 0).to_dict()
