@@ -27,6 +27,7 @@ from .data import (
     resolve_dataset,
     synth_generate,
     write_dataset,
+    write_edges,
 )
 from .errors import ConfigError, DatasetError, FairGraphError
 from .graph import edge_census, homophily_ratios
@@ -136,21 +137,12 @@ def _stored_run(path, graph, n, fields=("splits",)):
         raise ConfigError(f"stored report's removed edges do not fit the dataset: {exc}") from exc
 
 
-def _phase1_labels(args, table):
-    """(labelling, report): ground truth, complete, and no report; or with
-    --report the pre-training report and its pseudo_labels (one 0 or 1 per
-    node) with the dataset's sensitive attribute."""
-    if not args.report:
-        if (table.labels.class_label < 0).any():
-            raise ConfigError("without --report every node must carry a class label")
-        return table.labels, None
-    stored = read_json(args.report, "report")
-    pseudo = stored.get("pseudo_labels") if isinstance(stored, dict) else None
-    if not (isinstance(pseudo, list) and len(pseudo) == table.n
-            and all(type(v) is int and v in (0, 1) for v in pseudo)):
-        raise ConfigError(f"report {args.report} holds no pseudo_labels list of "
-                          f"{table.n} values 0 or 1")
-    return replace(table.labels, class_label=pseudo), stored
+def _truth_labels(table):
+    """The dataset's ground truth, which `analyze` and `edit` label by; a
+    node without a class label is a ConfigError."""
+    if (table.labels.class_label < 0).any():
+        raise ConfigError("every node must carry a class label")
+    return table.labels
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +152,9 @@ def cmd_analyze(args):
     if args.json:
         _check_out_file(args.json)
     graph, table = _load_dataset_arg(args.dataset)
-    census = edge_census(graph, _phase1_labels(args, table)[0])
+    census = edge_census(graph, _truth_labels(table))
     hr_c, hr_s = census.hr_c, census.hr_s
-    payload = {"dataset": args.dataset,
-               "labels_source": "pseudo" if args.report else "truth",
-               "n": graph.n, "census": census.to_dict(),
+    payload = {"dataset": args.dataset, "n": graph.n, "census": census.to_dict(),
                "hr_c": hr_c, "hr_s": hr_s}
     print(f"nodes {graph.n}  edges {census.m}")
     print(f"hr_c {hr_c:.4f}  hr_s {hr_s:.4f}")
@@ -178,19 +168,10 @@ def cmd_analyze(args):
 def cmd_edit(args):
     _check_out_dir(args.out)
     graph, table = _load_dataset_arg(args.dataset)
-    labels, stored = _phase1_labels(args, table)
-    # the pre-training run's mode; without a report, edit as HSCCAF does
-    mode = stored.get("mode") if stored else "HSCCAF"
-    if mode not in MODES:
-        raise ConfigError(f"report {args.report}: mode must be one of "
-                          f"{list(MODES)}, got {mode!r}")
-    edited, report = run_phase1(graph, labels, mode)
+    edited, report = run_phase1(graph, _truth_labels(table), "HSCCAF")
     make_dir(args.out)
-    with atomic_open(os.path.join(args.out, "edited_edges.txt")) as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in edited.edge_array.tolist())
+    write_edges(os.path.join(args.out, "edited_edges.txt"), edited)
     _write_json(os.path.join(args.out, "edit_report.json"), report.to_dict())
-    if report.skipped:
-        print(f"mode {mode} does not edit; the edges are unchanged")
     print(f"removed {len(report.removed_edges)} Type III edges "
           f"({report.census_before.m} -> {report.census_after.m})")
     print(f"hr_c {report.hr_c_before:.4f} -> {report.hr_c_after:.4f}")
@@ -216,6 +197,7 @@ def cmd_pretrain(args):
                  "pseudo_labels": result.pseudo_labels.tolist(),
                  "splits": start.splits.to_dict(),
                  "edit": start.edit_report.to_dict()})
+    write_edges(os.path.join(args.out, "edited_edges.txt"), start.graph)
     print(f"pre-trained {len(result.losses)} epochs, final loss "
           f"{result.losses[-1]:.4f}; checkpoint at {ckpt}")
     return 0
@@ -377,13 +359,11 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="edge census and homophily ratios")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--report", help="pretrain_report.json to take pseudo_labels from")
     p.add_argument("--json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("edit", help="remove Type III edges and report shifts")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--report", help="pretrain_report.json to take pseudo_labels from")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_edit)
 

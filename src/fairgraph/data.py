@@ -397,6 +397,13 @@ def atomic_open(path):
             os.remove(tmp)
 
 
+def write_edges(path, graph: Graph):
+    """Write the graph's edges as `u v` lines in `edge_array` order, the
+    edges.txt format load_edge_list reads; the file is replaced atomically."""
+    with atomic_open(path) as fh:
+        fh.writelines(f"{u} {v}\n" for u, v in graph.edge_array.tolist())
+
+
 def write_dataset(dirpath, graph: Graph, table: NodeTable):
     """Write the three-file dataset layout and return its directory, which
     load_dataset reads back. Each file is replaced atomically."""
@@ -409,8 +416,7 @@ def write_dataset(dirpath, graph: Graph, table: NodeTable):
             writer.writerow([repr(float(v)) for v in table.features[i]]
                             + ["" if label == UNKNOWN else int(label),
                                int(table.labels.sensitive[i])])
-    with atomic_open(os.path.join(dirpath, "edges.txt")) as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in graph.edge_array.tolist())
+    write_edges(os.path.join(dirpath, "edges.txt"), graph)
     with atomic_open(os.path.join(dirpath, "meta.json")) as fh:
         json.dump({"label_col": "label", "sensitive_col": "sensitive",
                    "positive_value": 1, "sensitive_positive_value": 1,

@@ -28,6 +28,7 @@ from . import __version__
 from .autodiff import NeighborAggregator
 from .data import NodeTable
 from .errors import (
+    CapacityError,
     ConfigError,
     DegenerateEditError,
     DivergenceError,
@@ -362,9 +363,16 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
     seen = labels.training_view(splits.train)
 
     pos_edges = graph.edge_array
-    neg_edges = sample_negative_edges(graph, graph.m,
-                                      derive_seed(seed, "negative-edges")) \
-        if use_suf else ()
+    neg_edges = ()
+    if use_suf:
+        try:
+            neg_edges = sample_negative_edges(graph, graph.m,
+                                              derive_seed(seed, "negative-edges"))
+        except CapacityError as exc:
+            raise CapacityError(
+                f"{exc}; both counts are of the graph after the phase-1 edit, which "
+                f"kept {graph.m} of the dataset's {start.edit_report.census_before.m} edges"
+            ) from exc
 
     cf = None
 

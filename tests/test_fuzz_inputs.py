@@ -1,5 +1,5 @@
 """Bounded fuzz of the input files: whatever bytes a dataset file, a config,
-a grid, a stored run report, a checkpoint or a pre-training report holds,
+a grid, a stored run report or a checkpoint holds,
 `fairgraph` ends with exit 0, 1 or 2, and a failure is one `error:` line on
 stderr, never a traceback, with no output left behind."""
 
@@ -20,7 +20,7 @@ from fairgraph.model import init_params, save_checkpoint
 
 SMALL = {"T_pre": 1, "T_train": 1}
 DATASET_FILES = ("meta.json", "features.csv", "edges.txt")
-TARGETS = DATASET_FILES + ("config", "grid", "report", "checkpoint", "pretrain-report")
+TARGETS = DATASET_FILES + ("config", "grid", "report", "checkpoint")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -35,9 +35,8 @@ contents = st.one_of(
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A toy dataset, a short config, a one-cell grid, an untrained
-    checkpoint with a run report that fit the dataset, and a pre-training
-    report of the dataset."""
+    """A toy dataset, a short config, a one-cell grid, and an untrained
+    checkpoint with a run report that fit the dataset."""
     root = tmp_path_factory.mktemp("fuzz")
     dataset = root / "toy"
     assert main(["synth", "--out", str(dataset), "--n", "60", "--seed", "4"]) == 0
@@ -50,8 +49,6 @@ def inputs(tmp_path_factory):
          "test": {}, "seed": 0, "split_id": 0}))
     (root / "config.json").write_text(json.dumps(SMALL))
     (root / "grid.json").write_text(json.dumps({"alpha": [0.5]}))
-    assert main(["pretrain", "--dataset", str(dataset), "--config",
-                 str(root / "config.json"), "--out", str(root / "pre")]) == 0
     return root
 
 
@@ -72,8 +69,7 @@ def _command(target, root, work):
     goes to; every other input is read from `root` as it is."""
     dataset = root / "toy"
     files = {"config": root / "config.json", "grid": root / "grid.json",
-             "report": root / "report.json", "checkpoint": root / "model.ckpt.json",
-             "pretrain-report": root / "pre" / "pretrain_report.json"}
+             "report": root / "report.json", "checkpoint": root / "model.ckpt.json"}
     if target in DATASET_FILES:
         dataset = work / "toy"
         shutil.copytree(root / "toy", dataset)
@@ -84,9 +80,6 @@ def _command(target, root, work):
     if target in ("report", "checkpoint"):
         command = ["evaluate", *common, "--checkpoint", str(files["checkpoint"]),
                    "--report", str(files["report"]), "--json", str(work / "out.json")]
-    elif target == "pretrain-report":
-        command = ["edit", *common, "--report", str(files["pretrain-report"]),
-                   "--out", str(work / "out")]
     elif target == "grid":
         command = ["grid", *common, "--config", str(files["config"]),
                    "--grid-json", str(files["grid"]), "--out", str(work / "out")]
