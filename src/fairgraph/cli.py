@@ -45,7 +45,7 @@ from .pipeline import (
     run_phase1,
 )
 from .seeding import derive_seed
-from .verify import run_suites
+from .verify import IDENTITY_TOL, run_suites
 
 WEIGHT_FLAGS = LossWeights().to_dict()  # flag -> default, whose type it takes
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -209,8 +209,8 @@ def cmd_train(args):
     cfg = _build_config(args)
     results, agg = run_experiment(graph, table, cfg)
     make_dir(args.out)
-    for res in results:
-        stem = os.path.join(args.out, f"run_seed{res.seed}_split{res.split_id}")
+    for i, res in enumerate(results):
+        stem = os.path.join(args.out, f"run_seed{res.seed}_split{i}")
         _write_json(stem + ".json", res.to_dict())
         save_checkpoint(stem + ".ckpt.json", res.params,
                         meta={"config_hash": cfg.config_hash(), "seed": res.seed,
@@ -234,9 +234,7 @@ def cmd_evaluate(args):
                                         fields=("splits", "test"))
     _, probs = _checkpoint_on(graph, table, args.checkpoint)
     report = evaluate_predictions(probs, table.labels.class_label,
-                                  table.labels.sensitive, mask=splits.test,
-                                  seed=stored.get("seed", 0),
-                                  split_id=stored.get("split_id", 0))
+                                  table.labels.sensitive, mask=splits.test)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))
     if args.json:
@@ -271,9 +269,9 @@ def cmd_grid(args):
 def cmd_verify(args):
     if args.json:
         _check_out_file(args.json)
-    passed, reports = run_suites(n_graphs=args.graphs, seed=args.seed, tol=args.tol)
+    passed, reports = run_suites(n_graphs=args.graphs, seed=args.seed)
     payload = {"passed": passed, "graphs": args.graphs, "seed": args.seed,
-               "tolerance": args.tol,
+               "tolerance": IDENTITY_TOL,
                "max_identity_residual": max(r.max_residual for r in reports),
                "suites": [r.to_dict() for r in reports]}
     if args.json:
@@ -401,7 +399,6 @@ def build_parser():
     p = sub.add_parser("verify", help="randomized edit-identity suites")
     p.add_argument("--graphs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
 

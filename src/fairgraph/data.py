@@ -16,10 +16,13 @@ value reads as 0.0; any other must be a finite number.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .errors import (
     MissingColumnError,
     NonBinarySensitiveError,
 )
-from .graph import UNKNOWN, Graph, NodeLabels, classify_edge, decode_pairs, load_edge_list
+from .graph import UNKNOWN, Graph, NodeLabels, classify_edge, decode_pairs
 from .losses import _whole_number
 
 BLOCK_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))  # (y, s) node layout
@@ -152,12 +155,15 @@ def load_dataset(path):
         if col not in header:
             raise MissingColumnError(f"column {col!r} not in {header}")
 
+    # a misspelt drop column would leave its column, the sensitive one
+    # perhaps, among the features
+    for key, kind in (("drop_cols", "drop"), ("feature_cols", "feature")):
+        missing = [c for c in meta.get(key, []) if c not in header]
+        if missing:
+            raise MissingColumnError(f"{kind} columns {missing} not in header")
     drop = set(meta.get("drop_cols", []))
     if "feature_cols" in meta:
         feature_cols = meta["feature_cols"]
-        missing = [c for c in feature_cols if c not in header]
-        if missing:
-            raise MissingColumnError(f"feature columns {missing} not in header")
     else:
         feature_cols = [c for c in header if c != meta["label_col"] and c not in drop]
     if not feature_cols:
@@ -395,6 +401,78 @@ def atomic_open(path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def load_edge_list(path):
+    """Parse an edge file: one edge per line, two ids separated by
+    whitespace or a comma. Blank lines and comment lines, whose first
+    non-blank character is '#', are skipped. An id is anything float()
+    reads as a whole number that fits in int64 ('3', '3.0', '1e0').
+
+    Returns the (u, v) pairs as a (k, 2) int64 array in file order;
+    deduplication happens in Graph.from_edges_dedup so the caller sees the
+    warning count. The whole file is parsed at once; a line that breaks the
+    rules is named, as path:lineno, by a second pass over the lines.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ids = _edge_ids(fh.read())
+    except UnicodeDecodeError:
+        ids = None
+    if ids is None or not (np.isfinite(ids) & (np.trunc(ids) == ids)).all():
+        _raise_first_bad_line(path)
+    if not ((ids >= -2.0 ** 63) & (ids < 2.0 ** 63)).all():
+        raise ValueError(f"{path}: node ids must fit in int64")
+    return ids.astype(np.int64)
+
+
+def _edge_ids(text):
+    """The ids on the non-comment lines of an edge file's text as a (k, 2)
+    float64 array, each the value float() reads; None if a line holds other
+    than two ids or an id float() rejects."""
+    if "#" in text:
+        text = re.sub(r"^[^\S\n]*#.*$", "", text, flags=re.MULTILINE)
+    text = text.replace(",", " ")
+    if not text or text.isspace():
+        return np.zeros((0, 2))
+    # np.loadtxt reads digits, signs, dots and exponents as float() does,
+    # and splits lines on spaces and tabs only; any other text takes the
+    # exact path below
+    if not text.encode().translate(None, b"0123456789+-.eE \t\n"):
+        try:
+            ids = np.loadtxt(io.StringIO(text), comments=None, ndmin=2)
+        except ValueError:
+            return None
+        return ids if ids.shape[1] == 2 else None
+    lines = list(map(str.split, text.split("\n")))
+    counts = np.fromiter(map(len, lines), np.intp, len(lines))
+    if np.count_nonzero((counts != 0) & (counts != 2)):
+        return None
+    try:
+        return np.fromiter(map(float, chain.from_iterable(lines)), np.float64).reshape(-1, 2)
+    except ValueError:
+        return None
+
+
+def _raise_first_bad_line(path):
+    """Raise the ValueError that names, as path:lineno, the first line of
+    `path` that is not blank, a comment or two whole-number ids. The file
+    is decoded line by line, so a bad line ahead of undecodable bytes is
+    the error, not the bytes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+            try:
+                whole = all(float(p).is_integer() for p in parts)
+            except ValueError:
+                whole = False
+            if not whole:
+                raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
 
 
 def write_edges(path, graph: Graph):

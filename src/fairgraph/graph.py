@@ -9,13 +9,10 @@ identities hold to machine precision.
 
 from __future__ import annotations
 
-import io
 import logging
-import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -153,78 +150,6 @@ class Graph:
         keep = np.ones(self.m, dtype=bool)
         keep[pos] = False
         return Graph(n=self.n, edge_array=self.edge_array[keep])
-
-
-def load_edge_list(path):
-    """Parse an edge file: one edge per line, two ids separated by
-    whitespace or a comma. Blank lines and comment lines, whose first
-    non-blank character is '#', are skipped. An id is anything float()
-    reads as a whole number that fits in int64 ('3', '3.0', '1e0').
-
-    Returns the (u, v) pairs as a (k, 2) int64 array in file order;
-    deduplication happens in Graph.from_edges_dedup so the caller sees the
-    warning count. The whole file is parsed at once; a line that breaks the
-    rules is named, as path:lineno, by a second pass over the lines.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            ids = _edge_ids(fh.read())
-    except UnicodeDecodeError:
-        ids = None
-    if ids is None or not (np.isfinite(ids) & (np.trunc(ids) == ids)).all():
-        _raise_first_bad_line(path)
-    if not ((ids >= -2.0 ** 63) & (ids < 2.0 ** 63)).all():
-        raise ValueError(f"{path}: node ids must fit in int64")
-    return ids.astype(np.int64)
-
-
-def _edge_ids(text):
-    """The ids on the non-comment lines of an edge file's text as a (k, 2)
-    float64 array, each the value float() reads; None if a line holds other
-    than two ids or an id float() rejects."""
-    if "#" in text:
-        text = re.sub(r"^[^\S\n]*#.*$", "", text, flags=re.MULTILINE)
-    text = text.replace(",", " ")
-    if not text or text.isspace():
-        return np.zeros((0, 2))
-    # np.loadtxt reads digits, signs, dots and exponents as float() does,
-    # and splits lines on spaces and tabs only; any other text takes the
-    # exact path below
-    if not text.encode().translate(None, b"0123456789+-.eE \t\n"):
-        try:
-            ids = np.loadtxt(io.StringIO(text), comments=None, ndmin=2)
-        except ValueError:
-            return None
-        return ids if ids.shape[1] == 2 else None
-    lines = list(map(str.split, text.split("\n")))
-    counts = np.fromiter(map(len, lines), np.intp, len(lines))
-    if np.count_nonzero((counts != 0) & (counts != 2)):
-        return None
-    try:
-        return np.fromiter(map(float, chain.from_iterable(lines)), np.float64).reshape(-1, 2)
-    except ValueError:
-        return None
-
-
-def _raise_first_bad_line(path):
-    """Raise the ValueError that names, as path:lineno, the first line of
-    `path` that is not blank, a comment or two whole-number ids. The file
-    is decoded line by line, so a bad line ahead of undecodable bytes is
-    the error, not the bytes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                whole = all(float(p).is_integer() for p in parts)
-            except ValueError:
-                whole = False
-            if not whole:
-                raise ValueError(f"{path}:{lineno}: node ids must be whole numbers: {line!r}")
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,6 @@ class MetricsReport:
     delta_sp: float
     delta_eo: float
     score: float
-    seed: int
-    split_id: int
     cells: dict
 
     def to_dict(self):
@@ -134,8 +132,7 @@ def _confusion_cells(pred, y, s):
     return cells
 
 
-def evaluate_predictions(probs, labels, sensitive, mask=None, seed=0,
-                         split_id=0) -> MetricsReport:
+def evaluate_predictions(probs, labels, sensitive, mask=None) -> MetricsReport:
     """Full report over the masked nodes (all nodes when mask is None),
     every one of which must carry a class label (not -1)."""
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
@@ -160,7 +157,5 @@ def evaluate_predictions(probs, labels, sensitive, mask=None, seed=0,
         delta_sp=d_sp,
         delta_eo=d_eo,
         score=selection_score(bacc, d_sp, d_eo),
-        seed=seed,
-        split_id=split_id,
         cells=_confusion_cells(pred, y, s),
     )

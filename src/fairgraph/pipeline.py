@@ -307,7 +307,6 @@ class EpochRecord:
 class RunResult:
     cfg: TrainConfig
     seed: int
-    split_id: int
     epochs: list
     best_epoch: int
     val_report: MetricsReport
@@ -321,7 +320,6 @@ class RunResult:
             "library_version": __version__,
             "mode": self.cfg.mode,
             "seed": self.seed,
-            "split_id": self.split_id,
             "config_hash": self.cfg.config_hash(),
             "optimizer": self.cfg.optimizer,
             "best_epoch": self.best_epoch,
@@ -333,8 +331,8 @@ class RunResult:
         }
 
 
-def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
-               split_id=0) -> RunResult:
+def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
+               seed) -> RunResult:
     """Phase 2: full objective on phase 1's graph, from the raw features x,
     starting from a copy of the pre-trained parameters, so one `start`
     feeds any number of runs.
@@ -399,9 +397,7 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
     for epoch, loss, parts, probs in _descend(graph, x, params, cfg, cfg.T_train,
                                               "train", objective):
         try:
-            val_report = evaluate_predictions(probs, y, sens,
-                                              mask=splits.val, seed=seed,
-                                              split_id=split_id)
+            val_report = evaluate_predictions(probs, y, sens, mask=splits.val)
             val_score = val_report.score
         except UndefinedMetricError as exc:
             val_report, val_score, undefined = None, None, exc
@@ -416,19 +412,17 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig, seed,
 
     for p, v in zip(arrays, best[2]):
         p[...] = v
-    test_report = evaluate_predictions(best[4], y, sens, mask=splits.test,
-                                       seed=seed, split_id=split_id)
-    return RunResult(cfg=cfg, seed=seed, split_id=split_id, epochs=records,
+    test_report = evaluate_predictions(best[4], y, sens, mask=splits.test)
+    return RunResult(cfg=cfg, seed=seed, epochs=records,
                      best_epoch=best[1], val_report=best[3],
                      test_report=test_report, edit_report=start.edit_report,
                      params=params, splits=splits)
 
 
-def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed,
-               split_id=0) -> RunResult:
+def run_single(graph: Graph, table: NodeTable, cfg: TrainConfig, seed) -> RunResult:
     """One complete run: phase 1, then phase 2 on its result."""
     return train_full(phase_one(graph, table, cfg, seed), table.features,
-                      table.labels, cfg, seed, split_id=split_id)
+                      table.labels, cfg, seed)
 
 
 def _thread_count():
@@ -453,10 +447,9 @@ def _pool_map(fn, jobs):
 
 
 def run_experiment(graph: Graph, table: NodeTable, cfg: TrainConfig):
-    """All (seed, split) runs of a config; returns (results, aggregate)."""
-    results = _pool_map(
-        lambda job: run_single(graph, table, cfg, job[1], split_id=job[0]),
-        list(enumerate(cfg.seeds)))
+    """One run per seed of the config, in the config's order; returns
+    (results, aggregate)."""
+    results = _pool_map(lambda seed: run_single(graph, table, cfg, seed), cfg.seeds)
     return results, aggregate_results(results)
 
 
@@ -512,14 +505,13 @@ def grid_search(graph: Graph, table: NodeTable, base_cfg: TrainConfig, grid):
 
     cfgs = [replace(base_cfg, weights=LossWeights.from_dict({**base, **cell}))
             for cell in cells]
-    # no cell changes phase 1: one pool runs it per (split, seed), a second
-    # every (cell, split, seed) phase 2
+    # no cell changes phase 1: one pool runs it per seed, a second every
+    # (cell, seed) phase 2
     seeds = base_cfg.seeds
     starts = _pool_map(lambda seed: phase_one(graph, table, base_cfg, seed), seeds)
     results = _pool_map(
-        lambda job: train_full(starts[job[1]], table.features, table.labels,
-                               cfgs[job[0]], seeds[job[1]], split_id=job[1]),
-        [(c, split_id) for c in range(len(cells)) for split_id in range(len(seeds))])
+        lambda job: train_full(job[1], table.features, table.labels, job[0], job[2]),
+        [(cfg, start, seed) for cfg in cfgs for start, seed in zip(starts, seeds)])
     out = []
     for c, cell in enumerate(cells):
         cell_results = results[c * len(seeds):(c + 1) * len(seeds)]

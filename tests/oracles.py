@@ -325,7 +325,7 @@ def env_loss_tape(e, sensitive, k_prime):
 
 
 def edge_list_by_line(path):
-    """Reference for `graph.load_edge_list`: the file read and checked one
+    """Reference for `data.load_edge_list`: the file read and checked one
     line at a time, every error raised at the first line that has one."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -63,7 +63,7 @@ def load_benchmark(name):
 def test_criterion_1_identity_suite():
     with criterion(1, "ratio-shift identities exact to 1e-12 on 500 graphs"):
         start = time.monotonic()
-        report = identity_suite(n_graphs=500, seed=0, tol=1e-12, max_n=30)
+        report = identity_suite(n_graphs=500, seed=0)
         elapsed = time.monotonic() - start
         assert report.passed, report.counterexample
         assert report.max_residual <= 1e-12
@@ -74,7 +74,7 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_single_edge_signs():
     with criterion(2, "single-edge sign table exhaustive on 200 graphs"):
         start = time.monotonic()
-        report = sign_suite(n_graphs=200, seed=0, max_m=16)
+        report = sign_suite(n_graphs=200, seed=0)
         elapsed = time.monotonic() - start
         assert report.passed, report.counterexample
         assert report.graphs_checked == 200

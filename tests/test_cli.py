@@ -21,7 +21,8 @@ from fairgraph.model import init_params, save_checkpoint
 from fairgraph.pipeline import MODE_FLAGS, MODES, TrainConfig, grid_search, \
     run_experiment, split_dataset
 from fairgraph.seeding import derive_seed
-from fairgraph.verify import budget_suite, identity_suite, run_suites, sign_suite
+from fairgraph.verify import IDENTITY_TOL, budget_suite, identity_suite, run_suites, \
+    sign_suite
 
 
 @pytest.fixture()
@@ -276,18 +277,27 @@ def test_verify_suite_reports_a_rebuildable_counterexample(suite, target, fault,
                                  example["tau_s"]) == example["expected"]
 
 
-@pytest.mark.parametrize("flag,value", [("graphs", "0"), ("graphs", "-3"), ("tol", "nan"),
-                                        ("tol", "inf"), ("tol", "-1e-12")])
+@pytest.mark.parametrize("flag,value", [("graphs", "0"), ("graphs", "-3")])
 def test_verify_that_checks_nothing_exit_2(tmp_path, flag, value, capsys):
     out_json = tmp_path / "verify.json"
     assert main(["verify", f"--{flag}={value}", "--json", str(out_json)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and " ok " not in captured.out
     assert not out_json.exists()
-    graphs, tol = (int(value), 1e-12) if flag == "graphs" else (3, float(value))
     with pytest.raises(ConfigError):
-        run_suites(n_graphs=graphs, tol=tol)
-    assert run_suites(n_graphs=1, tol=0.0)[1][0].graphs_checked == 1
+        run_suites(n_graphs=int(value))
+    assert run_suites(n_graphs=1)[1][0].graphs_checked == 1
+
+
+def test_verify_tolerance_is_fixed(tmp_path, capsys):
+    """The identities are checked to IDENTITY_TOL alone: there is no flag
+    that loosens it, and --json records it."""
+    out_json = tmp_path / "verify.json"
+    assert main(["verify", "--tol", "1e-6", "--json", str(out_json)]) == 2
+    assert "--tol" in capsys.readouterr().err and not out_json.exists()
+    assert main(["verify", "--graphs", "1", "--json", str(out_json)]) == 0
+    assert json.loads(out_json.read_text())["tolerance"] == IDENTITY_TOL == 1e-12
+    capsys.readouterr()
 
 
 def test_pretrain_edit_analyze_flow(toy_dir, tmp_path, capsys):
@@ -448,6 +458,25 @@ def test_evaluate_against_a_differing_report_exits_1(toy_dir, tmp_path, capsys):
     assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", ckpt,
                  "--report", str(report_path), "--json", str(out_json)]) == 1
     assert "stored report differs" in capsys.readouterr().err
+    assert json.loads(out_json.read_text()) == recomputed
+
+
+def test_evaluate_ignores_the_run_identity_in_a_stored_report(toy_dir, tmp_path, capsys):
+    """Reports once carried the seed and the split position in their val and
+    test blocks, and a top-level split_id; evaluate compares the summary
+    metrics alone, so such a report still matches."""
+    report_path, ckpt = _trained_run(toy_dir, tmp_path)
+    doc = json.loads(report_path.read_text())
+    recomputed = dict(doc["test"])
+    doc["split_id"] = 0
+    for block in ("val", "test"):
+        doc[block].update(seed=doc["seed"], split_id=0)
+    report_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out_json = tmp_path / "eval.json"
+    assert main(["evaluate", "--dataset", toy_dir, "--checkpoint", ckpt,
+                 "--report", str(report_path), "--json", str(out_json)]) == 0
+    assert "matches stored report" in capsys.readouterr().out
     assert json.loads(out_json.read_text()) == recomputed
 
 
@@ -996,13 +1025,18 @@ def test_evaluate_on_an_empty_test_split_exits_1(toy_dir, tmp_path, capsys):
 
 
 def test_feature_column_missing_from_the_header_exit_2(toy_dir, capsys):
+    """A drop column missing from the header exits 2 as well: a misspelt one
+    would otherwise leave the sensitive column among the features."""
     meta_path = os.path.join(toy_dir, "meta.json")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump({**meta, "feature_cols": ["feat_0", "feat_99"]}, fh)
-    assert main(["analyze", "--dataset", toy_dir]) == 2
-    _one_error_line(capsys, "feature columns ['feat_99'] not in header")
+    for key, names, message in (
+            ("feature_cols", ["feat_0", "feat_99"], "feature columns ['feat_99']"),
+            ("drop_cols", ["sensitve"], "drop columns ['sensitve']")):
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump({**meta, key: names}, fh)
+        assert main(["analyze", "--dataset", toy_dir]) == 2
+        _one_error_line(capsys, f"{message} not in header")
 
 
 def test_synth_below_eight_nodes_exit_1(tmp_path, capsys):

@@ -91,6 +91,13 @@ def test_loader_typed_errors(tmp_path):
             tmp_path, rows="age,approved,group\n30,1,0\nforty,0,1\n50,0,1\n"))
     with pytest.raises(DatasetParseError):
         load_dataset(write_toy_dataset(tmp_path, edges="0 1 7\n"))
+    # a misspelt drop column is an error, not a no-op that leaves its column, the
+    # sensitive one here, among the features
+    with pytest.raises(MissingColumnError,
+                       match=re.escape("drop columns ['gruop', 'x'] not in header")):
+        load_dataset(write_toy_dataset(tmp_path, meta={
+            "label_col": "approved", "sensitive_col": "group", "positive_value": 1,
+            "sensitive_positive_value": 1, "drop_cols": ["age", "gruop", "x"]}))
     with pytest.raises(DatasetParseError, match=re.escape("column names ['age'] repeat")):
         load_dataset(write_toy_dataset(
             tmp_path, rows="age,age,approved,group\n30,1,1,0\n40,2,0,1\n50,3,1,1\n"))

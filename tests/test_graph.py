@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fairgraph.autodiff import NeighborAggregator
+from fairgraph.data import load_edge_list
 from fairgraph.errors import (
     DegenerateEditError,
     InfeasibleError,
@@ -28,7 +29,6 @@ from fairgraph.graph import (
     edge_types,
     fair_edge_remove,
     homophily_ratios,
-    load_edge_list,
     minimal_deletions,
     predict_ratio_shift,
     single_edge_effect,

@@ -92,6 +92,77 @@ def test_every_top_level_name_is_used_by_the_package():
     assert not unused, f"defined in src/fairgraph but used only outside it: {unused}"
 
 
+# Function(parameter) -> the code outside src/fairgraph that passes it, for
+# a parameter with a default that no call in the package passes
+DEFAULT_ALLOWLIST = {
+    "main(argv)": "the `fairgraph` console script calls main() bare; tests pass argv",
+}
+
+
+def _functions(tree):
+    """(qualified name, the name calls reach it by, how many leading
+    parameters a call binds implicitly, node) for every function and method
+    under tree; a class's __init__ is reached by the class name."""
+    def walk(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+                bound = int(cls is not None and "staticmethod" not in decorators)
+                called_as = cls if cls and node.name == "__init__" else node.name
+                yield (f"{cls}.{node.name}" if cls else node.name), called_as, bound, node
+                yield from walk(node.body, None)
+    yield from walk(tree.body, None)
+
+
+def _defaulted(node, bound):
+    """(parameter, its positional index after the implicitly bound ones, or
+    None if it is keyword-only) for each parameter with a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            start=len(positional) - len(args.defaults)):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, index):
+    """Whether the call passes the parameter `name` at positional `index`;
+    a *args or **kwargs splat passes everything it could."""
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    """A default that no call overrides is a constant dressed as a knob:
+    every parameter with a default is passed by some call in src/fairgraph
+    (by keyword or by position), or its outside caller is on the allowlist.
+    Dataclass fields are not parameters here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                func = n.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(n)
+    idle = [f"{module}:{node.lineno} {qualified}({param})"
+            for module, tree in trees.items()
+            for qualified, called_as, bound, node in _functions(tree)
+            for param, index in _defaulted(node, bound)
+            if not any(_passes(call, param, index) for call in calls.get(called_as, ()))
+            and f"{qualified}({param})" not in DEFAULT_ALLOWLIST]
+    assert not idle, f"parameters whose default no package call overrides: {idle}"
+
+
 def test_every_error_class_is_raised_or_a_base_of_one_that_is():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))]

@@ -442,10 +442,9 @@ def test_run_experiment_aggregates_mean_std():
     baccs = [r.test_report.bacc for r in results]
     assert agg["bacc"]["mean"] == pytest.approx(float(np.mean(baccs)))
     assert agg["bacc"]["std"] == pytest.approx(float(np.std(baccs)))
-    assert [r.split_id for r in results] == [0, 1]
-    for r in results:
-        doc = r.to_dict()
-        assert doc["val"]["split_id"] == doc["test"]["split_id"] == r.split_id
+    # one run per seed, in the config's order; the seed is the run's identity
+    assert [r.seed for r in results] == [0, 1]
+    assert [r.to_dict()["seed"] for r in results] == [0, 1]
 
 
 def test_singleton_grid_equals_direct_run():

@@ -1,4 +1,4 @@
-"""The dataset readers on near-valid files: `graph.load_edge_list` and the
+"""The dataset readers on near-valid files: `data.load_edge_list` and the
 `features.csv` part of `data.load_dataset` parse whole files and whole
 columns at once, and must return what the line-by-line and cell-by-cell
 readers in `oracles.py` return, or raise the same error with the same
@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairgraph.data import load_dataset
-from fairgraph.graph import load_edge_list, sorted_unique
+from fairgraph.data import load_dataset, load_edge_list
+from fairgraph.graph import sorted_unique
 from oracles import edge_list_by_line, table_by_cell
 
 IDS = ["0", "1", "2", "17", "3.0", "1e2", "+4", "-1", "-0", "1_000", "٣",
