@@ -139,6 +139,9 @@ def load_dataset(path):
     if meta["label_col"] == meta["sensitive_col"]:
         raise DatasetParseError(f"meta label_col and sensitive_col both name "
                                 f"{meta['label_col']!r}")
+    both = sorted(set(meta.get("drop_cols", [])) & set(meta.get("feature_cols", [])))
+    if both:
+        raise DatasetParseError(f"meta drop_cols and feature_cols both name {both}")
 
     try:
         with open(features_path, "r", encoding="utf-8", newline="") as fh:

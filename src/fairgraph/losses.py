@@ -135,72 +135,111 @@ def _nearest(x, cells, k):
     id, and each hit's squared distance |x_row - x_id|^2. A row has fewer
     than k hits only when it has fewer candidates.
 
-    One block of a cell's anchors is screened against the cell's candidate
-    columns at a time. The anchor rows carry a trailing 1 and the
-    candidates are the columns [-2 x_j; sq_j], so one product gives d_ij =
-    sq_j - 2 x_i.x_j, which is |x_i - x_j|^2 - sq_i and orders a row as the
-    distance does. The cut is the k-th smallest of the minima of G =
-    min(max(_GROUPS, k), candidates) disjoint groups of columns (column g,
-    g + G, g + 2G, ...; the last candidates mod G are screened but join no
-    group), plus a rounding slack. Those minima are the values of G
-    distinct candidates, so at least k candidates lie at or below the cut.
-    The survivors of every block and cell, candidates at or below the cut,
-    are ranked once, after the last cell: by row, then by their squared
-    difference |x_i - x_j|^2, in which rows equal to each other tie
-    exactly, then by id.
+    A float32 screen picks survivors and float64 ranks them. The screen
+    reads a = 2^p x, p chosen so that x's largest entry scales into [1/2,
+    1): y = a and q = |a|^2 (summed in float64) rounded to float32, values
+    below float32's smallest normal set to 0. One block of a cell's anchors
+    is screened against the cell's candidate columns at a time: the anchor
+    rows [y_i; 1] against the columns [-2 y_j; q_j] (scaling by -2 is
+    exact) give, in one product, d_ij ~ |a_j|^2 - 2 a_i.a_j, which is
+    |a_i - a_j|^2 - |a_i|^2 and orders a row as the distance does. The cut
+    is the k-th smallest of the minima of G = min(max(_GROUPS, k),
+    candidates) disjoint groups of columns (column g, g + G, g + 2G, ...;
+    the last candidates mod G are screened but join no group), plus a
+    slack, rounded up to float32. Those minima are the values of G distinct
+    candidates, so at least k candidates lie at or below the cut. Each
+    survivor, a candidate at or below the cut, gets its float64 |x_i -
+    x_j|^2, e_ij, in which rows equal to each other tie exactly. A row's
+    survivors are contiguous and in id order (one block, read row-major),
+    so a stable sort of each row by e gives the (distance, id) order; rows
+    with as many survivors are sorted together, one argsort per distinct
+    count, so the loop runs at most sqrt(2 survivors) times.
 
-    The slack keeps every true top-k candidate. With u = eps / 2, D the
-    exact distance and e the ranked squared difference, to first order:
-    the (dim + 1)-term product is off by at most (dim + 1) u (sq_i + 2
-    sq_j), as 2 |x_i.x_j| <= sq_i + sq_j, and sq_j itself by dim u sq_j, so
-    |d - (D - sq_i)| <= (dim + 1) u sq_i + (3 dim + 2) u sq_j; and |e - D|
-    <= (dim + 2) u D <= 2 (dim + 2) u (sq_i + sq_j). The k candidates under
-    the cut bound the row's k-th smallest e by the cut plus sq_i plus both
-    errors, so a top-k candidate has d at most the cut plus both errors
-    twice: (3 dim + 5) eps sq_i + (5 dim + 6) eps sq_j, and rounding the
-    cut itself adds u (sq_i + 2 sq_j). For dim >= 1 all of it is below
-    6 (dim + 1) eps (sq_i + max sq_j); with no columns every value is an
-    exact 0. Memory is one (block, candidates) buffer per cell, allocated
-    once and reused by every block, the (block, G) minima, and the
-    survivors' rows and ids.
+    The slack keeps every top-k candidate. Let u = 2^-24 and l = 2^-126,
+    float32's unit roundoff and smallest normal; N = dim + 1 >= 2, g = N u
+    / (1 - N u) (gamma_N of Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3), S_i = |a_i|^2, D_ij = |a_i - a_j|^2 and E = 4^p e,
+    which orders as e does. Every |a| < 1, and u <= g / 2.
+    - Rounding to float32: |y - a| <= u |a| + l per entry (l when flushed
+      to 0), so 2 |y_i.y_j - a_i.a_j| <= (2u + u^2) (S_i + S_j) + 6 dim l;
+      and |q_j - S_j| <= 2 u S_j + 2 l.
+    - The product, N terms summed in any order, fused or not, so by any
+      BLAS kernel on any number of threads, is off q_j - 2 y_i.y_j by at
+      most g (q_j + 2 sum_k |y_ik y_jk|), plus l for each of its at most 2N
+      roundings that underflows, gradually or flushed to 0.
+    - Together |d_ij - (D_ij - S_i)| <= A_ij = g (2.1 S_i + 4.1 S_j) + 9 N l.
+    - The float64 e (`_pair_dots`): |E_ij - D_ij| <= B_ij = 2^-27 g (S_i +
+      S_j) + l, while x's largest entry lies in [2^-400, 2^500) and dim <
+      2^21, so that e neither overflows nor loses more than l to underflow.
+    - A top-k candidate t has E_it at most the largest E_ij of the k
+      candidates j under the cut, so d_it <= d_ij + A_ij + A_it + B_ij +
+      B_it. With S <= (1 + 3u) q + 3 l, that is at most the k-th minimum
+      plus g (4.4 q_i + 8.4 max q_j) + (18 N + 21) l. The slack is g (5
+      q_i + 9 max q_j) + 20 (N + 1) l, whose margin covers the float64 sum
+      of the minimum and the slack; rounding that sum up to float32 only
+      adds to it.
+    With no columns every value is an exact 0.
+
+    Memory is the float32 [y; q] of every row, one float32 (block,
+    candidates) buffer per cell, allocated once and reused by every block,
+    the (block, G) minima, and the survivors' rows, ids and distances.
     """
-    dim = x.shape[1]
-    sq = (x * x).sum(axis=1)
-    slack = 6.0 * (dim + 1) * np.finfo(np.float64).eps
+    n, dim = x.shape
+    u, tiny = np.finfo(np.float32).eps / 2, np.finfo(np.float32).smallest_normal
+    gamma = (dim + 1) * u / (1.0 - (dim + 1) * u)
+    scaled = x * np.ldexp(1.0, -np.frexp(np.abs(x).max(initial=0.0))[1])
+    screen = np.empty((n, dim + 1), dtype=np.float32)
+    screen[:, :dim] = scaled
+    screen[:, dim] = (scaled * scaled).sum(axis=1)
+    screen[np.abs(screen) < tiny] = 0.0
+    q = screen[:, dim].astype(np.float64)
     rows, ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for anchors, cand in cells:
         if len(cand) == 0:
             continue
-        # the columns [-2 x_j; sq_j] as rows; scaling by -2 is exact
-        cand_rows = np.empty((len(cand), dim + 1))
-        np.multiply(x[cand], -2.0, out=cand_rows[:, :dim])
-        cand_rows[:, dim] = sq[cand]
-        margin = cand_rows[:, dim].max()
+        cand_rows = screen[cand]
+        cand_rows[:, :dim] *= -2.0
+        margin = 9.0 * gamma * q[cand].max() + 20.0 * (dim + 2) * tiny
         kth = min(k, len(cand)) - 1
         groups = min(max(_GROUPS, k), len(cand))
         grouped = len(cand) // groups * groups
-        anchor_rows = np.ones((min(_BLOCK, len(anchors)), dim + 1))
-        expansion = np.empty((len(anchor_rows), len(cand)))
-        minima = np.empty((len(anchor_rows), groups))
+        anchor_rows = np.ones((min(_BLOCK, len(anchors)), dim + 1), dtype=np.float32)
+        expansion = np.empty((len(anchor_rows), len(cand)), dtype=np.float32)
+        minima = np.empty((len(anchor_rows), groups), dtype=np.float32)
         for start in range(0, len(anchors), _BLOCK):
             block = anchors[start:start + _BLOCK]
-            anchor_rows[:len(block), :dim] = x[block]
+            anchor_rows[:len(block), :dim] = screen[block, :dim]
             d = expansion[:len(block)]
             np.matmul(anchor_rows[:len(block)], cand_rows.T, out=d)
             part = minima[:len(block)]
             d[:, :grouped].reshape(len(block), -1, groups).min(axis=1, out=part)
             part.partition(kth, axis=1)
-            cut = part[:, kth] + slack * (sq[block] + margin)
-            r, c = np.divmod(np.flatnonzero(d <= cut[:, None]), len(cand))
+            cut = part[:, kth] + (5.0 * gamma * q[block] + margin)
+            up = cut.astype(np.float32)
+            np.nextafter(up, np.inf, out=up, where=up < cut)
+            r, c = np.divmod(np.flatnonzero(d <= up[:, None]), len(cand))
             rows.append(block[r])
             ids.append(cand[c])
     rows, ids = np.concatenate(rows), np.concatenate(ids)
     exact = _pair_dots(x, rows, ids, differences=True)
-    order = np.lexsort((ids, exact, rows))
-    rows, ids, exact = rows[order], ids[order], exact[order]
-    hits = np.bincount(rows, minlength=x.shape[0])
-    keep = np.arange(len(rows)) - (np.cumsum(hits) - hits)[rows] < k
-    return np.minimum(hits, k), ids[keep], exact[keep]
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))
+    lengths, owners = np.diff(heads, append=len(rows)), rows[heads]
+    counts = np.zeros(n, dtype=np.int64)
+    counts[owners] = np.minimum(lengths, k)
+    starts = (np.cumsum(counts) - counts)[owners]
+    take = np.empty(counts.sum(), dtype=np.int64)
+    for length in np.unique(lengths):
+        segments = np.flatnonzero(lengths == length)
+        span = heads[segments, None] + np.arange(length)
+        order = np.argsort(exact[span], axis=1, kind="stable")
+        kept = min(length, k)
+        take[starts[segments, None] + np.arange(kept)] = \
+            np.take_along_axis(span, order[:, :kept], axis=1)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("top-k screen: %d anchors, %d survivors, at most %d in one row",
+                  sum(len(a) for a, c in cells if len(c)), len(rows),
+                  lengths.max(initial=0))
+    return counts, ids[take], exact[take]
 
 
 def select_counterfactuals(h, pseudo, sensitive, k) -> CounterfactualIndex:

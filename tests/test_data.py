@@ -144,6 +144,17 @@ def test_meta_column_lists_select_features(tmp_path):
     assert table.feature_names == ("income",)
 
 
+def test_a_column_both_dropped_and_selected_is_a_parse_error(tmp_path):
+    """A column named in drop_cols and in feature_cols is a contradiction,
+    not a feature: the error names every such column."""
+    spec = write_toy_dataset(tmp_path, meta={
+        **BASE_META, "drop_cols": ["group", "income"],
+        "feature_cols": ["income", "age", "group"]})
+    with pytest.raises(DatasetParseError, match=re.escape(
+            "meta drop_cols and feature_cols both name ['group', 'income']")):
+        load_dataset(spec)
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity", "+nan"])
 def test_non_finite_feature_is_a_parse_error(tmp_path, cell):
     spec = write_toy_dataset(

@@ -1,7 +1,8 @@
 """Bounded fuzz of the input files: whatever bytes a dataset file, a config,
-a grid, a stored run report or a checkpoint holds,
-`fairgraph` ends with exit 0, 1 or 2, and a failure is one `error:` line on
-stderr, never a traceback, with no output left behind."""
+a grid, a stored run report or a checkpoint holds, and whatever value one
+key of a valid `meta.json` takes, `fairgraph` ends with exit 0, 1 or 2, and
+a failure is one `error:` line on stderr, never a traceback, with no output
+left behind."""
 
 import contextlib
 import io
@@ -89,13 +90,14 @@ def _command(target, root, work):
     return command, path
 
 
-@pytest.mark.parametrize("target", TARGETS)
-@given(raw=contents)
-def test_any_input_file_ends_in_an_exit_code(inputs, target, raw):
+def _assert_ends_in_an_exit_code(target, root, raw):
+    """Write raw as `target` in a fresh directory and run the command that
+    reads it: exit 0, 1 or 2, and a failure is one `error:` line with no
+    output left behind."""
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        command, path = _command(target, inputs, work)
-        path.write_bytes(_bounded_config(raw) if target == "config" else raw)
+        command, path = _command(target, root, work)
+        path.write_bytes(raw)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(command)
@@ -105,3 +107,44 @@ def test_any_input_file_ends_in_an_exit_code(inputs, target, raw):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not written, written
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@given(raw=contents)
+def test_any_input_file_ends_in_an_exit_code(inputs, target, raw):
+    _assert_ends_in_an_exit_code(
+        target, inputs, _bounded_config(raw) if target == "config" else raw)
+
+
+META_KEYS = ("label_col", "sensitive_col", "positive_value", "sensitive_positive_value",
+             "drop_cols", "feature_cols")
+
+
+@st.composite
+def header_name_lists(draw, header):
+    """A list of header names, repeats allowed, with at most one unknown
+    name (a header name with text appended) inserted anywhere."""
+    names = draw(st.lists(st.sampled_from(header), max_size=4))
+    if draw(st.booleans()):
+        unknown = draw(st.sampled_from(header)) + draw(st.text(min_size=1, max_size=3))
+        if unknown not in header:
+            names.insert(draw(st.integers(0, len(names))), unknown)
+    return names
+
+
+def meta_values(header):
+    """A value for one meta key: a list of header names, one header name,
+    or any JSON value."""
+    return st.one_of(header_name_lists(header), st.sampled_from(header), json_values)
+
+
+@pytest.mark.parametrize("key", META_KEYS)
+@given(data=st.data())
+def test_near_valid_meta_ends_in_an_exit_code(inputs, key, data):
+    """The toy dataset's valid meta with one key's value replaced, so that
+    column lists overlap, repeat, misspell and name the label or the
+    sensitive column: `train` still ends in an exit code."""
+    meta = json.loads((inputs / "toy" / "meta.json").read_text())
+    header = (inputs / "toy" / "features.csv").read_text().split("\n", 1)[0].split(",")
+    meta[key] = data.draw(meta_values(header))
+    _assert_ends_in_an_exit_code("meta.json", inputs, json.dumps(meta).encode("utf-8"))

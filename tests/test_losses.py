@@ -2,6 +2,10 @@
 
 import logging
 import math
+import os
+import pathlib
+import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fairgraph
 from fairgraph import autodiff as ad
 from fairgraph.autodiff import NeighborAggregator
 from fairgraph.errors import CapacityError, ConfigError, UndefinedMetricError
@@ -282,6 +287,82 @@ def test_nearest_slack_keeps_rounded_out_candidates():
         assert_nearest_is_exhaustive(x, [(np.arange(20), np.arange(20, 320))], 3)
 
 
+def adversarial_rows(rng, case, n=300, dim=8):
+    """n rows for one hard case of the float32 screen: tied rows scaled to
+    a magnitude, tied rows perturbed 1e-9 relative (below float32's
+    resolution), rows at distance 1e3 from the origin with unit spread (sq
+    near 1e6, where the slack is widest), or one row repeated."""
+    if case.startswith("magnitude"):
+        return tied_rows(rng, n, dim) * float(case.split("-", 1)[1])
+    if case == "near-duplicates":
+        return tied_rows(rng, n, dim) * (1.0 + 1e-9 * rng.standard_normal((n, dim)))
+    if case == "sq-near-1e6":
+        return 1e3 / math.sqrt(dim) + rng.standard_normal((n, dim))
+    return np.tile(rng.standard_normal(dim), (n, 1))
+
+
+def plain_float32_keeps_top_k(x, anchors, cand, k):
+    """Whether a float32 screen on x cast as it is, without the kernel's
+    power-of-two scale, keeps every anchor's exhaustive top k: d = |x_j|^2
+    - 2 x_i.x_j against the k-th smallest d plus a relative slack."""
+    x32 = x.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (x32 * x32).sum(axis=1)
+        d = sq[cand] - 2 * x32[anchors] @ x32[cand].T
+        cut = np.partition(d, k - 1, axis=1)[:, k - 1] + 12 * (x.shape[1] + 1) \
+            * np.finfo(np.float32).eps * (sq[anchors] + sq[cand].max())
+    allowed = np.zeros((len(x), len(x)), dtype=bool)
+    allowed[np.ix_(anchors, cand)] = True
+    want = nearest_scan(x, allowed, k)
+    return all((d[row, np.searchsorted(cand, want[i])] <= cut[row]).all()
+               for row, i in enumerate(anchors))
+
+
+# survivors per row of the float32 screen on each case, seed 31, k = 5: the
+# figure measured, with 5% headroom for another BLAS kernel's rounding
+SCREEN_SURVIVORS = {"magnitude-1e-30": 6.84, "magnitude-1e-20": 6.84,
+                    "magnitude-1e20": 6.84, "magnitude-1e30": 6.84,
+                    "near-duplicates": 6.51, "sq-near-1e6": 58.71, "all-tied": 149.67}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_SURVIVORS))
+def test_nearest_float32_screen_on_hard_rows(case, caplog):
+    """Rows from 1e-30 to 1e30 in magnitude, near-duplicates float32 cannot
+    tell apart, rows far from the origin and all-tied rows: `_nearest`
+    equals the exhaustive scan, and its DEBUG record counts the survivors
+    per row. A plain float32 cast overflows |x|^2 from 1e20 on and loses
+    true neighbours."""
+    rng = np.random.default_rng(31)
+    x = adversarial_rows(rng, case)
+    s = rng.integers(0, 2, len(x))
+    cells = [(np.flatnonzero(s == g), np.flatnonzero(s != g)) for g in (0, 1)]
+    with caplog.at_level(logging.DEBUG, logger="fairgraph.losses"):
+        assert_nearest_is_exhaustive(x, cells, 5)
+    anchors, survivors, _ = map(int, re.findall(r"\d+", caplog.records[-1].getMessage()))
+    assert anchors == len(x)
+    if case == "all-tied":
+        assert survivors == sum(len(a) * len(c) for a, c in cells)
+    assert survivors <= 1.05 * SCREEN_SURVIVORS[case] * anchors
+    if case in ("magnitude-1e20", "magnitude-1e30"):
+        assert not plain_float32_keeps_top_k(x, *cells[0], 5)
+
+
+def test_nearest_logs_its_survivors_at_debug(caplog):
+    """One DEBUG record per call names the anchors, the survivors and the
+    most survivors of one row; without DEBUG there is none, and the output
+    is the same."""
+    x = floats([[0.0], [2.0], [1.0], [-1.0], [1.0], [5.0], [7.0]])
+    cells = [(np.array([0, 1]), np.array([2, 3, 4, 5])), (np.array([6]), np.zeros(0, int))]
+    quiet = _nearest(x, cells, 2)
+    assert not [r for r in caplog.records if r.name == "fairgraph.losses"]
+    with caplog.at_level(logging.DEBUG, logger="fairgraph.losses"):
+        loud = _nearest(x, cells, 2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(quiet, loud, strict=True))
+    messages = [r.getMessage() for r in caplog.records if r.name == "fairgraph.losses"]
+    # row 0 ties three candidates at distance 1; row 1 keeps ids 2 and 4
+    assert messages == ["top-k screen: 2 anchors, 5 survivors, at most 3 in one row"]
+
+
 def test_top_k_and_contrast_repeat_bit_for_bit():
     """Two back-to-back calls return the same bytes: nothing a call writes
     into its buffers outlives it."""
@@ -334,6 +415,34 @@ def test_top_k_kernels_agree_across_threads():
     for t in range(4):
         assert len(got[t]) == 3
         assert all(result == want[t] for result in got[t])
+
+
+NEAREST_IN_A_FRESH_PROCESS = """
+import sys
+import numpy as np
+from fairgraph.losses import _nearest
+rng = np.random.default_rng(44)
+x = rng.standard_normal((2000, 16))
+s = rng.integers(0, 2, 2000)
+cells = [(np.flatnonzero(s == g), np.flatnonzero(s != g)) for g in (0, 1)]
+sys.stdout.buffer.write(b"".join(a.tobytes() for a in _nearest(x, cells, 5)))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: two BLAS threads would not split the product")
+def test_top_k_kernel_does_not_depend_on_blas_threads():
+    """The screen's product runs in sgemm, whose summation order may change
+    with its thread count; the slack holds for any order, so one and two
+    OpenBLAS threads return the same bytes."""
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fairgraph.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", NEAREST_IN_A_FRESH_PROCESS], env=env,
+                                  check=True, capture_output=True).stdout)
+    assert len(out[0]) == 8 * (2000 + 2 * 2000 * 5)
+    assert out[0] == out[1]
 
 
 # ---------------------------------------------------------------------------
