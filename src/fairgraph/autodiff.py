@@ -19,14 +19,12 @@ from .errors import ShapeError
 
 
 def logistic(x):
-    """1 / (1 + exp(-x)) elementwise, never overflowing: negative entries
-    take the exp(x) / (1 + exp(x)) form."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-x)) elementwise, never overflowing, in one pass: with
+    e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere. The
+    exponent is min(x, -x), which is -|x| but keeps a NaN's sign, so every
+    x, NaN included, maps to the bits of the two-branch form."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def unit_rows(x):

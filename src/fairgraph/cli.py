@@ -33,7 +33,7 @@ from .errors import ConfigError, DatasetError, FairGraphError
 from .graph import edge_census, homophily_ratios
 from .losses import LossWeights
 from .metrics import SUMMARY_METRICS, evaluate_predictions
-from .model import encode, load_checkpoint, predict, save_checkpoint
+from .model import encode, input_layer, load_checkpoint, predict, save_checkpoint
 from .pipeline import (
     DEFAULT_GRID,
     MODES,
@@ -108,7 +108,8 @@ def _checkpoint_on(graph, table, path):
     if params.w1.shape[0] != 2 * width:
         raise ConfigError(f"checkpoint {path} is for {params.w1.shape[0] // 2} "
                           f"features; the dataset has {width}")
-    latent = encode(params, NeighborAggregator(graph), table.features)
+    agg = NeighborAggregator(graph)
+    latent = encode(params, agg, input_layer(params, agg, table.features))
     return latent, predict(params, latent.c)
 
 

@@ -9,7 +9,8 @@ with respect to C and E, structure with respect to H, contrast with respect
 to C and environment with respect to E. No loss takes a weight: a kernel
 computes each unweighted value and gradient in closed form, the pairwise
 terms (invariance, structure, environment) one block of node pairs at a
-time with one sparse product for the gradient. `total_loss` scales each
+time with one sparse product for the gradient, through a `PairOperator`
+built once per pair list. `total_loss` scales each
 term by its weight as it adds the gradients into one dL/dH and one
 dL/dlogit, which `autodiff.grad` takes through the model.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,6 +93,39 @@ def _whole_number(field, value):
 
 
 # ---------------------------------------------------------------------------
+# pair operators
+
+class PairOperator:
+    """W + W^T as an n x n sparse matrix, W holding w[k] at (i[k], j[k]) with
+    repeated pairs added: for a sum of f(x_i . x_j) over the pairs it maps x
+    to the gradient when w[k] is f'.
+
+    It is built once per pair list, whose ids it keeps as `i` and `j`.
+    `weigh` writes new weights into both halves of the COO data in place,
+    so a product after it runs scipy's kernel over the same entries in the
+    same order as an operator built with those weights, and gives the same
+    bits. The weights are the operator's state: one that is reweighed
+    belongs to one run, never to anything that threads share.
+    """
+
+    def __init__(self, n, i, j, w):
+        self.i, self.j = i, j
+        self.matrix = sp.coo_matrix((np.concatenate([w, w]),
+                                     (np.concatenate([i, j]), np.concatenate([j, i]))),
+                                    shape=(n, n))
+
+    def weigh(self, w):
+        """This operator, its weights replaced by w."""
+        data = self.matrix.data
+        data[:len(w)] = w
+        data[len(w):] = w
+        return self
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+
+# ---------------------------------------------------------------------------
 # counterfactual selection
 
 @dataclass(frozen=True)
@@ -100,11 +134,23 @@ class CounterfactualIndex:
     e-type shares the pseudo-label with opposite sensitive attribute, c-type
     the reverse. Each kind is kept as the (counts, ids) `_nearest` returns:
     counts[i] hits for node i, then every node's hits in node order, nearest
-    first. Lists are shorter than K only when candidates run out."""
+    first. Lists are shorter than K only when candidates run out.
+
+    Each kind comes with the invariance loss's operator over its P pairs,
+    every weight 1/P (None when P = 0), built once with the index and never
+    reweighed, so runs on other threads may read it."""
 
     e: tuple
     c: tuple
     k: int
+    op_e: PairOperator | None = field(init=False, repr=False, compare=False)
+    op_c: PairOperator | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.e[0])
+        for name, (i, j) in (("op_e", self.pairs_e()), ("op_c", self.pairs_c())):
+            op = PairOperator(n, i, j, np.full(len(i), 1.0 / len(i))) if len(i) else None
+            object.__setattr__(self, name, op)
 
     # per node, its ids as an array; and the number of nodes without any
     e_ids = property(lambda self: tuple(np.split(self.e[1], np.cumsum(self.e[0])[:-1])))
@@ -309,15 +355,6 @@ def _pair_dots(x, i, j, differences=False):
     return out
 
 
-def _symmetric(n, i, j, w):
-    """W + W^T as an n x n sparse matrix, W holding w[k] at (i[k], j[k]) with
-    repeated pairs added: for a sum of f(x_i . x_j) over the pairs it maps x
-    to the gradient when w[k] is f'."""
-    return sp.coo_matrix((np.concatenate([w, w]),
-                          (np.concatenate([i, j]), np.concatenate([j, i]))),
-                         shape=(n, n))
-
-
 def _inv_value_and_grad(c, e, cf, gamma):
     """Invariance loss and its gradients with respect to c and e.
 
@@ -325,8 +362,9 @@ def _inv_value_and_grad(c, e, cf, gamma):
     |u_i . v_i| plus, per block, the mean of 1 - u_i . u_j over its pairs
     (e-type pairs on c, c-type pairs on e). A zero row counts as cos = 0,
     and d|cos|/dcos is +1 at 0. The gradient of a mean over P pairs with
-    respect to u is -(S + S^T) u / P, S counting the pairs; all of it then
-    goes back through the normalisation.
+    respect to u is -(S + S^T) u / P, S counting the pairs: a product with
+    the kind's operator in `cf`. All of it then goes back through the
+    normalisation.
     """
     n = c.shape[0]
     u, c_norms = ad.unit_rows(c)
@@ -335,10 +373,10 @@ def _inv_value_and_grad(c, e, cf, gamma):
     value = np.abs(cos).sum() * (1.0 / n) * gamma
     own = (gamma * (1.0 / n) * np.where(cos >= 0, 1.0, -1.0))[:, None]
     grads = []
-    for x, norms, other, (i, j) in ((u, c_norms, v, cf.pairs_e()),
-                                    (v, e_norms, u, cf.pairs_c())):
+    for x, norms, other, op in ((u, c_norms, v, cf.op_e), (v, e_norms, u, cf.op_c)):
         g = own * other
-        if len(i):
+        if op is not None:
+            i, j = op.i, op.j
             if log.isEnabledFor(logging.DEBUG):
                 zero = norms[:, 0] == 0
                 zero_rows = int(np.count_nonzero(zero[i] | zero[j]))
@@ -346,7 +384,7 @@ def _inv_value_and_grad(c, e, cf, gamma):
                     log.debug("cosine distance: %d zero-vector rows treated as cos=0",
                               zero_rows)
             value = value + (1.0 - _pair_dots(x, i, j)).sum() * (1.0 / len(i))
-            g -= _symmetric(n, i, j, np.full(len(i), 1.0 / len(i))) @ x
+            g -= op @ x
         grads.append(ad.unit_rows_backward(g, x, norms))
     return value, grads[0], grads[1]
 
@@ -385,8 +423,10 @@ def sample_negative_edges(g: Graph, count, seed):
     codes = pair_codes(n, g.edge_array)
     total_pairs = n * (n - 1) // 2
     if total_pairs <= 200_000 or count * 2 > capacity:
-        every = pair_codes(n, np.column_stack(np.triu_indices(n, k=1)))
-        pool = np.setdiff1d(every, codes, assume_unique=True)
+        # the codes of every u < v pair that is not an edge, in increasing order
+        free = np.triu(np.ones((n, n), dtype=bool), k=1).reshape(-1)
+        free[codes] = False
+        pool = np.flatnonzero(free)
         picked = np.sort(pool[rng.choice(len(pool), size=count, replace=False)])
     else:
         # rejection sampling, one batch of pairs at a time; a batch continues
@@ -402,36 +442,45 @@ def sample_negative_edges(g: Graph, count, seed):
     return np.stack([picked // n, picked % n], axis=1)
 
 
-def _suf_value_and_grad(h, pairs, n_pos):
-    """Structure loss over node pairs, the first n_pos of them edges, and its
-    gradient with respect to h.
+def _suf_value_and_grad(h, op, n_pos):
+    """Structure loss over the node pairs of the PairOperator op, the first
+    n_pos of them edges, and its gradient with respect to h; op takes this
+    call's weights.
 
     With s = h_i . h_j, p = sigmoid(s) clamped to [PROB_FLOOR, 1 -
     PROB_FLOOR] and a = 1 on edges, the loss is minus the mean of a log p +
     (1 - a) log(1 - p), and dL/ds = -(a - p) [p inside the clamp] / N over
     the N pairs.
     """
-    i, j = pairs[:, 0], pairs[:, 1]
-    p = ad.logistic(_pair_dots(h, i, j))
+    p = ad.logistic(_pair_dots(h, op.i, op.j))
     inside = (p >= PROB_FLOOR) & (p <= 1.0 - PROB_FLOOR)
     np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
     ll = np.log(np.concatenate([p[:n_pos], 1.0 - p[n_pos:]]))
     value = -(ll.sum() * (1.0 / len(p)))
     p[:n_pos] -= 1.0
     slope = np.where(inside, p, 0.0) * (1.0 / len(p))
-    return value, _symmetric(h.shape[0], i, j, slope) @ h
+    return value, op.weigh(slope) @ h
 
 
-def suf_loss(h, pos_edges, neg_edges):
-    """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
-    averaged over positive and negative pairs together. Both edge sets are
-    (k, 2) arrays or sequences of node pairs. Returns (value, dvalue/dh),
-    from a closed form with the pair dots one block at a time."""
+def structure_pairs(n, pos_edges, neg_edges):
+    """(PairOperator, n_pos): the structure loss's pairs on n nodes, the
+    n_pos positive ones first, then the negative ones. Both edge sets are
+    (k, 2) arrays or sequences of node pairs; the operator is built once
+    for any number of `suf_loss` calls, and each call reweighs it."""
     if len(pos_edges) == 0 or len(neg_edges) == 0:
         raise UndefinedMetricError("structure loss needs positive and negative edges")
     pairs = np.concatenate([np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2),
                             np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)])
-    return _suf_value_and_grad(h, pairs, len(pos_edges))
+    i, j = pairs.T.copy()  # contiguous ids gather faster in every call
+    return PairOperator(n, i, j, np.zeros(len(pairs))), len(pos_edges)
+
+
+def suf_loss(h, op, n_pos):
+    """Link reconstruction: sigmoid(h_i . h_j) scored against edge presence,
+    averaged over positive and negative pairs together, the pairs those of
+    `structure_pairs`' (op, n_pos). Returns (value, dvalue/dh), from a
+    closed form with the pair dots one block at a time."""
+    return _suf_value_and_grad(h, op, n_pos)
 
 
 def _tvmf(cos, kappa, phi=None, slope=None):
@@ -549,7 +598,7 @@ def env_loss(e, sensitive, k_prime):
     # Laplacian weighted by w / dist times e; a zero distance adds nothing
     slope = np.divide(w, dist, out=np.zeros_like(w), where=dist > 0)
     degree = np.bincount(anchors, slope, n) + np.bincount(partners, slope, n)
-    grad = _symmetric(n, anchors, partners, slope) @ e - degree[:, None] * e
+    grad = PairOperator(n, anchors, partners, slope) @ e - degree[:, None] * e
     return -(w * dist).sum(), grad
 
 

@@ -123,13 +123,12 @@ class MetricsReport:
 
 
 def _confusion_cells(pred, y, s):
-    cells = {}
-    for group in (0, 1):
-        for label in (0, 1):
-            for out in (0, 1):
-                key = f"s{group}_y{label}_p{out}"
-                cells[key] = int(((s == group) & (y == label) & (pred == out)).sum())
-    return cells
+    """Node counts per (group, label, prediction) of 0/1 arrays, keyed
+    s<group>_y<label>_p<prediction> in that nesting order: cell 4s + 2y +
+    pred of one bincount."""
+    counts = np.bincount(4 * s + 2 * y + pred, minlength=8)
+    return {f"s{code >> 2}_y{(code >> 1) & 1}_p{code & 1}": int(counts[code])
+            for code in range(8)}
 
 
 def evaluate_predictions(probs, labels, sensitive, mask=None) -> MetricsReport:

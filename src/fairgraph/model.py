@@ -33,8 +33,8 @@ CHECKPOINT_ARRAYS = {"encoder": ("w1", "b1", "w2", "b2"), "predictor": ("w", "b"
 class Params:
     """The encoder's weights w1, b1, w2, b2 and the predictor's w, b, trained
     as one set; the content block's width d_c (the environment block is as
-    wide); and the per-column feature mean and std that `encode`
-    standardizes its input with. The statistics are not trained, so
+    wide); and the per-column feature mean and std that `input_layer`
+    standardizes the features with. The statistics are not trained, so
     `arrays()` leaves them out."""
 
     w1: np.ndarray
@@ -99,9 +99,11 @@ def feature_stats(features, train_mask):
     return rows.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
-def encode(params: Params, agg: NeighborAggregator, x) -> LatentState:
-    """Forward pass producing the latent state for every node of the graph
-    that `agg` aggregates over, from the raw features x."""
+def input_layer(params: Params, agg: NeighborAggregator, x):
+    """Layer one's input z1 = [X | mean X] for every node of the graph that
+    `agg` aggregates over, X being the raw features x standardized with
+    the statistics `params` carries. It reads no trained array, so one z1
+    serves every `encode` of a phase."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != agg.n:
         raise ShapeError(f"features must be ({agg.n}, d), got {x.shape}")
@@ -109,7 +111,13 @@ def encode(params: Params, agg: NeighborAggregator, x) -> LatentState:
         raise ShapeError(
             f"feature width {x.shape[1]} incompatible with W1 {params.w1.shape}")
     x = (x - params.feature_mean) / params.feature_std
-    z1 = np.concatenate([x, ad.row_mean_neighbors(x, agg)], axis=1)
+    return np.concatenate([x, ad.row_mean_neighbors(x, agg)], axis=1)
+
+
+def encode(params: Params, agg: NeighborAggregator, z1) -> LatentState:
+    """Forward pass producing the latent state for every node of the graph
+    that `agg` aggregates over, from layer one's input z1, as
+    `input_layer` returns it for these parameters' feature statistics."""
     a1 = z1 @ params.w1 + params.b1
     active = a1 > 0
     h1 = np.where(active, a1, 0.0)

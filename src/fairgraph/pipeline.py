@@ -45,12 +45,13 @@ from .losses import (
     sample_negative_edges,
     sc_loss,
     select_counterfactuals,
+    structure_pairs,
     suf_loss,
     env_loss,
     total_loss,
 )
 from .metrics import SUMMARY_METRICS, MetricsReport, evaluate_predictions, hard_labels
-from .model import Params, encode, feature_stats, init_params, predict
+from .model import Params, encode, feature_stats, init_params, input_layer, predict
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -184,11 +185,16 @@ def split_dataset(n, labeled_ids, fractions, seed) -> Splits:
 # ---------------------------------------------------------------------------
 # phases
 
-def _descend(graph: Graph, x, params: Params, cfg: TrainConfig, epochs, phase,
-             objective):
+def _descend(agg: NeighborAggregator, x, params: Params, cfg: TrainConfig, epochs,
+             phase, objective):
     """The optimisation loop of every phase: `epochs` Adam steps at cfg.lr
     on the weighted objective, updating `params` in place. The moments
     start at zero in each call, so each phase starts a fresh Adam.
+
+    What the phase does not change is built before the loop: layer one's
+    input from the raw features x over the graph of `agg`, as the feature
+    statistics stay fixed through a phase, so each `encode` starts at
+    layer one's product.
 
     objective(epoch, latent, probs) returns the epoch's LossParts from the
     forward pass of the current parameters. A non-finite weighted loss
@@ -197,11 +203,11 @@ def _descend(graph: Graph, x, params: Params, cfg: TrainConfig, epochs, phase,
     parameters; that pass also feeds the next epoch's objective, so each
     parameter state is encoded once.
     """
-    agg = NeighborAggregator(graph)
+    z1 = input_layer(params, agg, x)
     arrays = params.arrays()
     m = [np.zeros_like(p) for p in arrays]
     v = [np.zeros_like(p) for p in arrays]
-    latent = encode(params, agg, x)
+    latent = encode(params, agg, z1)
     probs = predict(params, latent.c)
     for epoch in range(1, epochs + 1):
         parts = objective(epoch, latent, probs)
@@ -215,7 +221,7 @@ def _descend(graph: Graph, x, params: Params, cfg: TrainConfig, epochs, phase,
             m_hat = m[i] / (1 - ADAM_BETA1 ** epoch)
             v_hat = v[i] / (1 - ADAM_BETA2 ** epoch)
             p -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        latent = encode(params, agg, x)
+        latent = encode(params, agg, z1)
         probs = predict(params, latent.c)
         yield epoch, float(loss), parts, probs
 
@@ -227,9 +233,10 @@ class PretrainResult:
     losses: list
 
 
-def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
-             seed) -> PretrainResult:
-    """Minimize the prediction loss alone on the raw features x, then read
+def pretrain(agg: NeighborAggregator, x, labels: NodeLabels, train_mask,
+             cfg: TrainConfig, seed) -> PretrainResult:
+    """Minimize the prediction loss alone on the raw features x over the
+    graph of the aggregator `agg`, then read
     pseudo-labels off the trained predictor: the training view of `labels`
     completed by the predictions, so ground truth only on `train_mask`. The
     encoder standardizes x with its training rows' statistics."""
@@ -240,7 +247,7 @@ def pretrain(graph: Graph, x, labels: NodeLabels, train_mask, cfg: TrainConfig,
     y = labels.class_label
     losses = []
     for _, loss, _, probs in _descend(
-            graph, x, params, cfg, cfg.T_pre, "pretrain",
+            agg, x, params, cfg, cfg.T_pre, "pretrain",
             lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
         losses.append(loss)
     pseudo = labels.training_view(train_mask).with_pseudo(hard_labels(probs)).class_label
@@ -271,11 +278,14 @@ def run_phase1(graph: Graph, labels: NodeLabels, mode):
 @dataclass(frozen=True)
 class PhaseOne:
     """What phase 2 starts from: the split, pre-training's result, and the
-    graph phase 2 trains on with its EditReport."""
+    graph phase 2 trains on with its EditReport and its NeighborAggregator.
+    Grid cells of a seed share one PhaseOne on several threads, so it holds
+    nothing that a run writes."""
     splits: Splits
     pre: PretrainResult
     graph: Graph
     edit_report: EditReport
+    agg: NeighborAggregator
 
 
 def phase_one(graph: Graph, table: NodeTable, cfg: TrainConfig, seed) -> PhaseOne:
@@ -283,13 +293,18 @@ def phase_one(graph: Graph, table: NodeTable, cfg: TrainConfig, seed) -> PhaseOn
     split, and make the mode's edit under pre-training's pseudo-labels. Only
     the training split's ground truth enters; the val/test labels reach only
     phase 2's reports. No loss weight is read, so every grid cell of a seed
-    shares one result."""
+    shares one result. One aggregator is built per graph: phase 2 reuses
+    pre-training's when the edit keeps the graph."""
     labeled_ids = np.where(table.labels.labeled_mask())[0]
     splits = split_dataset(table.n, labeled_ids, cfg.splits, derive_seed(seed, "split"))
-    pre = pretrain(graph, table.features, table.labels, splits.train, cfg, seed)
+    agg = NeighborAggregator(graph)
+    pre = pretrain(agg, table.features, table.labels, splits.train, cfg, seed)
     edited, edit_report = run_phase1(
         graph, replace(table.labels, class_label=pre.pseudo_labels), cfg.mode)
-    return PhaseOne(splits=splits, pre=pre, graph=edited, edit_report=edit_report)
+    if edited is not graph:
+        agg = NeighborAggregator(edited)
+    return PhaseOne(splits=splits, pre=pre, graph=edited, edit_report=edit_report,
+                    agg=agg)
 
 
 @dataclass
@@ -360,8 +375,9 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
     sens = labels.sensitive
     seen = labels.training_view(splits.train)
 
-    pos_edges = graph.edge_array
-    neg_edges = ()
+    # the structure loss's pairs are fixed for the phase; their operator
+    # takes each epoch's weights, so it belongs to this run, not to `start`
+    suf_pairs = None
     if use_suf:
         try:
             neg_edges = sample_negative_edges(graph, graph.m,
@@ -371,6 +387,7 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
                 f"{exc}; both counts are of the graph after the phase-1 edit, which "
                 f"kept {graph.m} of the dataset's {start.edit_report.census_before.m} edges"
             ) from exc
+        suf_pairs = structure_pairs(graph.n, graph.edge_array, neg_edges)
 
     cf = None
 
@@ -383,7 +400,7 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
         if use_inv:
             parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
         if use_suf:
-            parts.suf = suf_loss(latent.h, pos_edges, neg_edges)
+            parts.suf = suf_loss(latent.h, *suf_pairs)
         if use_sc:
             parts.sc = sc_loss(latent.c, y, splits.train, w.kappa)
         if use_env:
@@ -394,7 +411,7 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
     records = []
     best = None  # (score, epoch, param values, val_report, probs)
     undefined = None  # why the last disqualified epoch's metrics were undefined
-    for epoch, loss, parts, probs in _descend(graph, x, params, cfg, cfg.T_train,
+    for epoch, loss, parts, probs in _descend(start.agg, x, params, cfg, cfg.T_train,
                                               "train", objective):
         try:
             val_report = evaluate_predictions(probs, y, sens, mask=splits.val)

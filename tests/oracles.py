@@ -26,14 +26,22 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 from scipy.stats import rankdata
 
 from fairgraph import losses
 from fairgraph.data import NodeTable
 from fairgraph.errors import DatasetParseError, MissingColumnError, NonBinarySensitiveError
-from fairgraph.graph import UNKNOWN, NodeLabels
+from fairgraph.graph import UNKNOWN, NodeLabels, pair_codes
 from fairgraph.losses import PROB_FLOOR
+from fairgraph.model import encode, input_layer
+
+
+def encode_features(params, agg, x):
+    """`model.encode` from the raw features x: layer one's input, which a
+    phase builds once, then the forward pass."""
+    return encode(params, agg, input_layer(params, agg, x))
 
 
 def _unit(x):
@@ -44,8 +52,8 @@ def _unit(x):
     return x / safe, norms, safe
 
 
-def _suf_clamp_pattern(h, pairs, *_):
-    p = expit((h[pairs[:, 0]] * h[pairs[:, 1]]).sum(axis=1))
+def _suf_clamp_pattern(h, op, *_):
+    p = expit((h[op.i] * h[op.j]).sum(axis=1))
     return (p >= PROB_FLOOR) & (p <= 1.0 - PROB_FLOOR)
 
 
@@ -289,6 +297,38 @@ def inv_loss_tape(c, e, cf, gamma):
         grad += _scatter_rows(n, i, _unit_vjp(g_cos * ub, ua, a_norms, a_safe)) \
             + _scatter_rows(n, j, _unit_vjp(g_cos * ua, ub, b_norms, b_safe))
     return float(value), grad_c, grad_e
+
+
+def symmetric_coo(n, i, j, w):
+    """W + W^T built afresh for one product, as the pairwise kernels built
+    it before `losses.PairOperator` kept one per pair list: the reference a
+    reweighed operator must match bit for bit."""
+    return sp.coo_matrix((np.concatenate([w, w]),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(n, n))
+
+
+def logistic_two_branch(x):
+    """The sigmoid as `autodiff.logistic` computed it in two passes:
+    1 / (1 + exp(-x)) on x >= 0, exp(x) / (1 + exp(x)) on the rest."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def negative_edges_by_setdiff(g, count, seed):
+    """`losses.sample_negative_edges`' enumerated-pool branch as it drew
+    before: the pool is np.setdiff1d of every triu_indices pair's code and
+    the edge codes, then one draw without replacement."""
+    n = g.n
+    rng = np.random.default_rng(seed)
+    every = pair_codes(n, np.column_stack(np.triu_indices(n, k=1)))
+    pool = np.setdiff1d(every, pair_codes(n, g.edge_array), assume_unique=True)
+    picked = np.sort(pool[rng.choice(len(pool), size=count, replace=False)])
+    return np.stack([picked // n, picked % n], axis=1)
 
 
 def nearest_scan(x, allowed, k):

@@ -11,8 +11,8 @@ from fairgraph import autodiff as ad
 from fairgraph import losses
 from fairgraph.errors import ShapeError
 from fairgraph.graph import Graph
-from fairgraph.model import encode, init_params
-from oracles import grad_check
+from fairgraph.model import init_params
+from oracles import encode_features, grad_check, logistic_two_branch
 
 
 def _model(seed=5, n=7, d_in=3, hidden=4, d_c=2):
@@ -27,7 +27,7 @@ def test_relu_on_all_negative_is_zero():
     agg, x, params = _model()
     params.w1[...] = 0.0
     params.b1[...] = -1.0
-    latent = encode(params, agg, x)
+    latent = encode_features(params, agg, x)
     assert not latent.active.any()
     assert np.array_equal(latent.z2, np.zeros_like(latent.z2))
     g_w1, g_b1, *_ = ad.grad(params, latent, np.ones_like(latent.h), np.ones((agg.n, 1)))
@@ -46,7 +46,7 @@ def test_quadratic_closed_form():
     # L = sum(H * H), so dL/dH = 2H, and the second layer's gradients are
     # [H1 | mean H1]^T 2H and the column sums of 2H
     agg, x, params = _model(seed=2)
-    latent = encode(params, agg, x)
+    latent = encode_features(params, agg, x)
     h1 = np.maximum(np.hstack([x, ad.row_mean_neighbors(x, agg)]) @ params.w1 + params.b1, 0.0)
     z2 = np.hstack([h1, ad.row_mean_neighbors(h1, agg)])
     _, _, g_w2, g_b2, _, _ = ad.grad(params, latent, 2.0 * latent.h, np.zeros((agg.n, 1)))
@@ -59,7 +59,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.row_mean_neighbors(np.ones((agg.n + 1, 2)), agg)
     with pytest.raises(ShapeError):
-        encode(params, agg, x[:, :2])
+        encode_features(params, agg, x[:, :2])
 
 
 def test_grad_is_fresh_between_losses():
@@ -67,7 +67,7 @@ def test_grad_is_fresh_between_losses():
     # depends on its own upstream gradients only, and shares no array with
     # the first
     agg, x, params = _model(seed=3)
-    latent = encode(params, agg, x)
+    latent = encode_features(params, agg, x)
     rng = np.random.default_rng(3)
     g_h, g_logit = rng.standard_normal(latent.h.shape), rng.standard_normal((agg.n, 1))
     first = ad.grad(params, latent, g_h, g_logit)
@@ -86,13 +86,13 @@ def test_broadcast_add_gradient():
     agg, x, params = _model(seed=4)
     rng = np.random.default_rng(4)
     g_h, g_logit = rng.standard_normal((agg.n, 4)), rng.standard_normal((agg.n, 1))
-    latent = encode(params, agg, x)
+    latent = encode_features(params, agg, x)
     _, _, _, g_b2, _, g_b = ad.grad(params, latent, g_h, g_logit)
     assert np.array_equal(g_b2, g_h.sum(axis=0))
     assert np.array_equal(g_b, g_logit.sum(axis=0))
 
     def loss_fn():
-        lat = encode(params, agg, x)
+        lat = encode_features(params, agg, x)
         value = (g_h * lat.h).sum()
         return value, ad.grad(params, lat, g_h, np.zeros((agg.n, 1)))[:4], lat
 
@@ -238,7 +238,7 @@ def _relu_on_kink():
     x = np.zeros((2, 1))
 
     def loss_fn():
-        latent = encode(params, agg, x)
+        latent = encode_features(params, agg, x)
         grads = ad.grad(params, latent, np.ones_like(latent.h), np.zeros((2, 1)))
         return latent.h.sum(), grads[:4], latent
 
@@ -268,7 +268,7 @@ def test_grad_check_ignores_forward_passes_in_other_threads():
 
     def loss_fn():
         time.sleep(0.001)  # hand the interpreter to the other thread mid-probe
-        value, grad = losses.suf_loss(h, pairs[:2], pairs[2:])
+        value, grad = losses.suf_loss(h, *losses.structure_pairs(6, pairs[:2], pairs[2:]))
         return value, [grad]
 
     expected = grad_check(loss_fn, [h])
@@ -278,7 +278,8 @@ def test_grad_check_ignores_forward_passes_in_other_threads():
     def forward_passes():
         noise = np.random.default_rng(10)
         while not stop.is_set():
-            losses.suf_loss(noise.standard_normal((6, 4)) * 40.0, pairs[:2], pairs[2:])
+            losses.suf_loss(noise.standard_normal((6, 4)) * 40.0,
+                            *losses.structure_pairs(6, pairs[:2], pairs[2:]))
             time.sleep(0)
 
     other = threading.Thread(target=forward_passes)
@@ -306,7 +307,7 @@ def test_determinism_bit_identical():
     y, mask = rng.integers(0, 2, agg.n), np.ones(agg.n, bool)
 
     def run():
-        latent = encode(params, agg, x)
+        latent = encode_features(params, agg, x)
         probs = ad.logistic(latent.c @ params.w + params.b)
         parts = losses.LossParts(pred=losses.pred_loss(probs, y, mask))
         value, g_h, g_logit = losses.total_loss(parts, losses.LossWeights(), params.w)
@@ -316,3 +317,21 @@ def test_determinism_bit_identical():
     l2, g2 = run()
     assert l1 == l2
     assert all(np.array_equal(a, b) for a, b in zip(g1, g2, strict=True))
+
+
+def test_logistic_matches_two_branch_form_bit_for_bit():
+    # signed zeros, infinities, NaNs of both signs with payloads (one of them
+    # signalling), subnormals, the ends of exp's range, and random values of
+    # every scale; compared as bit patterns, so a NaN's sign and payload count
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                     0xFFF8000000000456, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                         36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308])
+    rng = np.random.default_rng(21)
+    scaled = rng.standard_normal(4000) * np.repeat(10.0 ** np.arange(-8, 4), 4000 // 12 + 1)[:4000]
+    for x in (nans, specials, scaled, np.concatenate([scaled[:50], nans, specials]),
+              rng.standard_normal((300, 1)) * 6.0):
+        with np.errstate(all="ignore"):
+            got, want = ad.logistic(x), logistic_two_branch(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

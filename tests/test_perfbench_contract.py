@@ -57,12 +57,15 @@ def test_traced_workload_records_every_span_and_count(tmp_path):
     for key in ("cf_pairs", "cf_slots", "sc_pairs", "verify_cases"):
         assert rec.counts[key] > 0, key
 
-    # one reverse pass per epoch, and two forward neighbour means per
-    # encoder pass: the spans the benchmark's per-layer numbers divide
+    # one reverse pass per epoch, and one forward neighbour mean per encoder
+    # pass plus one per phase for layer one's input: the spans the
+    # benchmark's per-layer numbers divide
     calls = {name: sum(span[1] == name for span in rec.spans)
              for name in ("autodiff.grad", "autodiff.row_mean_neighbors", "model.encode")}
     assert calls["autodiff.grad"] == wl.epochs_per_call() == 10
-    assert calls["autodiff.row_mean_neighbors"] == 2 * calls["model.encode"] > 0
+    phases = 2 * wl.n_seeds
+    assert calls["autodiff.row_mean_neighbors"] == calls["model.encode"] + phases
+    assert calls["model.encode"] > 0
 
     assert workloads.check_output(wl, out) == []
     assert workloads.fingerprint(wl, out) == workloads.fingerprint(wl, untraced)

@@ -1,12 +1,15 @@
 """Split protocol, pre-training, phase gating, trainer invariants, grid."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fairgraph.autodiff import NeighborAggregator
 from fairgraph.data import SynthConfig, synth_generate
-from fairgraph import pipeline
+from fairgraph import autodiff as ad
+from fairgraph import losses, pipeline
 from fairgraph.errors import (
     ConfigError,
     DatasetParseError,
@@ -129,7 +132,7 @@ def test_pretrain_separable_toy_converges():
                            sensitive_signal=0.0)
     mask = np.ones(120, bool)
     cfg = quick_config(lr=0.1, T_pre=100)
-    result = pretrain(g, table.features, table.labels, mask, cfg, seed=0)
+    result = pretrain(NeighborAggregator(g), table.features, table.labels, mask, cfg, seed=0)
     assert result.losses[-1] < 0.1
 
 
@@ -141,7 +144,7 @@ def test_pretrain_pseudo_labels_retain_ground_truth():
     labels = replace(table.labels, class_label=hidden)
     mask = labels.labeled_mask()
     cfg = quick_config(T_pre=10)
-    result = pretrain(g, table.features, labels, mask, cfg, seed=0)
+    result = pretrain(NeighborAggregator(g), table.features, labels, mask, cfg, seed=0)
     assert np.array_equal(result.pseudo_labels[mask], labels.class_label[mask])
     assert set(result.pseudo_labels.tolist()) <= {0, 1}
 
@@ -150,8 +153,8 @@ def test_pretrain_deterministic():
     g, table = toy_dataset(n=120, seed=4)
     mask = np.ones(120, bool)
     cfg = quick_config(T_pre=15)
-    a = pretrain(g, table.features, table.labels, mask, cfg, seed=5)
-    b = pretrain(g, table.features, table.labels, mask, cfg, seed=5)
+    a = pretrain(NeighborAggregator(g), table.features, table.labels, mask, cfg, seed=5)
+    b = pretrain(NeighborAggregator(g), table.features, table.labels, mask, cfg, seed=5)
     assert a.losses == b.losses
     assert np.array_equal(a.pseudo_labels, b.pseudo_labels)
 
@@ -167,7 +170,7 @@ def test_pretrain_divergence_names_phase_and_epoch():
     x[3, 2] = np.inf
     with np.errstate(all="ignore"), \
             pytest.raises(DivergenceError, match="pretrain") as info:
-        pretrain(g, x, table.labels, mask, quick_config(T_pre=5), seed=0)
+        pretrain(NeighborAggregator(g), x, table.labels, mask, quick_config(T_pre=5), seed=0)
     assert (info.value.phase, info.value.epoch) == ("pretrain", 1)
 
 
@@ -328,17 +331,23 @@ def test_edited_graph_feeds_phase2():
     assert result.edit_report.census_after.m == g.m - len(result.edit_report.removed_edges)
 
 
-def test_degenerate_edit_trains_on_unedited_graph():
-    # keep only Type III edges between training nodes: training reads their
-    # ground truth, so editing would remove them all
-    g, table = toy_dataset(n=140, seed=9)
-    cfg = quick_config(T_pre=10, T_train=5)
+def _type_iii_between_training_nodes(g, table, cfg, seed):
+    """g keeping only its Type III edges between the training nodes of the
+    seed's split: training reads their ground truth, so editing would
+    remove them all."""
     y, s = table.labels.class_label, table.labels.sensitive
     labeled = np.where(table.labels.labeled_mask())[0]
-    train = split_dataset(table.n, labeled, cfg.splits, derive_seed(3, "split")).train
+    train = split_dataset(table.n, labeled, cfg.splits, derive_seed(seed, "split")).train
     g = Graph.from_edges(g.n, [(u, v) for u, v in g.edges
                                if y[u] != y[v] and s[u] == s[v] and train[u] and train[v]])
     assert g.m > 0
+    return g
+
+
+def test_degenerate_edit_trains_on_unedited_graph():
+    g, table = toy_dataset(n=140, seed=9)
+    cfg = quick_config(T_pre=10, T_train=5)
+    g = _type_iii_between_training_nodes(g, table, cfg, 3)
     result = run_single(g, table, cfg, seed=3)
     report = result.edit_report
     assert report.degenerate and not report.skipped
@@ -498,6 +507,47 @@ def test_grid_cell_equals_run_experiment_under_its_weights():
         assert cell.aggregate == agg
         scores = [r.val_report.score for r in results]
         assert cell.mean_val_score == float(np.mean(scores))
+
+
+@pytest.mark.parametrize("mode, degenerate", [(mode, False) for mode in pipeline.MODES]
+                         + [("HSCCAF", True)])
+def test_phase_invariants_are_built_once(monkeypatch, mode, degenerate):
+    """One run builds one NeighborAggregator per distinct graph, one
+    neighbour mean per forward pass plus one per phase (layer one's input),
+    one structure operator for phase 2 and one pair of invariance operators
+    per counterfactual refresh. The environment loss's pairs change with
+    every forward pass, so each of its calls builds one operator."""
+    g, table = toy_dataset(n=140, seed=9)
+    cfg = quick_config(T_pre=4, T_train=7, refresh_period=3, mode=mode)
+    if degenerate:
+        g = _type_iii_between_training_nodes(g, table, cfg, 3)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(NeighborAggregator, "__init__",
+                        counting("aggregators", NeighborAggregator.__init__))
+    monkeypatch.setattr(ad, "row_mean_neighbors",
+                        counting("means", ad.row_mean_neighbors))
+    monkeypatch.setattr(losses.PairOperator, "__init__",
+                        counting("operators", losses.PairOperator.__init__))
+    for name in ("encode", "select_counterfactuals", "env_loss"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    report = run_single(g, table, cfg, seed=3).edit_report
+
+    edits = pipeline.MODE_FLAGS[mode]["edit"] and not degenerate
+    assert report.degenerate == degenerate and bool(report.removed_edges) == edits
+    assert counts["aggregators"] == (2 if edits else 1)
+    assert counts["encode"] == (cfg.T_pre + 1) + (cfg.T_train + 1)
+    assert counts["means"] == counts["encode"] + 2
+    assert counts["select_counterfactuals"] == 3  # epochs 1, 3 and 6
+    contrast = pipeline.MODE_FLAGS[mode]["contrast"]
+    assert counts["env_loss"] == (cfg.T_train if contrast else 0)
+    assert counts["operators"] == 1 + 2 * 3 + counts["env_loss"]
 
 
 def test_phase_one_result_is_not_changed_by_training():
