@@ -10,9 +10,10 @@ to C and environment with respect to E. No loss takes a weight: a kernel
 computes each unweighted value and gradient in closed form, the pairwise
 terms (invariance, structure, environment) one block of node pairs at a
 time with one sparse product for the gradient, through a `PairOperator`
-built once per pair list. `total_loss` scales each
-term by its weight as it adds the gradients into one dL/dH and one
-dL/dlogit, which `autodiff.grad` takes through the model.
+built once per pair list. `total_loss` walks `TERMS`, the table of the
+terms, scaling each by its weight as it adds the gradients into one dL/dH
+and one dL/dlogit, which `autodiff.grad` takes through the model;
+`active_terms` says which terms a run trains.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -602,53 +604,55 @@ def env_loss(e, sensitive, k_prime):
     return -(w * dist).sum(), grad
 
 
-@dataclass
-class LossParts:
-    """The five terms as their losses returned them, (value, gradients...),
-    unweighted; absent terms stay None."""
-
-    pred: tuple
-    inv: tuple | None = None
-    suf: tuple | None = None
-    sc: tuple | None = None
-    env: tuple | None = None
-
-    def values(self):
-        parts = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: None if part is None else float(part[0])
-                for name, part in parts.items()}
+# The terms of the composite objective, in the order they add: `weight` is
+# a LossWeights field (None: 1), `blocks` what the gradients are taken with
+# respect to, in return order; `contrast` terms train in contrast modes only.
+Term = namedtuple("Term", "name weight blocks contrast")
+TERMS = (
+    Term("pred", None, ("logit",), False),
+    Term("inv", "alpha", ("C", "E"), False),
+    Term("suf", "beta", ("H",), False),
+    Term("sc", "omega", ("C",), True),
+    Term("env", "eta", ("E",), True),
+)
 
 
-def total_loss(parts: LossParts, weights: LossWeights, w_pred):
-    """pred + alpha*inv + beta*suf + omega*sc + eta*env over present parts.
+def active_terms(weights: LossWeights, contrast):
+    """The TERMS names a run trains, in order: `pred` always, every other
+    term when its weight is > 0 and the mode's contrast flag admits it."""
+    return tuple(t.name for t in TERMS if t.weight is None or (
+        getattr(weights, t.weight) > 0 and (contrast or not t.contrast)))
+
+
+def _weighted_sum(pieces, start=None):
+    """start + c_1 x_1 + c_2 x_2 + ... over pieces [(c_1, x_1), ...], left to
+    right, each product formed as it is added (c None: x as it is); with no
+    start the first product is taken as it is, so a -0.0 keeps its sign."""
+    for coeff, x in pieces:
+        x = x if coeff is None else coeff * x
+        start = x if start is None else start + x
+    return start
+
+
+def total_loss(parts, weights: LossWeights, w_pred):
+    """The weighted sum of parts, {TERMS name: a loss's (value,
+    gradients...)}, which must hold the prediction term.
 
     Returns (value, dL/dH, dL/dlogit); this is the one place a weight
     touches the objective. w_pred is the predictor's (d_c, 1) weight
     column, through which the prediction term reaches C; E is as wide as C.
-    Each block adds its weighted gradients in one fixed order: C
-    prediction, invariance, contrast; E invariance, environment; then H the
-    structure term.
+    Values and each block's gradients add in TERMS order: C after the
+    prediction term's, E from its first term's (zeros without one), then H
+    = [C | E] adds the terms on H.
     """
-    terms = [(1.0, parts.pred), (weights.alpha, parts.inv),
-             (weights.beta, parts.suf), (weights.omega, parts.sc),
-             (weights.eta, parts.env)]
-    total = None
-    for coeff, part in terms:
-        if part is None:
-            continue
-        piece = part[0] * float(coeff)
-        total = piece if total is None else total + piece
-    g_logit = parts.pred[1]
-    g_c = g_logit @ w_pred.T
-    g_e = np.zeros_like(g_c)
-    if parts.inv is not None:
-        g_c = g_c + weights.alpha * parts.inv[1]
-        g_e = weights.alpha * parts.inv[2]
-    if parts.sc is not None:
-        g_c = g_c + weights.omega * parts.sc[1]
-    if parts.env is not None:
-        g_e = g_e + weights.eta * parts.env[1]
-    g_h = np.concatenate([g_c, g_e], axis=1)
-    if parts.suf is not None:
-        g_h = g_h + weights.beta * parts.suf[1]
-    return total, g_h, g_logit
+    pieces = {"value": [], "logit": [], "C": [], "E": [], "H": []}
+    for name, weight, blocks, _ in TERMS:
+        if name in parts:
+            coeff = None if weight is None else float(getattr(weights, weight))
+            for block, x in zip(("value", *blocks), parts[name]):
+                pieces[block].append((coeff, x))
+    g_logit = _weighted_sum(pieces["logit"])
+    g_c = _weighted_sum(pieces["C"], g_logit @ w_pred.T)
+    g_e = _weighted_sum(pieces["E"]) if pieces["E"] else np.zeros_like(g_c)
+    g_h = _weighted_sum(pieces["H"], np.concatenate([g_c, g_e], axis=1))
+    return _weighted_sum(pieces["value"]), g_h, g_logit

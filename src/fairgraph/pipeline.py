@@ -37,9 +37,10 @@ from .errors import (
 )
 from .graph import EditReport, Graph, NodeLabels, edge_census, fair_edge_remove
 from .losses import (
-    LossParts,
+    TERMS,
     LossWeights,
     _whole_number,
+    active_terms,
     inv_loss,
     pred_loss,
     sample_negative_edges,
@@ -196,12 +197,12 @@ def _descend(agg: NeighborAggregator, x, params: Params, cfg: TrainConfig, epoch
     statistics stay fixed through a phase, so each `encode` starts at
     layer one's product.
 
-    objective(epoch, latent, probs) returns the epoch's LossParts from the
-    forward pass of the current parameters. A non-finite weighted loss
-    raises DivergenceError with the epoch and `phase`. Each step yields
-    (epoch, loss, parts, probs), probs from the forward pass of the stepped
-    parameters; that pass also feeds the next epoch's objective, so each
-    parameter state is encoded once.
+    objective(epoch, latent, probs) returns the epoch's `total_loss`
+    parts from the forward pass of the current parameters. A non-finite
+    weighted loss raises DivergenceError with the epoch and `phase`. Each
+    step yields (epoch, loss, parts, probs), probs from the forward pass of
+    the stepped parameters; that pass also feeds the next epoch's
+    objective, so each parameter state is encoded once.
     """
     z1 = input_layer(params, agg, x)
     arrays = params.arrays()
@@ -248,7 +249,7 @@ def pretrain(agg: NeighborAggregator, x, labels: NodeLabels, train_mask,
     losses = []
     for _, loss, _, probs in _descend(
             agg, x, params, cfg, cfg.T_pre, "pretrain",
-            lambda epoch, latent, probs: LossParts(pred=pred_loss(probs, y, train_mask))):
+            lambda epoch, latent, probs: {"pred": pred_loss(probs, y, train_mask)}):
         losses.append(loss)
     pseudo = labels.training_view(train_mask).with_pseudo(hard_labels(probs)).class_label
     return PretrainResult(params=params, pseudo_labels=pseudo, losses=losses)
@@ -364,12 +365,8 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
     """
     graph, splits = start.graph, start.splits
     params = copy.deepcopy(start.pre.params)
-    contrast = MODE_FLAGS[cfg.mode]["contrast"]
     w = cfg.weights
-    use_inv = w.alpha > 0
-    use_suf = w.beta > 0
-    use_sc = contrast and w.omega > 0
-    use_env = contrast and w.eta > 0
+    active = active_terms(w, MODE_FLAGS[cfg.mode]["contrast"])
 
     y = labels.class_label
     sens = labels.sensitive
@@ -377,8 +374,7 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
 
     # the structure loss's pairs are fixed for the phase; their operator
     # takes each epoch's weights, so it belongs to this run, not to `start`
-    suf_pairs = None
-    if use_suf:
+    if "suf" in active:
         try:
             neg_edges = sample_negative_edges(graph, graph.m,
                                               derive_seed(seed, "negative-edges"))
@@ -390,22 +386,21 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
         suf_pairs = structure_pairs(graph.n, graph.edge_array, neg_edges)
 
     cf = None
+    # each term's loss on a forward pass, looked up as a module name per call
+    compute = {
+        "pred": lambda latent, probs: pred_loss(probs, y, splits.train),
+        "inv": lambda latent, probs: inv_loss(latent.c, latent.e, cf, w.gamma),
+        "suf": lambda latent, probs: suf_loss(latent.h, *suf_pairs),
+        "sc": lambda latent, probs: sc_loss(latent.c, y, splits.train, w.kappa),
+        "env": lambda latent, probs: env_loss(latent.e, sens, w.k_prime),
+    }
 
     def objective(epoch, latent, probs):
         nonlocal cf
-        if use_inv and (epoch == 1 or epoch % cfg.refresh_period == 0):
+        if "inv" in active and (epoch == 1 or epoch % cfg.refresh_period == 0):
             pseudo = seen.with_pseudo(hard_labels(probs)).class_label
             cf = select_counterfactuals(latent.h, pseudo, sens, w.k)
-        parts = LossParts(pred=pred_loss(probs, y, splits.train))
-        if use_inv:
-            parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
-        if use_suf:
-            parts.suf = suf_loss(latent.h, *suf_pairs)
-        if use_sc:
-            parts.sc = sc_loss(latent.c, y, splits.train, w.kappa)
-        if use_env:
-            parts.env = env_loss(latent.e, sens, w.k_prime)
-        return parts
+        return {name: compute[name](latent, probs) for name in active}
 
     arrays = params.arrays()
     records = []
@@ -418,8 +413,8 @@ def train_full(start: PhaseOne, x, labels: NodeLabels, cfg: TrainConfig,
             val_score = val_report.score
         except UndefinedMetricError as exc:
             val_report, val_score, undefined = None, None, exc
-        records.append(EpochRecord(epoch=epoch, loss=loss,
-                                   parts=parts.values(), val_score=val_score))
+        records.append(EpochRecord(epoch=epoch, loss=loss, val_score=val_score, parts={
+            t.name: float(parts[t.name][0]) if t.name in parts else None for t in TERMS}))
         if val_score is not None and (best is None or val_score > best[0]):
             best = (val_score, epoch, [p.copy() for p in arrays], val_report, probs)
 

@@ -23,7 +23,7 @@ import pytest
 from fairgraph.data import load_dataset, resolve_dataset
 from fairgraph.errors import DatasetError, InfeasibleError
 from fairgraph.graph import edge_census, homophily_ratios, minimal_deletions
-from fairgraph.losses import LossWeights, _tvmf, select_counterfactuals
+from fairgraph.losses import TERMS, LossWeights, _tvmf, select_counterfactuals
 from fairgraph.pipeline import TrainConfig, phase_one, run_experiment, run_single
 from fairgraph.seeding import derive_seed
 from fairgraph.verify import budget_suite, identity_suite, random_labeled_graph, \
@@ -139,7 +139,7 @@ def test_criterion_4_gradient_suite():
         start = time.monotonic()
         for seed in range(5):
             params, build = loss_builders(seed)
-            for which in ("pred", "inv", "suf", "sc", "env", "total"):
+            for which in [t.name for t in TERMS] + ["total"]:
                 arrays = params.arrays() if which in ("pred", "total") \
                     else params.arrays()[:4]
                 err = grad_check(lambda: build(which), arrays, eps=1e-5,

@@ -309,7 +309,7 @@ def test_determinism_bit_identical():
     def run():
         latent = encode_features(params, agg, x)
         probs = ad.logistic(latent.c @ params.w + params.b)
-        parts = losses.LossParts(pred=losses.pred_loss(probs, y, mask))
+        parts = {"pred": losses.pred_loss(probs, y, mask)}
         value, g_h, g_logit = losses.total_loss(parts, losses.LossWeights(), params.w)
         return value, ad.grad(params, latent, g_h, g_logit)
 

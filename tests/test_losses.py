@@ -1,5 +1,6 @@
 """The five objectives against hand arithmetic and brute-force oracles."""
 
+import itertools
 import logging
 import math
 import os
@@ -25,8 +26,8 @@ from fairgraph.losses import (
     _GROUPS,
     _PAIR_BLOCK,
     PROB_FLOOR,
+    TERMS,
     CounterfactualIndex,
-    LossParts,
     LossWeights,
     PairOperator,
     _nearest,
@@ -999,13 +1000,18 @@ def test_env_loss_nonpositive_and_group_error():
 # composite
 
 def composite_parts(rng, n=5, d_c=2):
-    """Parts with the five values 1..5 and random gradients, and a predictor
-    weight column."""
-    return LossParts(pred=(1.0, rng.standard_normal((n, 1))),
-                     inv=(2.0, rng.standard_normal((n, d_c)), rng.standard_normal((n, d_c))),
-                     suf=(3.0, rng.standard_normal((n, 2 * d_c))),
-                     sc=(4.0, rng.standard_normal((n, d_c))),
-                     env=(5.0, rng.standard_normal((n, d_c)))), rng.standard_normal((d_c, 1))
+    """Parts with the five values 1..5 and random gradients whose first row
+    is -0.0, and a predictor weight column of both signs."""
+    def grad(width):
+        g = rng.standard_normal((n, width))
+        g[0] = -0.0
+        return g
+
+    w_pred = np.abs(rng.standard_normal((d_c, 1)))
+    w_pred[1::2] *= -1.0
+    return {"pred": (1.0, grad(1)), "inv": (2.0, grad(d_c), grad(d_c)),
+            "suf": (3.0, grad(2 * d_c)), "sc": (4.0, grad(d_c)),
+            "env": (5.0, grad(d_c))}, w_pred
 
 
 def test_total_loss_reductions():
@@ -1014,25 +1020,51 @@ def test_total_loss_reductions():
     assert total_loss(parts, w0, w_pred)[0] == 1.0
     w1 = LossWeights(alpha=1, beta=1, gamma=1, omega=1, eta=1)
     assert total_loss(parts, w1, w_pred)[0] == 15.0
-    caf = LossParts(pred=parts.pred, inv=parts.inv, suf=parts.suf)
+    caf = {name: parts[name] for name in ("pred", "inv", "suf")}
     wc = LossWeights(alpha=0.5, beta=2.0, gamma=1, omega=0.3, eta=0.9)
     assert total_loss(caf, wc, w_pred)[0] == 1.0 + 0.5 * 2.0 + 2.0 * 3.0
 
 
 def test_total_loss_adds_gradients_in_block_order():
-    """dL/dH adds the weighted gradients, bit for bit, C: prediction
-    (through w_pred), invariance, contrast; E: invariance, environment; then
-    the structure term on all of H."""
+    """For every subset of the four optional terms, the value adds the
+    weighted values in the order pred, inv, suf, sc, env, and dL/dH adds the
+    weighted gradients, bit for bit and sign of zero for sign of zero, C:
+    prediction (through w_pred), invariance, contrast; E: invariance,
+    environment, the first of them taken as it is; then the structure term
+    on all of H."""
     parts, w_pred = composite_parts(np.random.default_rng(21))
     w = LossWeights(alpha=0.3, beta=0.6, omega=0.7, eta=0.2)
-    _, g_h, g_logit = total_loss(parts, w, w_pred)
-    assert g_logit is parts.pred[1]
-    g_c = (parts.pred[1] @ w_pred.T + 0.3 * parts.inv[1]) + 0.7 * parts.sc[1]
-    g_e = 0.3 * parts.inv[2] + 0.2 * parts.env[1]
-    assert np.array_equal(g_h, np.hstack([g_c, g_e]) + 0.6 * parts.suf[1])
-    # prediction alone reaches C only
-    _, g_h, _ = total_loss(LossParts(pred=parts.pred), LossWeights(), w_pred)
-    assert np.array_equal(g_h, np.hstack([parts.pred[1] @ w_pred.T, np.zeros((5, 2))]))
+    coeff = {"inv": 0.3, "suf": 0.6, "sc": 0.7, "env": 0.2}
+    signed_zeros = 0
+    for r in range(5):
+        for subset in itertools.combinations(["inv", "suf", "sc", "env"], r):
+            value, g_h, g_logit = total_loss(
+                {name: parts[name] for name in ("pred", *subset)}, w, w_pred)
+            assert g_logit is parts["pred"][1]
+            expected = parts["pred"][0] * 1.0
+            for name in ("inv", "suf", "sc", "env"):
+                if name in subset:
+                    expected = expected + parts[name][0] * coeff[name]
+            assert value == expected, subset
+            g_c = parts["pred"][1] @ w_pred.T
+            if "inv" in subset:
+                g_c = g_c + 0.3 * parts["inv"][1]
+            if "sc" in subset:
+                g_c = g_c + 0.7 * parts["sc"][1]
+            g_e = np.zeros((5, 2))
+            if "inv" in subset and "env" in subset:
+                g_e = 0.3 * parts["inv"][2] + 0.2 * parts["env"][1]
+            elif "inv" in subset:
+                g_e = 0.3 * parts["inv"][2]
+            elif "env" in subset:
+                g_e = 0.2 * parts["env"][1]
+            g_h_expected = np.hstack([g_c, g_e])
+            if "suf" in subset:
+                g_h_expected = g_h_expected + 0.6 * parts["suf"][1]
+            assert np.array_equal(g_h, g_h_expected), subset
+            assert np.array_equal(np.signbit(g_h), np.signbit(g_h_expected)), subset
+            signed_zeros += int(np.signbit(g_h[g_h == 0]).sum())
+    assert signed_zeros > 0  # the comparison of signs is not vacuous
 
 
 def test_weights_validation():
@@ -1085,30 +1117,26 @@ def loss_builders(seed):
     def build(which):
         """(value, parameter gradients, latent state, probabilities) of one
         term, or of the composite for "total", computed as the pipeline
-        computes them; a single auxiliary term has encoder gradients only."""
+        computes them; a single auxiliary term has encoder gradients only,
+        placed in the blocks its TERMS entry names."""
         latent = encode_features(params, agg, x)
         probs = predict(params, latent.c)
+        compute = {
+            "pred": lambda: pred_loss(probs, y, mask),
+            "inv": lambda: inv_loss(latent.c, latent.e, cf, w.gamma),
+            "suf": lambda: suf_loss(latent.h, *suf_pairs),
+            "sc": lambda: sc_loss(latent.c, y, mask, w.kappa),
+            "env": lambda: env_loss(latent.e, s, w.k_prime),
+        }
         if which in ("pred", "total"):
-            parts = LossParts(pred=pred_loss(probs, y, mask))
-            if which == "total":
-                parts.inv = inv_loss(latent.c, latent.e, cf, w.gamma)
-                parts.suf = suf_loss(latent.h, *suf_pairs)
-                parts.sc = sc_loss(latent.c, y, mask, w.kappa)
-                parts.env = env_loss(latent.e, s, w.k_prime)
-            value, g_h, g_logit = total_loss(parts, w, params.w)
+            names = [t.name for t in TERMS] if which == "total" else ["pred"]
+            value, g_h, g_logit = total_loss({name: compute[name]() for name in names},
+                                             w, params.w)
             return value, ad.grad(params, latent, g_h, g_logit), latent, probs
+        value, *grads = compute[which]()
+        blocks = dict(zip(next(t.blocks for t in TERMS if t.name == which), grads))
         zeros = np.zeros_like(latent.c)
-        if which == "inv":
-            value, g_c, g_e = inv_loss(latent.c, latent.e, cf, w.gamma)
-            g_h = np.hstack([g_c, g_e])
-        elif which == "suf":
-            value, g_h = suf_loss(latent.h, *suf_pairs)
-        elif which == "sc":
-            value, g_c = sc_loss(latent.c, y, mask, w.kappa)
-            g_h = np.hstack([g_c, zeros])
-        else:
-            value, g_e = env_loss(latent.e, s, w.k_prime)
-            g_h = np.hstack([zeros, g_e])
+        g_h = blocks.get("H", np.hstack([blocks.get("C", zeros), blocks.get("E", zeros)]))
         return value, ad.grad(params, latent, g_h, np.zeros((n, 1)))[:4], latent
 
     return params, build
@@ -1144,7 +1172,7 @@ def test_grad_check_skips_suf_clamp_crossing():
     assert grad_check(loss_fn, [h]) < 1e-9
 
 
-@pytest.mark.parametrize("which", ["pred", "inv", "suf", "sc", "env", "total"])
+@pytest.mark.parametrize("which", [t.name for t in TERMS] + ["total"])
 def test_every_loss_passes_grad_check(which):
     for seed in range(5):
         params, build = loss_builders(seed)

@@ -394,15 +394,40 @@ def test_training_reads_no_validation_or_test_label(mode):
     assert np.array_equal(pseudo[splits.train], table.labels.class_label[splits.train])
 
 
-def test_mode_gating_affects_parts():
+def counter(counts, name, fn):
+    """fn, counting its calls in counts[name]."""
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("zeroed", ["none", "alpha", "beta", "omega", "eta"])
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_mode_gating_affects_parts(monkeypatch, mode, zeroed):
+    """The prediction term always trains; every other term trains when its
+    weight is > 0, the contrast and environment terms only in the contrast
+    modes. An epoch's parts list all five terms in one order, None for a
+    term not trained, and what only that term calls never runs."""
     g, table = toy_dataset(n=140, seed=10)
-    full = run_single(g, table, quick_config(), seed=4)
-    caf = run_single(g, table, quick_config(mode="CAF"), seed=4)
-    assert full.epochs[0].parts["sc"] is not None
-    assert full.epochs[0].parts["env"] is not None
-    assert caf.epochs[0].parts["sc"] is None
-    assert caf.epochs[0].parts["env"] is None
-    assert caf.edit_report.skipped and not full.edit_report.skipped
+    cfg = quick_config(mode=mode, T_pre=4, T_train=6, refresh_period=3)
+    if zeroed != "none":
+        cfg = replace(cfg, weights=replace(cfg.weights, **{zeroed: 0.0}))
+    w, contrast = cfg.weights, pipeline.MODE_FLAGS[mode]["contrast"]
+    trained = {"pred": True, "inv": w.alpha > 0, "suf": w.beta > 0,
+               "sc": contrast and w.omega > 0, "env": contrast and w.eta > 0}
+    calls = {"select_counterfactuals": "inv", "sample_negative_edges": "suf",
+             "sc_loss": "sc", "env_loss": "env"}
+    counts = Counter()
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counter(counts, name, getattr(pipeline, name)))
+    result = run_single(g, table, cfg, seed=4)
+    for e in result.epochs:
+        assert list(e.parts) == ["pred", "inv", "suf", "sc", "env"]
+        assert {k: v is not None for k, v in e.parts.items()} == trained
+    assert {name: counts[name] > 0 for name in calls} == \
+        {name: trained[term] for name, term in calls.items()}
+    assert result.edit_report.skipped is not pipeline.MODE_FLAGS[mode]["edit"]
 
 
 def test_undefined_validation_metrics_disqualify_selection():
@@ -522,21 +547,14 @@ def test_phase_invariants_are_built_once(monkeypatch, mode, degenerate):
     if degenerate:
         g = _type_iii_between_training_nodes(g, table, cfg, 3)
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(NeighborAggregator, "__init__",
-                        counting("aggregators", NeighborAggregator.__init__))
+                        counter(counts, "aggregators", NeighborAggregator.__init__))
     monkeypatch.setattr(ad, "row_mean_neighbors",
-                        counting("means", ad.row_mean_neighbors))
+                        counter(counts, "means", ad.row_mean_neighbors))
     monkeypatch.setattr(losses.PairOperator, "__init__",
-                        counting("operators", losses.PairOperator.__init__))
+                        counter(counts, "operators", losses.PairOperator.__init__))
     for name in ("encode", "select_counterfactuals", "env_loss"):
-        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, name, counter(counts, name, getattr(pipeline, name)))
     report = run_single(g, table, cfg, seed=3).edit_report
 
     edits = pipeline.MODE_FLAGS[mode]["edit"] and not degenerate
